@@ -34,7 +34,6 @@ namespace {
 bool g_smoke_mode = false;
 bool g_hw_mode = false;
 bool g_adaptive_mode = false;
-bool g_fuse_mode = false;
 bool g_json_strict = false;
 size_t g_batch_size = 1;
 size_t g_buffer_size = BufferOperator::kDefaultBufferSize;
@@ -113,8 +112,6 @@ size_t BufferSizeArg() { return g_buffer_size; }
 
 bool AdaptiveArg() { return g_adaptive_mode; }
 
-bool FuseArg() { return g_fuse_mode; }
-
 const std::string& CalibrationArg() { return g_calibration_path; }
 
 void Note(const char* fmt, ...) {
@@ -143,10 +140,6 @@ double ScaleFactorFromArgs(int argc, char** argv) {
     }
     if (arg == "--adaptive") {
       g_adaptive_mode = true;
-      continue;
-    }
-    if (arg == "--fuse") {
-      g_fuse_mode = true;
       continue;
     }
     if (arg == "--json-strict") {
@@ -192,11 +185,11 @@ void PrintJsonHeader(const char* bench_name, double scale_factor) {
       buf, sizeof(buf),
       "{\"bench\": \"%s\", \"scale_factor\": %.6g, \"smoke\": %s, "
       "\"hw\": %s, \"batch_size\": %zu, \"buffer_size\": %zu, "
-      "\"calibrated\": %s, \"adaptive\": %s, \"fused\": %s}",
+      "\"calibrated\": %s, \"adaptive\": %s}",
       bench_name, scale_factor, g_smoke_mode ? "true" : "false",
       g_hw_mode ? "true" : "false", g_batch_size, g_buffer_size,
       g_calibration_path.empty() ? "false" : "true",
-      g_adaptive_mode ? "true" : "false", g_fuse_mode ? "true" : "false");
+      g_adaptive_mode ? "true" : "false");
   EmitJsonLine(buf);
 }
 
@@ -218,8 +211,6 @@ QueryRun RunQuery(Catalog& catalog, const std::string& sql,
   planner_options.refinement.buffer_size = options.buffer_size;
   planner_options.refinement.adaptive_buffering =
       options.adaptive_buffering || g_adaptive_mode;
-  planner_options.refinement.fuse_pipelines =
-      options.refinement.fuse_pipelines || g_fuse_mode;
   PhysicalPlanner planner(&catalog, planner_options);
 
   QueryRun run;

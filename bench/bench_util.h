@@ -39,10 +39,6 @@ Catalog& SharedTpch(double scale_factor);
 ///                  (RefinementOptions::adaptive_buffering) for every
 ///                  refined RunQuery: buffers sweep candidate capacities at
 ///                  refill boundaries and lock the cheapest (DESIGN.md §14).
-///   --fuse         Turn on intra-group operator fusion
-///                  (RefinementOptions::fuse_pipelines) for every refined
-///                  RunQuery: maximal scan-filter-project chains collapse
-///                  into one compiled pipeline kernel (DESIGN.md §15).
 ///   --calibration=PATH
 ///                  Loads a measured code-layout calibration (the file
 ///                  `tools/footprint_audit.py --emit-calibration` writes)
@@ -78,9 +74,6 @@ size_t BufferSizeArg();
 
 /// True once ScaleFactorFromArgs has seen `--adaptive`.
 bool AdaptiveArg();
-
-/// True once ScaleFactorFromArgs has seen `--fuse`.
-bool FuseArg();
 
 /// Calibration file selected by `--calibration=PATH` (empty when absent).
 const std::string& CalibrationArg();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "exec/fused_pipeline.h"
-
 namespace bufferdb {
 
 std::string RefinementReport::ToString() const {
@@ -101,14 +99,9 @@ PlanRefiner::RecResult PlanRefiner::RefineRec(OperatorPtr op,
       merged.AddAll(sim::StaticOnlyFuncs());
     }
     merged.UnionWith(buffer_funcs_);
-    bool any_open = false;
     for (size_t i = 0; i < n; ++i) {
-      if (child_open[i].has_value()) {
-        merged.UnionWith(child_open[i]->funcs);
-        any_open = true;
-      }
+      if (child_open[i].has_value()) merged.UnionWith(child_open[i]->funcs);
     }
-    (void)any_open;
     if (merged.TotalBytes() <= options_.l1i_capacity_bytes) {
       OpenGroup group;
       group.funcs = merged;
@@ -145,23 +138,7 @@ PlanRefiner::RecResult PlanRefiner::RefineRec(OperatorPtr op,
   return RecResult{std::move(op), std::move(group)};
 }
 
-OperatorPtr PlanRefiner::FuseRec(OperatorPtr op) {
-  if (op == nullptr) return op;
-  FusedPipelineOptions fuse_opts;
-  fuse_opts.l1i_capacity_bytes = options_.l1i_capacity_bytes;
-  op = FusedPipelineOperator::TryFuse(std::move(op), fuse_opts);
-  // A fused subtree is a leaf (its original chain is retained internally but
-  // no longer part of the plan tree); only unfused operators are descended
-  // into, which also recurses through Exchange into its fragments.
-  if (dynamic_cast<FusedPipelineOperator*>(op.get()) != nullptr) return op;
-  for (size_t i = 0; i < op->num_children(); ++i) {
-    op->SetChild(i, FuseRec(op->TakeChild(i)));
-  }
-  return op;
-}
-
 OperatorPtr PlanRefiner::Refine(OperatorPtr root, RefinementReport* report) {
-  if (options_.fuse_pipelines) root = FuseRec(std::move(root));
   RecResult r = RefineRec(std::move(root), report);
   // The top group's output is sent to the client directly; no buffer above
   // it (§5: "There is no need to put another buffer operator above the top

@@ -50,13 +50,6 @@ struct RefinementOptions {
   /// demote_row_floor (the default) follows the refiner's batch-scaled
   /// cardinality_threshold.
   AdaptiveBufferOptions adaptive;
-  /// Intra-group operator fusion (DESIGN.md §15): before grouping, collapse
-  /// every maximal Scan -> Filter* -> [Project] chain whose expressions all
-  /// compiled to kernel programs into one FusedPipelineOperator — a single
-  /// NextBatch loop with no per-stage dispatch between the fused stages.
-  /// OFF by default — with the knob off, plans, results and sim counters
-  /// are bit-identical to the unfused refiner.
-  bool fuse_pipelines = false;
 };
 
 struct RefinementReport {
@@ -107,10 +100,6 @@ class PlanRefiner {
   };
 
   RecResult RefineRec(OperatorPtr op, RefinementReport* report);
-  /// Pre-order fusion pass (options_.fuse_pipelines): tries TryFuse at every
-  /// node top-down, so chains fuse maximally; a fused subtree becomes a leaf
-  /// and is not descended into.
-  OperatorPtr FuseRec(OperatorPtr op);
   OperatorPtr CloseGroup(OperatorPtr group_top, OpenGroup group,
                          RefinementReport* report);
   bool Eligible(const Operator& op) const;

@@ -197,6 +197,8 @@ Status ColumnScanOperator::Open(ExecContext* ctx) {
   limit_ = morsels_ != nullptr ? 0 : table_->num_rows();
   blocks_pruned_ = 0;
   rows_pruned_ = 0;
+  stage_pos_ = 0;
+  stage_n_ = 0;
   published_.set_rows(0);
   return Status::OK();
 }
@@ -296,8 +298,7 @@ void ColumnScanOperator::PublishAliases(size_t n) {
   }
 }
 
-void ColumnScanOperator::PublishCompacted(size_t n) {
-  (void)n;
+void ColumnScanOperator::PublishCompacted() {
   published_.set_rows(sel_.count);
   const std::vector<int>& cols = compiled_->input_columns();
   for (size_t i = 0; i < cols.size(); ++i) {
@@ -326,6 +327,17 @@ void ColumnScanOperator::PublishCompacted(size_t n) {
 }
 
 size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
+  // Nothing is published unless this call aliases or gathers its own run.
+  published_.set_rows(0);
+  // Rows Next() staged but has not returned yet go out first, so mixing the
+  // two interfaces never skips or repeats a row. They are handed out
+  // without columns.
+  if (stage_pos_ < stage_n_) {
+    const size_t k = std::min(max, stage_n_ - stage_pos_);
+    std::copy_n(stage_.begin() + static_cast<ptrdiff_t>(stage_pos_), k, out);
+    stage_pos_ += k;
+    return k;
+  }
   const std::vector<const uint8_t*>& rows = table_->rows();
   if (compiled_ != nullptr && vectorized_eval_) {
     for (;;) {
@@ -345,7 +357,7 @@ size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
       for (size_t k = 0; k < sel_.count; ++k) {
         out[k] = rows[pos_ + sel_.idx[k]];
       }
-      PublishCompacted(run);
+      PublishCompacted();
       pos_ += run;
       return sel_.count;
     }
@@ -368,7 +380,6 @@ size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
   }
   // Scalar fallback (predicate did not compile): interpreter per row, but
   // zone pruning still applies through ClaimRun.
-  published_.set_rows(0);
   const Schema& schema = table_->schema();
   size_t n = 0;
   while (n < max) {
@@ -392,44 +403,27 @@ size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
 }
 
 const uint8_t* ColumnScanOperator::Next() {
-  const Schema& schema = table_->schema();
-  for (;;) {
-    if (pos_ >= limit_) {
-      parallel::Morsel morsel;
-      if (morsels_ == nullptr || !morsels_->TryNext(&morsel)) break;
-      pos_ = morsel.begin;
-      limit_ = morsel.end;
-      continue;
-    }
-    const size_t block = pos_ / kZoneBlockRows;
-    if (BlockPruned(block)) {
-      const size_t block_end = std::min(limit_, (block + 1) * kZoneBlockRows);
-      ++blocks_pruned_;
-      rows_pruned_ += block_end - pos_;
-      pos_ = block_end;
-      continue;
-    }
-    ctx_->ExecModule(module_id(), hot_funcs_);
-    const uint8_t* row = table_->row(pos_++);
-    TupleView view(row, &schema);
-    ctx_->Touch(row, view.size_bytes());
-    if (predicate_ == nullptr || EvaluatePredicate(*predicate_, view)) {
-      return row;
-    }
+  if (stage_pos_ == stage_n_) {
+    stage_n_ = NextBatch(stage_.data(), stage_.size());
+    stage_pos_ = 0;
+    if (stage_n_ == 0) return nullptr;
   }
-  ctx_->ExecModule(module_id(), hot_funcs_);  // End-of-scan bookkeeping.
-  return nullptr;
+  return stage_[stage_pos_++];
 }
 
 void ColumnScanOperator::Close() {
   pos_ = 0;
   limit_ = 0;
+  stage_pos_ = 0;
+  stage_n_ = 0;
   published_.set_rows(0);
 }
 
 Status ColumnScanOperator::Rescan() {
   pos_ = 0;
   limit_ = morsels_ != nullptr ? 0 : table_->num_rows();
+  stage_pos_ = 0;
+  stage_n_ = 0;
   published_.set_rows(0);
   return Status::OK();
 }

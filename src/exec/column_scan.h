@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +29,11 @@ namespace bufferdb {
 /// contiguous run can alias contiguous segment storage. In morsel mode
 /// (BindMorselCursor) runs additionally stay inside claimed morsels,
 /// exactly like SeqScan.
+///
+/// NextBatch() is the only scan loop. Next() refills a staging array
+/// through it and hands the rows out one at a time, so a per-tuple parent
+/// (Buffer, Sort, scalar Aggregation, an Exchange worker) still gets zone
+/// maps and the compiled predicate.
 class ColumnScanOperator final : public Operator {
  public:
   /// `table` must carry a columnar image (Table::columnar() != nullptr);
@@ -48,9 +54,6 @@ class ColumnScanOperator final : public Operator {
   }
   std::string label() const override;
 
-  const Expression* predicate() const { return predicate_.get(); }
-  const Table* table() const { return table_; }
-
   /// Non-null when the predicate compiled (dictionary-aware; string
   /// equality/LIKE-prefix compile here even though they never do for
   /// SeqScan).
@@ -63,16 +66,6 @@ class ColumnScanOperator final : public Operator {
   /// Morsel mode, identical to SeqScanOperator::BindMorselCursor.
   void BindMorselCursor(parallel::MorselCursor* cursor) { morsels_ = cursor; }
   bool morsel_mode() const { return morsels_ != nullptr; }
-
-  /// The bound cursor (null in full-table mode). FusedPipeline inherits it
-  /// when this scan becomes the source stage of a fused chain.
-  parallel::MorselCursor* morsel_cursor() const { return morsels_; }
-
-  /// Pruning conjuncts extracted from the predicate; FusedPipeline reuses
-  /// them so a fused columnar source keeps the zone-map skip.
-  const std::vector<ZoneConjunct>& zone_conjuncts() const {
-    return conjuncts_;
-  }
 
  private:
   /// True when block `block` cannot contain a qualifying row.
@@ -87,7 +80,7 @@ class ColumnScanOperator final : public Operator {
   /// Publishes rows [pos_, pos_ + n) by aliasing all non-string segments.
   void PublishAliases(size_t n);
   /// Publishes the survivors in sel_ by gathering predicate input columns.
-  void PublishCompacted(size_t n);
+  void PublishCompacted();
 
   Table* table_;
   const ColumnarTable* columnar_;
@@ -97,6 +90,11 @@ class ColumnScanOperator final : public Operator {
   VectorBatch vbatch_;     // Predicate inputs (aliased or widened codes).
   VectorBatch published_;  // BatchColumns() payload.
   SelectionVector sel_;
+  // Rows of the last NextBatch() that Next() pulled; [stage_pos_, stage_n_)
+  // are not yet returned.
+  std::array<const uint8_t*, kDefaultBatchSize> stage_{};
+  size_t stage_pos_ = 0;
+  size_t stage_n_ = 0;
   parallel::MorselCursor* morsels_ = nullptr;
   size_t pos_ = 0;
   size_t limit_ = 0;  // End of the current morsel (or of the table).

@@ -43,13 +43,6 @@ class ProjectOperator final : public Operator {
   /// output aliases them instead of decoding the materialized rows.
   const VectorBatch* BatchColumns() const override { return &published_; }
 
-  /// True when all items compiled to kernel programs (test hook).
-  bool all_items_compiled() const { return !compiled_.empty(); }
-
-  /// The projection list (FusedPipeline recompiles these when this operator
-  /// becomes the top stage of a fused chain).
-  const std::vector<ProjectItem>& items() const { return items_; }
-
  private:
   /// Aliases results_ into published_ for the `n` rows just produced.
   void PublishResults(size_t n);

@@ -44,21 +44,12 @@ class SeqScanOperator final : public Operator {
   std::string label() const override;
 
   const Expression* predicate() const { return predicate_.get(); }
-  const Table* table() const { return table_; }
-
-  /// Non-null when the pushed-down predicate compiled to a kernel program
-  /// (test hook; see expr/vector_eval.h).
-  const CompiledExpr* compiled_predicate() const { return compiled_.get(); }
 
   /// Switches to morsel mode. `cursor` must range over this table's rows
   /// and outlive the operator; the caller (ExchangeOperator) resets it
   /// between executions. Pass null to return to full-table mode.
   void BindMorselCursor(parallel::MorselCursor* cursor) { morsels_ = cursor; }
   bool morsel_mode() const { return morsels_ != nullptr; }
-
-  /// The bound cursor (null in full-table mode). FusedPipeline inherits it
-  /// when this scan becomes the source stage of a fused chain.
-  parallel::MorselCursor* morsel_cursor() const { return morsels_; }
 
  private:
   Table* table_;

@@ -4,7 +4,6 @@
 
 #include "core/buffer_operator.h"
 #include "core/execution_group.h"
-#include "exec/fused_pipeline.h"
 
 namespace bufferdb {
 
@@ -13,8 +12,7 @@ namespace {
 void PrintRec(const Operator& op, int depth, bool show_footprints,
               std::string* out) {
   std::string line(static_cast<size_t>(depth) * 2, ' ');
-  const auto* fused = dynamic_cast<const FusedPipelineOperator*>(&op);
-  line += fused != nullptr ? "FusedPipeline" : op.label();
+  line += op.label();
   while (line.size() < 44) line += ' ';
   char buf[96];
   if (op.estimated_rows() >= 0) {
@@ -39,18 +37,6 @@ void PrintRec(const Operator& op, int depth, bool show_footprints,
   if (op.excluded_from_buffering()) line += " [no-buffer]";
   out->append(line);
   out->push_back('\n');
-  if (fused != nullptr) {
-    // The collapsed stages, top of the chain first — rendered like plan
-    // children, but marked as fused: they execute as one loop, not as
-    // pull-connected operators.
-    const std::vector<std::string>& stages = fused->stage_labels();
-    for (size_t i = stages.size(); i > 0; --i) {
-      out->append(static_cast<size_t>(depth + 1) * 2, ' ');
-      out->append("* ");
-      out->append(stages[i - 1]);
-      out->push_back('\n');
-    }
-  }
   for (size_t i = 0; i < op.num_children(); ++i) {
     PrintRec(*op.child(i), depth + 1, show_footprints, out);
   }

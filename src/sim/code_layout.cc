@@ -75,10 +75,6 @@ constexpr SizeSpec kSizes[] = {
     // publication and dictionary-code widening. No per-row slot decode or
     // null-bitmap extraction loops, so it stays well under scan_core.
     {FuncId::kColumnScanCore, "column_scan_core", 1800},
-    // Fused-pipeline drive loop (DESIGN.md §15): row gather, combined
-    // selection mask, survivor materialization. Replaces the per-stage
-    // NextBatch dispatch glue, so it must stay well under exec_common.
-    {FuncId::kFusedPipelineCore, "fused_pipeline_core", 1100},
 };
 static_assert(sizeof(kSizes) / sizeof(kSizes[0]) == kNumFuncIds);
 
@@ -124,10 +120,6 @@ constexpr FuncId kTopNFuncs[] = {FuncId::kExecCommon, FuncId::kTopNCore,
                                  FuncId::kExprCmp};
 constexpr FuncId kColumnScanFuncs[] = {FuncId::kExecCommon,
                                        FuncId::kColumnScanCore};
-// Deliberately excludes kExecCommon: eliminating the per-stage dispatch glue
-// is the point of fusion. The operator unions in its stages' kernel cores
-// (scan/filter/project/vector_eval) per plan.
-constexpr FuncId kFusedPipelineFuncs[] = {FuncId::kFusedPipelineCore};
 constexpr FuncId kStaticOnlyFuncs[] = {FuncId::kColdErrorPaths,
                                        FuncId::kColdRecovery,
                                        FuncId::kColdTypeCoercion};
@@ -330,8 +322,6 @@ std::span<const FuncId> ModuleBaseFuncs(ModuleId module) {
       return kTopNFuncs;
     case ModuleId::kColumnScan:
       return kColumnScanFuncs;
-    case ModuleId::kFusedPipeline:
-      return kFusedPipelineFuncs;
     case ModuleId::kNumModules:
       break;
   }
@@ -378,8 +368,6 @@ const char* ModuleName(ModuleId module) {
       return "TopN";
     case ModuleId::kColumnScan:
       return "ColumnScan";
-    case ModuleId::kFusedPipeline:
-      return "FusedPipeline";
     case ModuleId::kNumModules:
       break;
   }

@@ -57,9 +57,6 @@ enum class FuncId : uint8_t {
   kColumnScanCore,   // Columnar scan: segment aliasing, zone-map block
                      // pruning, dictionary-code widening. No per-row decode
                      // loops, so smaller than kScanCore + decoder.
-  kFusedPipelineCore,  // Fused scan->filter*->project drive loop (DESIGN.md
-                       // §15): one gather + selection + materialize body
-                       // replacing the per-stage NextBatch dispatch glue.
   kNumFuncs,
 };
 
@@ -160,11 +157,6 @@ enum class ModuleId : uint8_t {
   kDistinct,
   kTopN,
   kColumnScan,        // Columnar scan over segment storage (DESIGN.md §12).
-  kFusedPipeline,     // Fused scan->filter*->project chain (DESIGN.md §15).
-                      // Per-plan footprint is the union of the fused stages'
-                      // kernel cores minus the per-stage dispatch glue
-                      // (kExecCommon); the base set below is just the drive
-                      // loop, the operator adds its stages' cores.
   kNumModules,
 };
 

@@ -21,7 +21,6 @@
 #include "core/buffer_operator.h"
 #include "exec/aggregation.h"
 #include "exec/filter.h"
-#include "exec/fused_pipeline.h"
 #include "exec/hash_aggregation.h"
 #include "exec/hash_join.h"
 #include "exec/project.h"
@@ -92,24 +91,6 @@ bool AdaptiveFromEnv() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-// CI also re-runs this suite with BUFFERDB_FUSE_PIPELINES set: every
-// hand-built Scan -> Filter* -> [Project] chain is then collapsed into a
-// FusedPipelineOperator (DESIGN.md §15) before contract-checking, and
-// planner-built Exchange plans go through the refiner with the
-// fuse_pipelines knob on — so batch/tuple equivalence also covers the fused
-// kernels. Unset (the default), the suite is bit-identical to the unfused
-// engine.
-bool FuseFromEnv() {
-  const char* env = std::getenv("BUFFERDB_FUSE_PIPELINES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-OperatorPtr MaybeFuse(OperatorPtr plan) {
-  if (!FuseFromEnv()) return plan;
-  return FusedPipelineOperator::TryFuse(std::move(plan),
-                                        FusedPipelineOptions());
-}
-
 void MaybeEnableAdaptive(Operator* op) {
   if (!AdaptiveFromEnv()) return;
   if (auto* buffer = dynamic_cast<BufferOperator*>(op)) {
@@ -144,11 +125,9 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
     // Both plans go through the contract checker: in Debug builds every
     // operator pairing in this suite also asserts the Open/Next/Close state
     // machine and poisons stale batch slices; in Release the wrapper
-    // compiles away. The batch plan is additionally fused when
-    // BUFFERDB_FUSE_PIPELINES is set (fusion needs the raw operator tree,
-    // so it runs before wrapping).
+    // compiles away.
     OperatorPtr tuple_plan = testutil::ContractChecked(factory());
-    OperatorPtr batch_plan = testutil::ContractChecked(MaybeFuse(factory()));
+    OperatorPtr batch_plan = testutil::ContractChecked(factory());
     MaybeEnableAdaptive(tuple_plan.get());
     MaybeEnableAdaptive(batch_plan.get());
     ExpectSameRows(RunPlan(tuple_plan.get()),
@@ -384,12 +363,6 @@ TEST_P(ExchangeBatchEquivalenceTest, ProjectionAcrossDegrees) {
       options.refine = true;
       options.refinement.adaptive_buffering = true;
     }
-    if (FuseFromEnv()) {
-      // Fused CI pass: worker fragments' scan chains collapse into fused
-      // kernels; the result must still match the unrefined serial plan.
-      options.refine = true;
-      options.refinement.fuse_pipelines = true;
-    }
     OperatorPtr plan = MustPlan(kSql, options);
     auto actual = Canonical(RunPlanBatched(plan.get(), GetParam()));
     EXPECT_EQ(expected, actual) << "degree " << degree;
@@ -413,10 +386,6 @@ TEST_P(ExchangeBatchEquivalenceTest, JoinAggregateAcrossDegrees) {
     if (AdaptiveFromEnv()) {
       options.refine = true;
       options.refinement.adaptive_buffering = true;
-    }
-    if (FuseFromEnv()) {
-      options.refine = true;
-      options.refinement.fuse_pipelines = true;
     }
     OperatorPtr plan = MustPlan(kSql, options);
     auto actual = RunPlanBatched(plan.get(), GetParam());

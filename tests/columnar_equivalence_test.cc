@@ -18,6 +18,7 @@
 
 #include "exec/column_scan.h"
 #include "exec/seq_scan.h"
+#include "parallel/morsel.h"
 #include "plan/physical_planner.h"
 #include "sql/binder.h"
 #include "storage/column_table.h"
@@ -34,14 +35,10 @@ using testutil::ContractChecked;
 using testutil::Lit;
 using testutil::RunPlan;
 
-std::vector<std::vector<Value>> RunPlanBatched(Operator* root, size_t batch) {
-  ExecContext ctx;
-  auto rows = ExecutePlanBatched(root, &ctx, batch);
-  EXPECT_TRUE(rows.ok()) << rows.status();
-  if (!rows.ok()) return {};
+std::vector<std::vector<Value>> BoxRows(const std::vector<const uint8_t*>& rows,
+                                        const Schema& schema) {
   std::vector<std::vector<Value>> out;
-  const Schema& schema = root->output_schema();
-  for (const uint8_t* row : *rows) {
+  for (const uint8_t* row : rows) {
     TupleView view(row, &schema);
     std::vector<Value> values;
     for (size_t c = 0; c < schema.num_columns(); ++c) {
@@ -50,6 +47,14 @@ std::vector<std::vector<Value>> RunPlanBatched(Operator* root, size_t batch) {
     out.push_back(std::move(values));
   }
   return out;
+}
+
+std::vector<std::vector<Value>> RunPlanBatched(Operator* root, size_t batch) {
+  ExecContext ctx;
+  auto rows = ExecutePlanBatched(root, &ctx, batch);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  if (!rows.ok()) return {};
+  return BoxRows(*rows, root->output_schema());
 }
 
 // (k INT64, v DOUBLE, s STRING) table with periodic NULLs in every column
@@ -104,9 +109,12 @@ class ColumnarPlanEquivalenceTest : public ::testing::TestWithParam<size_t> {
     return std::move(*plan);
   }
 
-  // Runs `sql` with columnar_scan off (reference) and on, across Exchange
-  // degrees 1/2/8 at the parameterized batch width; results must match
-  // order-insensitively (worker interleaving is nondeterministic).
+  // Runs `sql` with columnar_scan off (the unrefined reference) and on,
+  // unrefined and refined, across Exchange degrees 1/2/8 at the
+  // parameterized batch width; results must match order-insensitively
+  // (worker interleaving is nondeterministic). Refined plans put a Buffer
+  // above the scan pipeline, and the Buffer pulls it through Next() down to
+  // the ColumnScan.
   void CheckKnobInvisible(const std::string& sql) {
     for (size_t degree : {1u, 2u, 8u}) {
       PlannerOptions off;
@@ -116,11 +124,16 @@ class ColumnarPlanEquivalenceTest : public ::testing::TestWithParam<size_t> {
       OperatorPtr reference = MustPlan(sql, off);
       auto expected = Canonical(RunPlanBatched(reference.get(), GetParam()));
 
-      PlannerOptions on = off;
-      on.columnar_scan = true;
-      OperatorPtr plan = MustPlan(sql, on);
-      auto actual = Canonical(RunPlanBatched(plan.get(), GetParam()));
-      EXPECT_EQ(expected, actual) << "degree " << degree << " sql: " << sql;
+      for (bool refine : {false, true}) {
+        PlannerOptions on = off;
+        on.columnar_scan = true;
+        on.refine = refine;
+        OperatorPtr plan = MustPlan(sql, on);
+        auto actual = Canonical(RunPlanBatched(plan.get(), GetParam()));
+        EXPECT_EQ(expected, actual) << "degree " << degree
+                                    << (refine ? ", refined" : "")
+                                    << " sql: " << sql;
+      }
     }
   }
 
@@ -380,8 +393,71 @@ TEST(DictionaryTest, DifferentialFuzzVsInterpreter) {
 // Direct operator equivalence across widths, contract-checked.
 // ---------------------------------------------------------------------------
 
+// Published columns must describe exactly the `n` rows just returned, lane
+// for lane, or nothing at all (staged rows handed out by NextBatch).
+void ExpectPublishedMatches(const ColumnScanOperator& scan,
+                            const uint8_t* const* rows, size_t n) {
+  const VectorBatch* pub = scan.BatchColumns();
+  ASSERT_NE(pub, nullptr);
+  if (pub->rows() == 0) return;
+  ASSERT_EQ(pub->rows(), n);
+  const Schema& schema = scan.output_schema();
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const ColumnVector* vec = pub->Find(static_cast<int>(c));
+    if (vec == nullptr) continue;
+    for (size_t k = 0; k < n; ++k) {
+      Value v = TupleView(rows[k], &schema).GetValue(c);
+      ASSERT_EQ(vec->null_data()[k] != 0, v.is_null()) << "col " << c;
+      if (v.is_null()) continue;
+      if (vec->is_double()) {
+        EXPECT_EQ(vec->f64_data()[k], v.double_value()) << "col " << c;
+      } else {
+        EXPECT_EQ(vec->i64_data()[k], v.int64_value()) << "col " << c;
+      }
+    }
+  }
+}
+
+enum class Drain { kNextBatch, kNext, kAlternating };
+
+// Drains `root` (`scan`, possibly contract-wrapped) at `width`: through
+// NextBatch only, Next only, or one Next then one NextBatch in turn.
+std::vector<std::vector<Value>> DrainScan(Operator* root,
+                                          const ColumnScanOperator& scan,
+                                          size_t width, Drain drain) {
+  ExecContext ctx;
+  EXPECT_TRUE(root->Open(&ctx).ok());
+  std::vector<const uint8_t*> rows;
+  std::vector<const uint8_t*> slice(width);
+  auto pull_batch = [&] {
+    size_t n = root->NextBatch(slice.data(), width);
+    ExpectPublishedMatches(scan, slice.data(), n);
+    rows.insert(rows.end(), slice.begin(), slice.begin() + n);
+    return n;
+  };
+  for (;;) {
+    if (drain == Drain::kNextBatch) {
+      if (pull_batch() == 0) break;
+      continue;
+    }
+    const uint8_t* row = root->Next();
+    if (row == nullptr) break;
+    rows.push_back(row);
+    if (drain == Drain::kAlternating && pull_batch() == 0) break;
+  }
+  auto out = BoxRows(rows, root->output_schema());
+  root->Close();
+  return out;
+}
+
 class ColumnScanWidthTest : public ::testing::TestWithParam<size_t> {};
 
+// Next() drains NextBatch() through a staging array, so every drain —
+// NextBatch only, Next only, or the two alternating — must return the
+// SeqScan rows in table order, neither skipping nor repeating one. Covered in
+// full-table mode and bound to a morsel cursor (100-row morsels, so no width
+// lines up with them), with the compiled predicate and with the interpreter
+// fallback.
 TEST_P(ColumnScanWidthTest, MatchesSeqScanAcrossWidths) {
   auto table = MakeColumnarTable(997);  // No width divides this evenly.
   const Schema& s = table->schema();
@@ -393,15 +469,58 @@ TEST_P(ColumnScanWidthTest, MatchesSeqScanAcrossWidths) {
   for (const ExprPtr& pred : preds) {
     OperatorPtr reference = ContractChecked(std::make_unique<SeqScanOperator>(
         table.get(), pred ? pred->Clone() : nullptr));
-    OperatorPtr cscan = ContractChecked(std::make_unique<ColumnScanOperator>(
-        table.get(), pred ? pred->Clone() : nullptr));
-    EXPECT_EQ(Canonical(RunPlan(reference.get())),
-              Canonical(RunPlanBatched(cscan.get(), GetParam())));
+    const auto expected = RunPlan(reference.get());
+    for (bool morsels : {false, true}) {
+      for (bool vectorized : {true, false}) {
+        for (Drain drain :
+             {Drain::kNextBatch, Drain::kNext, Drain::kAlternating}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (pred ? pred->ToString() : "no predicate")
+                       << (morsels ? ", morsels" : ", full table")
+                       << (vectorized ? ", compiled" : ", interpreted")
+                       << ", drain " << static_cast<int>(drain));
+          parallel::MorselCursor cursor(table->num_rows(), 100);
+          auto cscan = std::make_unique<ColumnScanOperator>(
+              table.get(), pred ? pred->Clone() : nullptr);
+          ColumnScanOperator* hook = cscan.get();
+          hook->set_vectorized_eval(vectorized);
+          if (morsels) hook->BindMorselCursor(&cursor);
+          OperatorPtr root = ContractChecked(std::move(cscan));
+          EXPECT_EQ(expected, DrainScan(root.get(), *hook, GetParam(), drain));
+        }
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ColumnScanWidthTest,
                          ::testing::Values(1, 7, 256, 1024));
+
+// Rescan, and Close followed by Open, empty the stage: a scan pulled part
+// way through Next() starts over instead of replaying staged rows.
+TEST(ColumnScanStageTest, RescanAndReopenStartOver) {
+  auto table = MakeColumnarTable(997);
+  auto reference = std::make_unique<SeqScanOperator>(table.get(), nullptr);
+  const auto expected = RunPlan(reference.get());
+  OperatorPtr root = ContractChecked(
+      std::make_unique<ColumnScanOperator>(table.get(), nullptr));
+  auto drain = [&] {
+    std::vector<const uint8_t*> rows;
+    while (const uint8_t* row = root->Next()) rows.push_back(row);
+    return BoxRows(rows, root->output_schema());
+  };
+  ExecContext ctx;
+  ASSERT_TRUE(root->Open(&ctx).ok());
+  ASSERT_NE(root->Next(), nullptr);
+  ASSERT_TRUE(root->Rescan().ok());
+  EXPECT_EQ(expected, drain());
+  ASSERT_TRUE(root->Rescan().ok());
+  ASSERT_NE(root->Next(), nullptr);
+  root->Close();
+  ASSERT_TRUE(root->Open(&ctx).ok());
+  EXPECT_EQ(expected, drain());
+  root->Close();
+}
 
 }  // namespace
 }  // namespace bufferdb

@@ -64,7 +64,7 @@ POLICIES = [
                 r"l1d_misses|l2_misses|l2_i_misses|itlb_misses|mispredicts|"
                 r"l1i_accesses|l1d_accesses|l2_accesses|itlb_accesses|"
                 r"branches)$"), "lower", "rel"),
-    (re.compile(r"^sim_(orig|buf|tuple|batch|row|col|fused|unfused)_"
+    (re.compile(r"^sim_(orig|buf|tuple|batch|row|col)_"
                 r"(l1i|itlb|mispredicts|instructions|l1i_misses|"
                 r"l1i_accesses)"), "lower", "rel"),
     (re.compile(r"reduction_pct$|improvement_pct$"), "higher", "abs_pct"),
@@ -304,14 +304,6 @@ def self_test() -> int:
         sink = io.StringIO()
         assert run(bdir, cdir, 0.15, 0.6, None, sink) == 1
         assert "stale" in sink.getvalue()
-
-        # Fused-pipeline counters are gated like the other sim counters.
-        fused_base = dict(base_rec, sim_fused_l1i_accesses=1000)
-        fused_bad = dict(base_rec, sim_fused_l1i_accesses=1400)
-        write(bdir, "x.jsonl", [fused_base])
-        write(cdir, "x.jsonl", [fused_bad])
-        assert run(bdir, cdir, 0.15, 0.6, None, io.StringIO()) == 1
-        write(bdir, "x.jsonl", [base_rec])
 
         # Empty baseline file -> explicit FAIL (even against an empty current
         # run), not a silent zero-record PASS.

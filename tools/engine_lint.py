@@ -51,15 +51,6 @@ see (see DESIGN.md section 9):
                             batch source to alias from) are annotated
                             `// LINT: allow-row-decode(<reason>)` on the
                             same or the preceding line.
-  ENG010 fused-reentry      Fused pipeline sources (fused_pipeline.*) never
-                            re-enter their collapsed chain: no virtual
-                            Next()/NextBatch() calls on fused children and no
-                            per-tuple Evaluate/EvaluatePredicate interpreter
-                            calls anywhere in the operator -- the whole point
-                            of fusion is that the retained chain exists only
-                            for schemas/labels while the stages execute as
-                            inline kernel programs. Annotate deliberate cases
-                            `// LINT: allow-eng010(<reason>)`.
   ENG009 adaptive-hot-path  The adaptive buffer controller
                             (core/adaptive_buffer.*) sits on every refill
                             boundary of every adaptive buffer, and its
@@ -114,7 +105,6 @@ ALLOW_SCALAR_EVAL = "LINT: allow-scalar-eval"
 ALLOW_SYSCALL = "LINT: allow-syscall"
 ALLOW_ROW_DECODE = "LINT: allow-row-decode"
 ALLOW_ENG009 = "LINT: allow-eng009"
-ALLOW_ENG010 = "LINT: allow-eng010"
 
 
 @dataclass(frozen=True)
@@ -601,41 +591,6 @@ def check_adaptive_hot_path(path: str, raw: str, stripped: str) -> list[Finding]
 
 
 # ---------------------------------------------------------------------------
-# ENG010: fused pipelines never re-enter their collapsed chain
-# ---------------------------------------------------------------------------
-
-# Any virtual pull on another operator: `x->Next(...)` / `x.NextBatch(...)`.
-# The fused operator's own plain-call recursion (`NextBatch(out, n)` with no
-# object expression, used by its Next() drain) deliberately does not match.
-ENG010_CHILD_CALL_RE = re.compile(r"(?:\.|->)\s*Next(?:Batch)?\s*\(")
-
-ENG010_EVAL_RE = re.compile(
-    r"\bEvaluatePredicate\s*\(|(?:\.|->)\s*Evaluate\s*\(")
-
-
-def check_fused_reentry(path: str, raw: str, stripped: str) -> list[Finding]:
-    if not Path(path).name.startswith("fused_pipeline"):
-        return []
-    findings: list[Finding] = []
-    allowed = annotated_lines(raw, ALLOW_ENG010)
-    raw_lines = raw.splitlines()
-    for pattern, what in (
-            (ENG010_CHILD_CALL_RE, "virtual Next()/NextBatch() call"),
-            (ENG010_EVAL_RE, "per-tuple expression interpreter call")):
-        for m in pattern.finditer(stripped):
-            line = line_of(stripped, m.start())
-            if is_annotated(raw_lines, allowed, line):
-                continue
-            findings.append(Finding(
-                path, line, "ENG010",
-                f"{what} in a fused pipeline; the collapsed chain is kept "
-                f"only for schemas/labels and must never execute -- run the "
-                f"stage's compiled kernel program inline instead (or "
-                f"annotate `// {ALLOW_ENG010}(<reason>)`)"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -649,7 +604,6 @@ ALL_CHECKS = [
     check_syscall_containment,
     check_row_decode,
     check_adaptive_hot_path,
-    check_fused_reentry,
 ]
 
 
@@ -811,23 +765,6 @@ size_t AdaptiveBufferController::OnRefillBoundary(size_t tuples_served) {
 }  // namespace bufferdb
 """,
     ),
-    "src/exec/fused_pipeline_bad.cc": (
-        "ENG010",
-        """\
-#include "exec/fused_pipeline.h"
-namespace bufferdb {
-size_t FusedPipelineOperator::NextBatch(const uint8_t** out, size_t max) {
-  // Re-entering the collapsed chain defeats the fusion.
-  size_t n = chain_->NextBatch(out, max);
-  for (size_t i = 0; i < n; ++i) {
-    Value v = predicate_->Evaluate(out[i]);  // and so does the interpreter
-    (void)v;
-  }
-  return n;
-}
-}  // namespace bufferdb
-""",
-    ),
     "src/exec/bad_row_decode.cc": (
         "ENG008",
         """\
@@ -915,33 +852,6 @@ namespace bufferdb::perf {
 // a raw syscall is allowed without an annotation.
 long OpenCounter() { return syscall(__NR_perf_event_open, nullptr, 0, -1, -1, 0); }
 }  // namespace bufferdb::perf
-""",
-    "src/exec/fused_pipeline_good.cc": """\
-#include "exec/fused_pipeline.h"
-namespace bufferdb {
-// ENG010 fixture: a fused pipeline that drives its stages through compiled
-// programs, drains itself via a PLAIN NextBatch recursion (no object
-// expression, so it is not a virtual child pull), and annotates the one
-// deliberate exception.
-const uint8_t* FusedPipelineOperator::Next() {
-  if (drain_pos_ == drain_n_) {
-    drain_n_ = NextBatch(drain_.data(), kDefaultBatchSize);
-    drain_pos_ = 0;
-  }
-  return drain_pos_ < drain_n_ ? drain_[drain_pos_++] : nullptr;
-}
-size_t FusedPipelineOperator::NextBatch(const uint8_t** out, size_t max) {
-  size_t n = predicates_[0]->RunFilter(vbatch_, &sel_);
-  (void)out;
-  (void)max;
-  return n;
-}
-std::string FusedPipelineOperator::AnalyzeDetail() const {
-  // LINT: allow-eng010(cold EXPLAIN path, never on the batch loop)
-  Value v = items_[0].expr->Evaluate(sample_row_);
-  return v.ToString();
-}
-}  // namespace bufferdb
 """,
     "src/exec/good_legacy_alias.cc": """\
 #include "exec/good.h"
