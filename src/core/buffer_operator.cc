@@ -62,7 +62,7 @@ Status BufferOperator::Open(ExecContext* ctx) {
   return child(0)->Open(ctx);
 }
 
-void BufferOperator::Refill() {
+void BufferOperator::Refill(bool batch) {
   // Refill boundary: the previous window (if any) delivered `filled_`
   // tuples; the controller prices it and picks the next capacity. Resizes
   // apply only here — pos_/filled_ reset anyway, no slice is in flight, and
@@ -85,24 +85,39 @@ void BufferOperator::Refill() {
   }
   pos_ = 0;
   filled_ = 0;
-  const Schema& schema = child(0)->output_schema();
-  while (filled_ < buffer_size_) {
-    const uint8_t* tuple = child(0)->Next();
-    if (tuple == nullptr) {
-      end_of_tuples_ = true;
-      break;
+  if (batch && !copy_tuples_) {
+    // A batch-draining parent triggered this refill: pull the child through
+    // NextBatch straight into the pointer array.
+    while (filled_ < buffer_size_) {
+      size_t n = child(0)->NextBatch(buffer_.data() + filled_,
+                                     buffer_size_ - filled_);
+      if (n == 0) {
+        end_of_tuples_ = true;
+        break;
+      }
+      ctx_->Touch(buffer_.data() + filled_, n * sizeof(const uint8_t*));
+      filled_ += n;
     }
-    if (copy_tuples_) {
-      // Ablation: copy the tuple bytes instead of storing a pointer.
-      TupleView view(tuple, &schema);
-      uint8_t* copy = ctx_->arena.Allocate(view.size_bytes());
-      std::memcpy(copy, tuple, view.size_bytes());
-      ctx_->Touch(copy, view.size_bytes());
-      tuple = copy;
+  } else {
+    const Schema& schema = child(0)->output_schema();
+    while (filled_ < buffer_size_) {
+      const uint8_t* tuple = child(0)->Next();
+      if (tuple == nullptr) {
+        end_of_tuples_ = true;
+        break;
+      }
+      if (copy_tuples_) {
+        // Ablation: copy the tuple bytes instead of storing a pointer.
+        TupleView view(tuple, &schema);
+        uint8_t* copy = ctx_->arena.Allocate(view.size_bytes());
+        std::memcpy(copy, tuple, view.size_bytes());
+        ctx_->Touch(copy, view.size_bytes());
+        tuple = copy;
+      }
+      buffer_[filled_] = tuple;
+      ctx_->Touch(&buffer_[filled_], sizeof(const uint8_t*));
+      ++filled_;
     }
-    buffer_[filled_] = tuple;
-    ctx_->Touch(&buffer_[filled_], sizeof(const uint8_t*));
-    ++filled_;
   }
   total_buffered_ += filled_;
   last_refill_tuples_ = filled_;
@@ -117,7 +132,7 @@ const uint8_t* BufferOperator::Next() {
   ctx_->ExecModule(module_id(), hot_funcs_);
   if (pos_ >= filled_) {
     if (end_of_tuples_) return nullptr;
-    Refill();
+    Refill(/*batch=*/false);
     if (filled_ == 0) return nullptr;
   }
   ctx_->Touch(&buffer_[pos_], sizeof(const uint8_t*));
@@ -132,7 +147,7 @@ size_t BufferOperator::NextBatch(const uint8_t** out, size_t max) {
   ctx_->ExecModule(module_id(), hot_funcs_);
   if (pos_ >= filled_) {
     if (end_of_tuples_) return 0;
-    Refill();
+    Refill(/*batch=*/true);
     if (filled_ == 0) return 0;
   }
   size_t n = filled_ - pos_;

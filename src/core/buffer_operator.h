@@ -42,7 +42,10 @@ class BufferOperator final : public Operator {
   /// array. No tuple is touched — only `min(max, remaining)` pointers are
   /// copied out — so a batch-aware parent drains one refill in
   /// ~`buffer_size/max` calls instead of `buffer_size` virtual Next()s,
-  /// and the buffer module's per-tuple code is amortized per slice.
+  /// and the buffer module's per-tuple code is amortized per slice. A
+  /// refill it triggers fills the array through the child's NextBatch, so
+  /// the batch transfer reaches below the buffer too; a refill triggered by
+  /// Next() (the paper's path) and the copying ablation pull per tuple.
   size_t NextBatch(const uint8_t** out, size_t max) override;
 
   /// Replay optimization: when the child was fully drained into a single
@@ -104,7 +107,9 @@ class BufferOperator final : public Operator {
   uint64_t buffer_reallocs() const { return buffer_reallocs_; }
 
  private:
-  void Refill();
+  /// Refills the array from the child: through NextBatch when `batch`
+  /// (the parent is draining this buffer through NextBatch), else per tuple.
+  void Refill(bool batch);
 
   size_t buffer_size_;
   size_t initial_size_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/row_batch_decoder.h"
 #include "expr/evaluator.h"
 #include "storage/tuple.h"
 
@@ -42,6 +43,76 @@ DataType AggOutputType(AggFunc func, DataType arg_type) {
   return DataType::kInt64;
 }
 
+namespace {
+
+// True when `x` replaces the running extremum `ext` of MIN (`is_min`) or MAX.
+// Phrased through < and > only, like Value::Compare, so NaN never replaces.
+template <typename T>
+bool Beats(bool is_min, const T& x, const T& ext) {
+  return is_min ? x < ext : x > ext;
+}
+
+// The lane loops behind AggAccumulator::UpdateColumn. `slot(i)` is lane i's
+// state; every non-NULL lane folds exactly as Update folds its boxed value.
+template <typename Slot>
+void FoldColumn(AggFunc func, const ColumnVector* col, size_t n, Slot slot) {
+  if (func == AggFunc::kCountStar) {
+    for (size_t i = 0; i < n; ++i) ++slot(i).count;
+    return;
+  }
+  const uint8_t* nulls = col->null_data();
+  const double* f64 = col->f64_data();
+  const int64_t* i64 = col->i64_data();
+  switch (func) {
+    case AggFunc::kCount:
+      for (size_t i = 0; i < n; ++i) slot(i).count += nulls[i] == 0 ? 1 : 0;
+      break;
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      if (col->is_double()) {
+        for (size_t i = 0; i < n; ++i) {
+          if (nulls[i] != 0) continue;
+          AggAccumulator& s = slot(i);
+          ++s.count;
+          s.double_sum += f64[i];
+        }
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          if (nulls[i] != 0) continue;
+          AggAccumulator& s = slot(i);
+          ++s.count;
+          s.int_sum += i64[i];
+          s.double_sum += static_cast<double>(i64[i]);
+        }
+      }
+      break;
+    case AggFunc::kMin:
+    case AggFunc::kMax: {
+      const bool is_min = func == AggFunc::kMin;
+      auto fold = [&](const auto* lanes, auto ext) {
+        for (size_t i = 0; i < n; ++i) {
+          if (nulls[i] != 0) continue;
+          AggAccumulator& s = slot(i);
+          if (s.count == 0 || Beats(is_min, lanes[i], s.*ext)) {
+            s.*ext = lanes[i];
+          }
+          ++s.count;
+        }
+      };
+      if (col->is_double()) {
+        fold(f64, &AggAccumulator::double_ext);
+      } else {
+        fold(i64, &AggAccumulator::int_ext);
+      }
+      break;
+    }
+    case AggFunc::kCountStar:
+      break;
+  }
+}
+
+}  // namespace
+
 void AggAccumulator::Update(AggFunc func, const Value& v) {
   if (func == AggFunc::kCountStar) {
     ++count;
@@ -50,11 +121,9 @@ void AggAccumulator::Update(AggFunc func, const Value& v) {
   if (v.is_null()) return;
   switch (func) {
     case AggFunc::kCount:
-      ++count;
       break;
     case AggFunc::kSum:
     case AggFunc::kAvg:
-      ++count;
       if (v.type() == DataType::kDouble) {
         double_sum += v.double_value();
       } else {
@@ -63,16 +132,62 @@ void AggAccumulator::Update(AggFunc func, const Value& v) {
       }
       break;
     case AggFunc::kMin:
-      if (count == 0 || Value::Compare(v, extremum) < 0) extremum = v;
-      ++count;
+    case AggFunc::kMax: {
+      const bool is_min = func == AggFunc::kMin;
+      if (v.type() == DataType::kString) {
+        if (count == 0 || Beats(is_min, Value::Compare(v, string_ext), 0)) {
+          string_ext = v;
+        }
+      } else if (v.type() == DataType::kDouble) {
+        if (count == 0 || Beats(is_min, v.double_value(), double_ext)) {
+          double_ext = v.double_value();
+        }
+      } else if (count == 0 || Beats(is_min, v.int64_value(), int_ext)) {
+        int_ext = v.int64_value();
+      }
       break;
-    case AggFunc::kMax:
-      if (count == 0 || Value::Compare(v, extremum) > 0) extremum = v;
-      ++count;
-      break;
+    }
     case AggFunc::kCountStar:
       break;
   }
+  ++count;
+}
+
+void AggAccumulator::UpdateColumn(AggFunc func, const ColumnVector* col,
+                                  size_t n, const uint32_t* group,
+                                  size_t stride, AggAccumulator* states) {
+  if (group == nullptr) {
+    AggAccumulator& s = *states;
+    FoldColumn(func, col, n, [&s](size_t) -> AggAccumulator& { return s; });
+  } else {
+    FoldColumn(func, col, n, [=](size_t i) -> AggAccumulator& {
+      return states[group[i] * stride];
+    });
+  }
+}
+
+void AggAccumulator::Merge(AggFunc func, const AggAccumulator& other) {
+  if (other.count == 0) return;
+  if (func == AggFunc::kMin || func == AggFunc::kMax) {
+    // The argument's type makes exactly one extremum live; the other two
+    // stay at their defaults in every state of this aggregate, so folding
+    // all three is exact without knowing which one it is.
+    const bool is_min = func == AggFunc::kMin;
+    if (count == 0 || Beats(is_min, other.int_ext, int_ext)) {
+      int_ext = other.int_ext;
+    }
+    if (count == 0 || Beats(is_min, other.double_ext, double_ext)) {
+      double_ext = other.double_ext;
+    }
+    if (!other.string_ext.is_null() &&
+        (count == 0 ||
+         Beats(is_min, Value::Compare(other.string_ext, string_ext), 0))) {
+      string_ext = other.string_ext;
+    }
+  }
+  count += other.count;
+  int_sum += other.int_sum;
+  double_sum += other.double_sum;
 }
 
 Value AggAccumulator::Final(AggFunc func, DataType output_type) const {
@@ -90,7 +205,19 @@ Value AggAccumulator::Final(AggFunc func, DataType output_type) const {
     case AggFunc::kMin:
     case AggFunc::kMax:
       if (count == 0) return Value::Null(output_type);
-      return extremum;
+      switch (output_type) {
+        case DataType::kString:
+          return string_ext;
+        case DataType::kDouble:
+          return Value::Double(double_ext);
+        case DataType::kDate:
+          return Value::Date(int_ext);
+        case DataType::kBool:
+          return Value::Bool(int_ext != 0);
+        case DataType::kInt64:
+          return Value::Int64(int_ext);
+      }
+      break;
   }
   return Value();
 }
@@ -122,12 +249,22 @@ void AppendAggFuncs(AggFunc func, std::vector<sim::FuncId>* funcs) {
   }
 }
 
+void AddInputColumns(const CompiledExpr& program, std::vector<int>* cols) {
+  for (int col : program.input_columns()) {
+    if (std::find(cols->begin(), cols->end(), col) == cols->end()) {
+      cols->push_back(col);
+    }
+  }
+}
+
 AggregationOperator::AggregationOperator(OperatorPtr child,
                                          std::vector<AggSpec> specs)
     : specs_(std::move(specs)) {
   AddChild(std::move(child));
   InitHotFuncs(module_id());
+  const Schema& in_schema = this->child(0)->output_schema();
   std::vector<Column> cols;
+  args_compiled_ = true;
   for (AggSpec& spec : specs_) {
     // Fold at plan time: programmatically-built plans bypass the binder's
     // folding pass, so constant subtrees in aggregate arguments (e.g.
@@ -137,23 +274,29 @@ AggregationOperator::AggregationOperator(OperatorPtr child,
     DataType arg_type =
         spec.arg != nullptr ? spec.arg->result_type() : DataType::kInt64;
     cols.push_back(Column{spec.output_name, AggOutputType(spec.func, arg_type)});
+    arg_compiled_.push_back(spec.arg != nullptr
+                                ? CompiledExpr::Compile(*spec.arg, in_schema)
+                                : nullptr);
+    if (arg_compiled_.back() != nullptr) {
+      AddInputColumns(*arg_compiled_.back(), &decode_cols_);
+    }
+    args_compiled_ = args_compiled_ &&
+                     (spec.arg == nullptr || arg_compiled_.back() != nullptr);
   }
   output_schema_ = Schema(std::move(cols));
+  if (args_compiled_) SetVectorBatchFuncs();
 }
 
 Status AggregationOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
   done_ = false;
+  accs_.assign(specs_.size(), AggAccumulator());
+  if (batch_size_ > 1) batch_rows_.resize(batch_size_);
   return child(0)->Open(ctx);
 }
 
-const uint8_t* AggregationOperator::Next() {
-  if (done_) {
-    ctx_->ExecModule(module_id(), hot_funcs_);
-    return nullptr;
-  }
+void AggregationOperator::Load() {
   const Schema& in_schema = child(0)->output_schema();
-  std::vector<AggAccumulator> accs(specs_.size());
   while (const uint8_t* row = child(0)->Next()) {
     // One aggregation-module execution per input tuple: this is the
     // per-tuple interleaving with the child that buffering removes.
@@ -162,14 +305,47 @@ const uint8_t* AggregationOperator::Next() {
     for (size_t i = 0; i < specs_.size(); ++i) {
       Value v = specs_[i].arg != nullptr ? specs_[i].arg->Evaluate(view)
                                          : Value();
-      accs[i].Update(specs_[i].func, v);
+      accs_[i].Update(specs_[i].func, v);
     }
+  }
+}
+
+// Batch load: one decode of the union of input columns (aliasing what the
+// child published) feeds every argument program, and each aggregate then
+// folds its result column in one lane loop.
+void AggregationOperator::LoadBatched() {
+  const Schema& in_schema = child(0)->output_schema();
+  while (size_t n = child(0)->NextBatch(batch_rows_.data(), batch_size_)) {
+    RowBatchDecoder::DecodeMissing(batch_rows_.data(), n, in_schema,
+                                   decode_cols_, child(0)->BatchColumns(),
+                                   &vbatch_);
+    for (size_t i = 0; i < n; ++i) {
+      ctx_->ExecModule(module_id(), hot_funcs_batched());
+    }
+    for (size_t a = 0; a < specs_.size(); ++a) {
+      const ColumnVector* col =
+          arg_compiled_[a] != nullptr ? &arg_compiled_[a]->Run(vbatch_) : nullptr;
+      AggAccumulator::UpdateColumn(specs_[a].func, col, n, nullptr, 0,
+                                   &accs_[a]);
+    }
+  }
+}
+
+const uint8_t* AggregationOperator::Next() {
+  if (done_) {
+    ctx_->ExecModule(module_id(), hot_funcs_);
+    return nullptr;
+  }
+  if (batch_size_ > 1 && args_compiled_ && vectorized_eval_) {
+    LoadBatched();
+  } else {
+    Load();
   }
   ctx_->ExecModule(module_id(), hot_funcs_);
   TupleBuilder builder(&output_schema_);
   for (size_t i = 0; i < specs_.size(); ++i) {
-    builder.Set(i, accs[i].Final(specs_[i].func,
-                                 output_schema_.column(i).type));
+    builder.Set(i, accs_[i].Final(specs_[i].func,
+                                  output_schema_.column(i).type));
   }
   const uint8_t* out = builder.Finish(&ctx_->arena);
   ctx_->Touch(out, TupleView(out, &output_schema_).size_bytes());

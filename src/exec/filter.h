@@ -41,11 +41,6 @@ class FilterOperator final : public Operator {
   /// instead of re-decoding the rows.
   const VectorBatch* BatchColumns() const override { return &published_; }
 
-  const Expression& predicate() const { return *predicate_; }
-
-  /// Non-null when the predicate compiled to a kernel program (test hook).
-  const CompiledExpr* compiled_predicate() const { return compiled_.get(); }
-
  private:
   /// Gathers sel_ survivors of the predicate's input columns from vbatch_
   /// into published_.

@@ -1,6 +1,6 @@
 #include "exec/hash_aggregation.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "common/prefetch.h"
 #include "expr/evaluator.h"
@@ -10,25 +10,55 @@ namespace bufferdb {
 
 namespace {
 
-// Serializes group-key values into a hashable byte string. Appends to *out
-// (cleared first) so batch loads can reuse one string per batch slot.
-void SerializeKeyInto(const std::vector<Value>& values, std::string* out) {
-  out->clear();
-  for (const Value& v : values) {
-    out->push_back(static_cast<char>(v.type()));
-    out->push_back(v.is_null() ? 1 : 0);
-    if (v.is_null()) continue;
-    if (v.type() == DataType::kString) {
-      uint32_t n = static_cast<uint32_t>(v.string_value().size());
-      out->append(reinterpret_cast<const char*>(&n), 4);
-      out->append(v.string_value());
-    } else if (v.type() == DataType::kDouble) {
-      double d = v.double_value();
-      out->append(reinterpret_cast<const char*>(&d), 8);
-    } else {
-      int64_t i = v.int64_value();
-      out->append(reinterpret_cast<const char*>(&i), 8);
-    }
+// Group-key bytes: per key a type byte, a NULL byte and, unless NULL, the
+// payload (8 bytes for numerics, a 4-byte length plus the bytes for
+// strings). The appenders below produce the same bytes for a key whether it
+// is read from a boxed Value or straight from a packed row.
+void AppendKeyHeader(DataType type, bool is_null, std::string* out) {
+  out->push_back(static_cast<char>(type));
+  out->push_back(is_null ? 1 : 0);
+}
+
+void AppendKeyWord(const void* word, std::string* out) {
+  out->append(static_cast<const char*>(word), 8);
+}
+
+void AppendKeyString(std::string_view s, std::string* out) {
+  uint32_t n = static_cast<uint32_t>(s.size());
+  out->append(reinterpret_cast<const char*>(&n), 4);
+  out->append(s);
+}
+
+void AppendValueKey(const Value& v, std::string* out) {
+  AppendKeyHeader(v.type(), v.is_null(), out);
+  if (v.is_null()) return;
+  if (v.type() == DataType::kString) {
+    AppendKeyString(v.string_value(), out);
+  } else if (v.type() == DataType::kDouble) {
+    const double d = v.double_value();
+    AppendKeyWord(&d, out);
+  } else {
+    const int64_t i = v.int64_value();
+    AppendKeyWord(&i, out);
+  }
+}
+
+void AppendColumnKey(const TupleView& view, int col, std::string* out) {
+  const size_t c = static_cast<size_t>(col);
+  const DataType type = view.schema().column(c).type;
+  const bool is_null = view.IsNull(c);
+  AppendKeyHeader(type, is_null, out);
+  if (is_null) return;
+  if (type == DataType::kString) {
+    AppendKeyString(view.GetString(c), out);
+  } else if (type == DataType::kDouble) {
+    const double d = view.GetDouble(c);
+    AppendKeyWord(&d, out);
+  } else {
+    // Bools normalized to 0/1, like Value::Bool.
+    const int64_t i =
+        type == DataType::kBool ? (view.GetBool(c) ? 1 : 0) : view.GetInt64(c);
+    AppendKeyWord(&i, out);
   }
 }
 
@@ -50,10 +80,22 @@ HashAggregationOperator::HashAggregationOperator(OperatorPtr child,
     : groups_(std::move(groups)), specs_(std::move(specs)) {
   AddChild(std::move(child));
   InitHotFuncs(module_id());
+  const Schema& in_schema = this->child(0)->output_schema();
   std::vector<Column> cols;
+  // Whether the batched load runs without the interpreter.
+  bool compiled = true;
   for (GroupKeyExpr& g : groups_) {
     g.expr = FoldConstants(std::move(g.expr));
     cols.push_back(Column{g.output_name, g.expr->result_type()});
+    const bool bare = g.expr->kind() == ExprKind::kColumnRef;
+    key_cols_.push_back(
+        bare ? static_cast<const ColumnRefExpr&>(*g.expr).column() : -1);
+    key_compiled_.push_back(bare ? nullptr
+                                 : CompiledExpr::Compile(*g.expr, in_schema));
+    if (key_compiled_.back() != nullptr) {
+      AddInputColumns(*key_compiled_.back(), &decode_cols_);
+    }
+    compiled = compiled && (bare || key_compiled_.back() != nullptr);
   }
   for (AggSpec& spec : specs_) {
     if (spec.arg != nullptr) spec.arg = FoldConstants(std::move(spec.arg));
@@ -61,49 +103,27 @@ HashAggregationOperator::HashAggregationOperator(OperatorPtr child,
     DataType arg_type =
         spec.arg != nullptr ? spec.arg->result_type() : DataType::kInt64;
     cols.push_back(Column{spec.output_name, AggOutputType(spec.func, arg_type)});
+    arg_compiled_.push_back(spec.arg != nullptr
+                                ? CompiledExpr::Compile(*spec.arg, in_schema)
+                                : nullptr);
+    if (arg_compiled_.back() != nullptr) {
+      AddInputColumns(*arg_compiled_.back(), &decode_cols_);
+    }
+    compiled =
+        compiled && (spec.arg == nullptr || arg_compiled_.back() != nullptr);
   }
   output_schema_ = Schema(std::move(cols));
-
-  // Compile every group key and aggregate argument; the batched load goes
-  // column-at-a-time only when all of them compiled (all-or-nothing).
-  const Schema& in_schema = this->child(0)->output_schema();
-  keys_compiled_ = true;
-  for (const GroupKeyExpr& g : groups_) {
-    group_compiled_.push_back(CompiledExpr::Compile(*g.expr, in_schema));
-    keys_compiled_ = keys_compiled_ && group_compiled_.back() != nullptr;
-  }
-  for (const AggSpec& spec : specs_) {
-    if (spec.arg == nullptr) {
-      arg_compiled_.push_back(nullptr);  // COUNT(*) takes no argument.
-      continue;
-    }
-    arg_compiled_.push_back(CompiledExpr::Compile(*spec.arg, in_schema));
-    keys_compiled_ = keys_compiled_ && arg_compiled_.back() != nullptr;
-  }
-  if (keys_compiled_) {
-    SetVectorBatchFuncs();
-    for (const auto& programs : {&group_compiled_, &arg_compiled_}) {
-      for (const auto& p : *programs) {
-        if (p == nullptr) continue;
-        for (int col : p->input_columns()) {
-          bool present = false;
-          for (int c : decode_cols_) present = present || c == col;
-          if (!present) decode_cols_.push_back(col);
-        }
-      }
-    }
-  } else {
-    group_compiled_.clear();
-    arg_compiled_.clear();
-  }
-  gvecs_.resize(group_compiled_.size());
-  avecs_.resize(arg_compiled_.size());
+  if (compiled) SetVectorBatchFuncs();
+  key_vecs_.assign(groups_.size(), nullptr);
 }
 
 Status HashAggregationOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
   buckets_.assign(1024, -1);
-  group_states_.clear();
+  entries_.clear();
+  key_values_.clear();
+  states_.clear();
+  std::fill(key_vecs_.begin(), key_vecs_.end(), nullptr);
   emit_pos_ = 0;
   loaded_ = false;
   return child(0)->Open(ctx);
@@ -112,183 +132,137 @@ Status HashAggregationOperator::Open(ExecContext* ctx) {
 void HashAggregationOperator::Rehash() {
   buckets_.assign(buckets_.size() * 2, -1);
   const uint64_t mask = buckets_.size() - 1;
-  for (int32_t i = 0; i < static_cast<int32_t>(group_states_.size()); ++i) {
-    int32_t* bucket = &buckets_[group_states_[i].hash & mask];
-    group_states_[i].next = *bucket;
+  for (int32_t i = 0; i < static_cast<int32_t>(entries_.size()); ++i) {
+    int32_t* bucket = &buckets_[entries_[i].hash & mask];
+    entries_[i].next = *bucket;
     *bucket = i;
   }
 }
 
-HashAggregationOperator::GroupState* HashAggregationOperator::FindOrCreateGroup(
-    const std::string& key, uint64_t hash, const TupleView& view) {
-  int32_t* bucket = &buckets_[hash & (buckets_.size() - 1)];
-  for (int32_t i = *bucket; i >= 0; i = group_states_[i].next) {
-    GroupState& state = group_states_[i];
-    if (state.hash == hash && state.key == key) return &state;
-  }
-  if (group_states_.size() + 1 > buckets_.size() / 2) {
-    Rehash();
-    bucket = &buckets_[hash & (buckets_.size() - 1)];
-  }
-  GroupState state;
-  state.hash = hash;
-  state.key = key;
-  state.next = *bucket;
-  state.group_values.resize(groups_.size());
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    state.group_values[g] = groups_[g].expr->Evaluate(view);
-  }
-  state.accs.resize(specs_.size());
-  group_states_.push_back(std::move(state));
-  *bucket = static_cast<int32_t>(group_states_.size() - 1);
-  return &group_states_.back();
-}
-
-void HashAggregationOperator::AbsorbRow(const TupleView& view,
-                                        const std::string& key,
-                                        uint64_t hash) {
-  GroupState* state = FindOrCreateGroup(key, hash, view);
-  ctx_->Touch(state, sizeof(GroupState));
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    Value v = specs_[i].arg != nullptr ? specs_[i].arg->Evaluate(view) : Value();
-    state->accs[i].Update(specs_[i].func, v);
-  }
-}
-
-HashAggregationOperator::GroupState*
-HashAggregationOperator::FindOrCreateGroupLane(const std::string& key,
-                                               uint64_t hash, size_t lane) {
-  int32_t* bucket = &buckets_[hash & (buckets_.size() - 1)];
-  for (int32_t i = *bucket; i >= 0; i = group_states_[i].next) {
-    GroupState& state = group_states_[i];
-    if (state.hash == hash && state.key == key) return &state;
-  }
-  if (group_states_.size() + 1 > buckets_.size() / 2) {
-    Rehash();
-    bucket = &buckets_[hash & (buckets_.size() - 1)];
-  }
-  GroupState state;
-  state.hash = hash;
-  state.key = key;
-  state.next = *bucket;
-  state.group_values.resize(groups_.size());
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    state.group_values[g] = LaneValue(*gvecs_[g], lane);
-  }
-  state.accs.resize(specs_.size());
-  group_states_.push_back(std::move(state));
-  *bucket = static_cast<int32_t>(group_states_.size() - 1);
-  return &group_states_.back();
-}
-
-void HashAggregationOperator::AbsorbLane(size_t lane, const std::string& key,
-                                         uint64_t hash) {
-  GroupState* state = FindOrCreateGroupLane(key, hash, lane);
-  ctx_->Touch(state, sizeof(GroupState));
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    Value v = avecs_[i] != nullptr ? LaneValue(*avecs_[i], lane) : Value();
-    state->accs[i].Update(specs_[i].func, v);
-  }
-}
-
-void HashAggregationOperator::SerializeLaneInto(size_t lane,
-                                                std::string* out) const {
+void HashAggregationOperator::SerializeKey(const TupleView& view, size_t lane,
+                                           std::string* out) const {
   out->clear();
-  for (const ColumnVector* v : gvecs_) {
-    out->push_back(static_cast<char>(v->type));
-    const bool is_null = v->null_data()[lane] != 0;
-    out->push_back(is_null ? 1 : 0);
-    if (is_null) continue;
-    // Strings never compile, so every payload is a fixed 8 bytes.
-    if (v->is_double()) {
-      const double d = v->f64_data()[lane];
-      out->append(reinterpret_cast<const char*>(&d), 8);
+  for (size_t k = 0; k < groups_.size(); ++k) {
+    if (key_cols_[k] >= 0) {
+      AppendColumnKey(view, key_cols_[k], out);
+    } else if (key_vecs_[k] != nullptr) {
+      AppendValueKey(LaneValue(*key_vecs_[k], lane), out);
     } else {
-      const int64_t i = v->i64_data()[lane];
-      out->append(reinterpret_cast<const char*>(&i), 8);
+      AppendValueKey(groups_[k].expr->Evaluate(view), out);
     }
   }
+}
+
+Value HashAggregationOperator::KeyValue(size_t k, const TupleView& view,
+                                        size_t lane) const {
+  if (key_cols_[k] >= 0) {
+    return view.GetValue(static_cast<size_t>(key_cols_[k]));
+  }
+  if (key_vecs_[k] != nullptr) return LaneValue(*key_vecs_[k], lane);
+  return groups_[k].expr->Evaluate(view);
+}
+
+uint32_t HashAggregationOperator::FindOrCreateGroup(const std::string& key,
+                                                    uint64_t hash,
+                                                    const TupleView& view,
+                                                    size_t lane) {
+  int32_t* bucket = &buckets_[hash & (buckets_.size() - 1)];
+  for (int32_t i = *bucket; i >= 0; i = entries_[i].next) {
+    if (entries_[i].hash == hash && entries_[i].key == key) {
+      return static_cast<uint32_t>(i);
+    }
+  }
+  if (entries_.size() + 1 > buckets_.size() / 2) {
+    Rehash();
+    bucket = &buckets_[hash & (buckets_.size() - 1)];
+  }
+  entries_.push_back(Entry{hash, *bucket, key});
+  for (size_t k = 0; k < groups_.size(); ++k) {
+    key_values_.push_back(KeyValue(k, view, lane));
+  }
+  states_.resize(states_.size() + specs_.size());
+  *bucket = static_cast<int32_t>(entries_.size() - 1);
+  return static_cast<uint32_t>(*bucket);
 }
 
 void HashAggregationOperator::Load() {
   const Schema& in_schema = child(0)->output_schema();
-  std::vector<Value> key_values(groups_.size());
+  const size_t stride = specs_.size();
   std::string key;
   while (const uint8_t* row = child(0)->Next()) {
     ctx_->ExecModule(module_id(), hot_funcs_);
     TupleView view(row, &in_schema);
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      key_values[g] = groups_[g].expr->Evaluate(view);
+    SerializeKey(view, 0, &key);
+    const uint32_t g = FindOrCreateGroup(key, HashKey(key), view, 0);
+    ctx_->Touch(&entries_[g], sizeof(Entry));
+    AggAccumulator* states = states_.data() + g * stride;
+    for (size_t a = 0; a < stride; ++a) {
+      Value v = specs_[a].arg != nullptr ? specs_[a].arg->Evaluate(view)
+                                         : Value();
+      states[a].Update(specs_[a].func, v);
     }
-    SerializeKeyInto(key_values, &key);
-    AbsorbRow(view, key, HashKey(key));
   }
 }
 
-// Batch load: pass 1 serializes and hashes the group keys of the whole
-// batch, prefetching each row's bucket head; pass 2 does the lookups and
-// accumulator updates against buckets whose cache lines are already in
-// flight. A rehash mid-batch only wastes the remaining prefetches.
+// Batch load, three steps per batch: (1) serialize and hash every lane's
+// key, prefetching its bucket head; (2) resolve one group index per lane
+// against buckets whose cache lines are already in flight; (3) fold each
+// aggregate column-at-a-time into the flat groups x aggregates array. A
+// rehash mid-batch only wastes the remaining prefetches.
 void HashAggregationOperator::LoadBatched() {
   const Schema& in_schema = child(0)->output_schema();
+  const size_t stride = specs_.size();
+  const bool programs = vectorized_eval_;
+  const std::vector<sim::FuncId>& funcs =
+      programs ? hot_funcs_batched() : hot_funcs_;
   batch_rows_.resize(batch_size_);
   batch_keys_.resize(batch_size_);
   batch_hashes_.resize(batch_size_);
-  std::vector<Value> key_values(groups_.size());
-  const bool vectorized = keys_compiled_ && vectorized_eval_;
-  for (;;) {
-    size_t n = child(0)->NextBatch(batch_rows_.data(), batch_size_);
-    if (n == 0) break;
-    if (vectorized) {
-      // Column-at-a-time: one decode of the union of input columns feeds
-      // every group-key and argument program; key serialization and the
-      // accumulator updates then read the result vectors lane-wise.
+  batch_groups_.resize(batch_size_);
+  while (size_t n = child(0)->NextBatch(batch_rows_.data(), batch_size_)) {
+    if (programs) {
+      // One decode of the union of input columns (aliasing what the child
+      // published) feeds every key and argument program.
       RowBatchDecoder::DecodeMissing(batch_rows_.data(), n, in_schema,
                                      decode_cols_, child(0)->BatchColumns(),
                                      &vbatch_);
-      for (size_t g = 0; g < group_compiled_.size(); ++g) {
-        gvecs_[g] = &group_compiled_[g]->Run(vbatch_);
-      }
-      for (size_t a = 0; a < arg_compiled_.size(); ++a) {
-        avecs_[a] =
-            arg_compiled_[a] != nullptr ? &arg_compiled_[a]->Run(vbatch_) : nullptr;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        SerializeLaneInto(i, &batch_keys_[i]);
-        uint64_t h = HashKey(batch_keys_[i]);
-        batch_hashes_[i] = h;
-        PrefetchRead(&buckets_[h & (buckets_.size() - 1)]);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        TupleView view(batch_rows_[i], &in_schema);
-        for (size_t g = 0; g < groups_.size(); ++g) {
-          // LINT: allow-scalar-eval(fallback: some key/arg did not compile)
-          key_values[g] = groups_[g].expr->Evaluate(view);
-        }
-        SerializeKeyInto(key_values, &batch_keys_[i]);
-        uint64_t h = HashKey(batch_keys_[i]);
-        batch_hashes_[i] = h;
-        PrefetchRead(&buckets_[h & (buckets_.size() - 1)]);
+      for (size_t k = 0; k < key_compiled_.size(); ++k) {
+        key_vecs_[k] =
+            key_compiled_[k] != nullptr ? &key_compiled_[k]->Run(vbatch_) : nullptr;
       }
     }
-    // By now the first rows' bucket lines have arrived: read the heads and
-    // prefetch the group nodes they chain to, overlapping the second
-    // dependent miss of each lookup as well.
+    for (size_t i = 0; i < n; ++i) {
+      SerializeKey(TupleView(batch_rows_[i], &in_schema), i, &batch_keys_[i]);
+      batch_hashes_[i] = HashKey(batch_keys_[i]);
+      PrefetchRead(&buckets_[batch_hashes_[i] & (buckets_.size() - 1)]);
+    }
+    // By now the first lanes' bucket lines have arrived: read the heads and
+    // prefetch the entries they chain to, overlapping the second dependent
+    // miss of each lookup as well.
     for (size_t i = 0; i < n; ++i) {
       int32_t head = buckets_[batch_hashes_[i] & (buckets_.size() - 1)];
-      if (head >= 0) PrefetchRead(&group_states_[head]);
+      if (head >= 0) PrefetchRead(&entries_[head]);
     }
-    if (vectorized) {
-      for (size_t i = 0; i < n; ++i) {
-        ctx_->ExecModule(module_id(), hot_funcs_batched());
-        AbsorbLane(i, batch_keys_[i], batch_hashes_[i]);
+    for (size_t i = 0; i < n; ++i) {
+      ctx_->ExecModule(module_id(), funcs);
+      batch_groups_[i] =
+          FindOrCreateGroup(batch_keys_[i], batch_hashes_[i],
+                            TupleView(batch_rows_[i], &in_schema), i);
+      ctx_->Touch(&entries_[batch_groups_[i]], sizeof(Entry));
+    }
+    for (size_t a = 0; a < stride; ++a) {
+      const AggSpec& spec = specs_[a];
+      if (spec.arg == nullptr || (programs && arg_compiled_[a] != nullptr)) {
+        const ColumnVector* col =
+            spec.arg != nullptr ? &arg_compiled_[a]->Run(vbatch_) : nullptr;
+        AggAccumulator::UpdateColumn(spec.func, col, n, batch_groups_.data(),
+                                     stride, states_.data() + a);
+        continue;
       }
-    } else {
       for (size_t i = 0; i < n; ++i) {
-        ctx_->ExecModule(module_id(), hot_funcs_);
-        TupleView view(batch_rows_[i], &in_schema);
-        AbsorbRow(view, batch_keys_[i], batch_hashes_[i]);
+        // LINT: allow-scalar-eval(fallback: the argument did not compile)
+        Value v = spec.arg->Evaluate(TupleView(batch_rows_[i], &in_schema));
+        states_[batch_groups_[i] * stride + a].Update(spec.func, v);
       }
     }
   }
@@ -305,15 +279,16 @@ const uint8_t* HashAggregationOperator::Next() {
     emit_pos_ = 0;
   }
   ctx_->ExecModule(module_id(), hot_funcs_);
-  if (emit_pos_ >= group_states_.size()) return nullptr;
-  const GroupState& state = group_states_[emit_pos_++];
+  if (emit_pos_ >= entries_.size()) return nullptr;
+  const size_t g = emit_pos_++;
   TupleBuilder builder(&output_schema_);
   size_t col = 0;
-  for (const Value& v : state.group_values) builder.Set(col++, v);
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    builder.Set(col, state.accs[i].Final(specs_[i].func,
-                                         output_schema_.column(col).type));
-    ++col;
+  for (size_t k = 0; k < groups_.size(); ++k) {
+    builder.Set(col++, key_values_[g * groups_.size() + k]);
+  }
+  for (size_t a = 0; a < specs_.size(); ++a, ++col) {
+    builder.Set(col, states_[g * specs_.size() + a].Final(
+                         specs_[a].func, output_schema_.column(col).type));
   }
   const uint8_t* out = builder.Finish(&ctx_->arena);
   ctx_->Touch(out, TupleView(out, &output_schema_).size_bytes());
@@ -322,7 +297,9 @@ const uint8_t* HashAggregationOperator::Next() {
 
 void HashAggregationOperator::Close() {
   buckets_.clear();
-  group_states_.clear();
+  entries_.clear();
+  key_values_.clear();
+  states_.clear();
   emit_pos_ = 0;
   loaded_ = false;
   child(0)->Close();

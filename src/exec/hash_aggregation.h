@@ -23,14 +23,21 @@ struct GroupKeyExpr {
 /// its own, separate data structure), so it participates in execution
 /// groups; groups are emitted in first-seen order.
 ///
-/// The table is a chained hash table over a flat group vector (bucket
-/// directory of indices + per-group chain links), which makes the bucket
-/// heads prefetchable: with `set_batch_size(n > 1)` the load phase consumes
-/// the child through NextBatch, serializes and hashes the group keys of the
-/// whole batch first while issuing software prefetches for each row's
-/// bucket, then applies the accumulator updates — overlapping the random
-/// DRAM misses of up to `n` independent group lookups. Default is the
+/// The table is a chained hash table over a flat entry vector (bucket
+/// directory of indices + per-entry chain links), which makes the bucket
+/// heads prefetchable. Aggregate states live in one flat
+/// groups x aggregates AggAccumulator array. With `set_batch_size(n > 1)`
+/// the load consumes the child through NextBatch in three steps per batch:
+/// serialize and hash every lane's group key while prefetching its bucket,
+/// resolve one group index per lane, then fold each aggregate
+/// column-at-a-time into the flat array — overlapping the random DRAM
+/// misses of up to `n` independent group lookups. Default is the
 /// paper-faithful tuple-at-a-time load.
+///
+/// Keys and arguments compile independently. A key that is a bare column
+/// reference (strings included) is serialized straight from the packed row;
+/// other keys and every argument use their kernel program when it compiled
+/// and the interpreter otherwise.
 class HashAggregationOperator final : public Operator {
  public:
   HashAggregationOperator(OperatorPtr child, std::vector<GroupKeyExpr> groups,
@@ -51,47 +58,36 @@ class HashAggregationOperator final : public Operator {
   void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
   size_t batch_size() const { return batch_size_; }
 
-  size_t num_groups() const { return group_states_.size(); }
-
-  /// True when every group key and aggregate argument compiled to a kernel
-  /// program, so the batched load evaluates them column-at-a-time (test
-  /// hook).
-  bool keys_compiled() const { return keys_compiled_; }
+  size_t num_groups() const { return entries_.size(); }
 
  private:
-  struct GroupState {
+  struct Entry {
     uint64_t hash;
+    int32_t next;     // Chain link into entries_, or -1.
     std::string key;  // Serialized group-key bytes.
-    int32_t next;     // Chain link into group_states_, or -1.
-    std::vector<Value> group_values;
-    std::vector<AggAccumulator> accs;
   };
 
   void Load();
   void LoadBatched();
-  /// Finds or creates the group for `key`/`hash` and applies one row's
-  /// accumulator updates.
-  void AbsorbRow(const TupleView& view, const std::string& key,
-                 uint64_t hash);
-  GroupState* FindOrCreateGroup(const std::string& key, uint64_t hash,
-                                const TupleView& view);
-  /// Lane variants of the above, reading group/argument values out of the
-  /// kernel-program result vectors (gvecs_/avecs_) instead of re-walking
-  /// expression trees per row.
-  void AbsorbLane(size_t lane, const std::string& key, uint64_t hash);
-  GroupState* FindOrCreateGroupLane(const std::string& key, uint64_t hash,
-                                    size_t lane);
-  /// Serializes lane `lane` of the group-key result vectors byte-identically
-  /// to SerializeKeyInto over the boxed values.
-  void SerializeLaneInto(size_t lane, std::string* out) const;
+  /// Serializes the group key of `view` (lane `lane` of the current batch)
+  /// into *out.
+  void SerializeKey(const TupleView& view, size_t lane, std::string* out) const;
+  /// Key `k` of `view` / lane `lane`, boxed for emission.
+  Value KeyValue(size_t k, const TupleView& view, size_t lane) const;
+  /// Index of the group with serialized key `key`, created (with the key
+  /// values of `view` / lane `lane`) on first sight.
+  uint32_t FindOrCreateGroup(const std::string& key, uint64_t hash,
+                             const TupleView& view, size_t lane);
   void Rehash();
 
   std::vector<GroupKeyExpr> groups_;
   std::vector<AggSpec> specs_;
   Schema output_schema_;
 
-  std::vector<int32_t> buckets_;         // Power-of-two directory, -1 empty.
-  std::vector<GroupState> group_states_; // Insertion order == emit order.
+  std::vector<int32_t> buckets_;      // Power-of-two directory, -1 empty.
+  std::vector<Entry> entries_;        // Insertion order == emit order.
+  std::vector<Value> key_values_;     // groups x keys, for emission.
+  std::vector<AggAccumulator> states_;  // groups x aggregates.
   size_t emit_pos_ = 0;
   bool loaded_ = false;
 
@@ -99,19 +95,20 @@ class HashAggregationOperator final : public Operator {
   std::vector<const uint8_t*> batch_rows_;  // LoadBatched scratch.
   std::vector<std::string> batch_keys_;
   std::vector<uint64_t> batch_hashes_;
+  std::vector<uint32_t> batch_groups_;
 
-  // Compiled kernel programs (plan-time): one per group key, one per
-  // aggregate argument (nullptr for COUNT(*)). Used only when ALL of them
-  // compiled (keys_compiled_), so a batch is evaluated entirely
-  // column-at-a-time or entirely by the interpreter.
-  std::vector<std::unique_ptr<CompiledExpr>> group_compiled_;
+  // Per key: the input column of a bare column reference (-1 otherwise),
+  // and for the other keys the kernel program when it compiled. Per
+  // argument: its program (nullptr for COUNT(*) or when it did not
+  // compile). All compiled at plan time.
+  std::vector<int> key_cols_;
+  std::vector<std::unique_ptr<CompiledExpr>> key_compiled_;
   std::vector<std::unique_ptr<CompiledExpr>> arg_compiled_;
-  bool keys_compiled_ = false;
   std::vector<int> decode_cols_;  // Union of the programs' input columns.
   VectorBatch vbatch_;
-  std::vector<const ColumnVector*> gvecs_;  // Group-key results per batch.
-  std::vector<const ColumnVector*> avecs_;  // Agg-argument results.
+  // Key program results of the current batch; nullptr where the key is
+  // read from the row or interpreted (always, on the tuple path).
+  std::vector<const ColumnVector*> key_vecs_;
 };
 
 }  // namespace bufferdb
-

@@ -25,8 +25,8 @@ StreamAggregationOperator::StreamAggregationOperator(
   }
   output_schema_ = Schema(std::move(cols));
 
-  // Compile group keys and aggregate arguments (all-or-nothing, like
-  // HashAggregation).
+  // Compile group keys and aggregate arguments (all-or-nothing: the
+  // vectorized path compares keys lane-wise from the result vectors).
   const Schema& in_schema = this->child(0)->output_schema();
   keys_compiled_ = true;
   for (const GroupKeyExpr& g : groups_) {
@@ -45,12 +45,7 @@ StreamAggregationOperator::StreamAggregationOperator(
     SetVectorBatchFuncs();
     for (const auto& programs : {&group_compiled_, &arg_compiled_}) {
       for (const auto& p : *programs) {
-        if (p == nullptr) continue;
-        for (int col : p->input_columns()) {
-          bool present = false;
-          for (int c : decode_cols_) present = present || c == col;
-          if (!present) decode_cols_.push_back(col);
-        }
+        if (p != nullptr) AddInputColumns(*p, &decode_cols_);
       }
     }
   } else {

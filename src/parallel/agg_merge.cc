@@ -10,11 +10,13 @@ ExprPtr CloneOrNull(const ExprPtr& expr) {
   return expr != nullptr ? expr->Clone() : nullptr;
 }
 
+bool IsCount(AggFunc func) {
+  return func == AggFunc::kCountStar || func == AggFunc::kCount;
+}
+
 // Number of partial columns spec `func` expands to (layout contract shared
 // between MakePartialAggSpecs and the merge operator).
-size_t PartialWidth(AggFunc func) {
-  return func == AggFunc::kAvg ? 2 : 1;
-}
+size_t PartialWidth(AggFunc func) { return IsCount(func) ? 1 : 2; }
 
 }  // namespace
 
@@ -27,33 +29,17 @@ std::vector<AggSpec> MakePartialAggSpecs(const std::vector<AggSpec>& specs) {
     std::string prefix = "p";
     prefix += std::to_string(i);
     prefix += "_";
-    switch (spec.func) {
-      case AggFunc::kCountStar:
-        partial.push_back(AggSpec{AggFunc::kCountStar, nullptr,
-                                  prefix + "count"});
-        break;
-      case AggFunc::kCount:
-        partial.push_back(AggSpec{AggFunc::kCount, CloneOrNull(spec.arg),
-                                  prefix + "count"});
-        break;
-      case AggFunc::kSum:
-        partial.push_back(AggSpec{AggFunc::kSum, CloneOrNull(spec.arg),
-                                  prefix + "sum"});
-        break;
-      case AggFunc::kAvg:
-        partial.push_back(AggSpec{AggFunc::kCount, CloneOrNull(spec.arg),
-                                  prefix + "count"});
-        partial.push_back(AggSpec{AggFunc::kSum, CloneOrNull(spec.arg),
-                                  prefix + "sum"});
-        break;
-      case AggFunc::kMin:
-        partial.push_back(AggSpec{AggFunc::kMin, CloneOrNull(spec.arg),
-                                  prefix + "min"});
-        break;
-      case AggFunc::kMax:
-        partial.push_back(AggSpec{AggFunc::kMax, CloneOrNull(spec.arg),
-                                  prefix + "max"});
-        break;
+    // Every aggregate ships its input count: the whole state of COUNT, and
+    // the non-NULL count behind SUM/AVG/MIN/MAX. The others add one value
+    // column (AVG ships its SUM).
+    partial.push_back(AggSpec{spec.func == AggFunc::kCountStar
+                                  ? AggFunc::kCountStar
+                                  : AggFunc::kCount,
+                              CloneOrNull(spec.arg), prefix + "count"});
+    if (!IsCount(spec.func)) {
+      partial.push_back(AggSpec{
+          spec.func == AggFunc::kAvg ? AggFunc::kSum : spec.func,
+          CloneOrNull(spec.arg), prefix + "value"});
     }
   }
   return partial;
@@ -89,90 +75,29 @@ const uint8_t* AggregateMergeOperator::Next() {
     ctx_->ExecModule(module_id(), hot_funcs_);
     return nullptr;
   }
-  // Running merge state per final aggregate.
-  struct MergeState {
-    int64_t count = 0;
-    int64_t int_sum = 0;
-    double double_sum = 0;
-    bool any = false;   // Saw at least one non-NULL partial value.
-    Value extremum;
-  };
-  std::vector<MergeState> states(specs_.size());
-
+  std::vector<AggAccumulator> states(specs_.size());
   const Schema& in_schema = child(0)->output_schema();
   while (const uint8_t* row = child(0)->Next()) {
     ctx_->ExecModule(module_id(), hot_funcs_);
     TupleView view(row, &in_schema);
     for (size_t i = 0; i < specs_.size(); ++i) {
-      MergeState& state = states[i];
-      size_t col = first_col_[i];
-      switch (specs_[i].func) {
-        case AggFunc::kCountStar:
-        case AggFunc::kCount:
-          state.count += view.GetValue(col).int64_value();
-          break;
-        case AggFunc::kAvg:
-          state.count += view.GetValue(col).int64_value();
-          ++col;  // Fall through to merge the sum column.
-          [[fallthrough]];
-        case AggFunc::kSum: {
-          Value v = view.GetValue(col);
-          if (v.is_null()) break;
-          state.any = true;
-          if (v.type() == DataType::kDouble) {
-            state.double_sum += v.double_value();
-          } else {
-            state.int_sum += v.int64_value();
-            state.double_sum += static_cast<double>(v.int64_value());
-          }
-          break;
-        }
-        case AggFunc::kMin:
-        case AggFunc::kMax: {
-          Value v = view.GetValue(col);
-          if (v.is_null()) break;
-          if (!state.any ||
-              (specs_[i].func == AggFunc::kMin
-                   ? Value::Compare(v, state.extremum) < 0
-                   : Value::Compare(v, state.extremum) > 0)) {
-            state.extremum = v;
-          }
-          state.any = true;
-          break;
-        }
+      // Rebuild the fragment's state from its partial columns: the value
+      // column folds in as one input, the count column restores the count.
+      const size_t col = first_col_[i];
+      AggAccumulator partial;
+      if (PartialWidth(specs_[i].func) == 2) {
+        partial.Update(specs_[i].func, view.GetValue(col + 1));
       }
+      partial.count = view.GetInt64(col);
+      states[i].Merge(specs_[i].func, partial);
     }
   }
   ctx_->ExecModule(module_id(), hot_funcs_);
 
   TupleBuilder builder(&output_schema_);
   for (size_t i = 0; i < specs_.size(); ++i) {
-    const MergeState& state = states[i];
-    DataType out_type = output_schema_.column(i).type;
-    Value v;
-    switch (specs_[i].func) {
-      case AggFunc::kCountStar:
-      case AggFunc::kCount:
-        v = Value::Int64(state.count);
-        break;
-      case AggFunc::kSum:
-        v = !state.any ? Value::Null(out_type)
-            : out_type == DataType::kDouble
-                ? Value::Double(state.double_sum)
-                : Value::Int64(state.int_sum);
-        break;
-      case AggFunc::kAvg:
-        v = state.count == 0
-                ? Value::Null(DataType::kDouble)
-                : Value::Double(state.double_sum /
-                                static_cast<double>(state.count));
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        v = state.any ? state.extremum : Value::Null(out_type);
-        break;
-    }
-    builder.Set(i, v);
+    builder.Set(i, states[i].Final(specs_[i].func,
+                                   output_schema_.column(i).type));
   }
   const uint8_t* out = builder.Finish(&ctx_->arena);
   ctx_->Touch(out, TupleView(out, &output_schema_).size_bytes());

@@ -11,8 +11,8 @@ namespace bufferdb::parallel {
 
 /// Decomposes the SELECT-list aggregates into the partial aggregates each
 /// worker fragment computes locally (classic two-phase parallel
-/// aggregation): COUNT and SUM are themselves partial-izable, AVG splits
-/// into COUNT + SUM, MIN/MAX stay as-is. The returned specs drive a
+/// aggregation): every aggregate becomes its input COUNT, and SUM/AVG/MIN/
+/// MAX add one value column (AVG its SUM). The returned specs drive a
 /// fragment-local AggregationOperator; argument expressions are cloned.
 ///
 /// The column layout is deterministic — AggregateMergeOperator derives the
@@ -21,7 +21,9 @@ std::vector<AggSpec> MakePartialAggSpecs(const std::vector<AggSpec>& specs);
 
 /// Combines the one partial-aggregate row each worker fragment emits (via
 /// the Exchange) into the single final row the query reports, with the
-/// exact output schema a serial AggregationOperator would produce.
+/// exact output schema a serial AggregationOperator would produce. Each
+/// partial row is read back into an AggAccumulator and folded in through
+/// AggAccumulator::Merge, so the merge shares the serial state layout.
 /// Summation order over fragments is arrival order, so double-typed SUM/AVG
 /// results can differ from the serial plan in the last ulp.
 class AggregateMergeOperator final : public Operator {

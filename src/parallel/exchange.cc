@@ -79,17 +79,21 @@ void ExchangeOperator::RunFragment(size_t index) {
       opened = true;
       bool draining = true;
       while (draining) {
-        TupleQueue::Batch batch;
-        batch.reserve(batch_rows_);
-        while (batch.size() < batch_rows_) {
-          const uint8_t* row = fragment->Next();
-          if (row == nullptr) {
+        // Drain the fragment through NextBatch straight into the batch
+        // that gets pushed.
+        TupleQueue::Batch batch(batch_rows_);
+        size_t filled = 0;
+        while (filled < batch_rows_) {
+          size_t n = fragment->NextBatch(batch.data() + filled,
+                                         batch_rows_ - filled);
+          if (n == 0) {
             draining = false;
             break;
           }
-          batch.push_back(row);
+          filled += n;
         }
-        if (batch.empty()) break;
+        if (filled == 0) break;
+        batch.resize(filled);
         if (!queue->Push(std::move(batch))) break;  // Consumer went away.
       }
     }

@@ -20,8 +20,9 @@ namespace bufferdb::parallel {
 /// at morsel granularity. Open launches one pool task per fragment; every
 /// task runs its fragment to completion with a **private ExecContext**
 /// (own arena, and no SimCpu unless EnableFragmentSimulation was called —
-/// the simulator is not thread-safe, see exec/operator.h) and pushes the
-/// produced row pointers, in batches, into a bounded MPSC TupleQueue.
+/// the simulator is not thread-safe, see exec/operator.h), draining it
+/// through NextBatch, and pushes the produced row pointers, in batches, into
+/// a bounded MPSC TupleQueue.
 /// Next() merges the batches in arrival order; parents above the Exchange
 /// are ordinary single-threaded operators and need no changes.
 ///

@@ -316,6 +316,7 @@ Result<PhysicalPlanner::ParallelInput> PhysicalPlanner::BuildParallelInput(
     if (scalar_agg) {
       auto agg = std::make_unique<AggregationOperator>(
           std::move(frag), parallel::MakePartialAggSpecs(final_specs));
+      agg->set_batch_size(options_.batch_size);
       agg->set_estimated_rows(1.0);
       frag = std::move(agg);
     } else if (!query.has_aggregates) {
@@ -407,8 +408,10 @@ Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
       }
     }
     if (groups.empty()) {
-      plan = std::make_unique<AggregationOperator>(std::move(plan),
-                                                   std::move(specs));
+      auto agg = std::make_unique<AggregationOperator>(std::move(plan),
+                                                       std::move(specs));
+      agg->set_batch_size(options_.batch_size);
+      plan = std::move(agg);
       plan->set_estimated_rows(1.0);
     } else {
       auto hash_agg = std::make_unique<HashAggregationOperator>(

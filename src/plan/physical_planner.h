@@ -44,8 +44,8 @@ struct PlannerOptions {
   /// Rows per morsel of the partitioned driving scan; 0 = library default.
   size_t morsel_rows = 0;
   /// Batch width for the batch-at-a-time fast path: batch-aware consumers
-  /// (hash-join probe, hash aggregation) consume their input through
-  /// NextBatch with prefetching, and the refiner accounts for batch-drained
+  /// (hash-join probe, scalar and hash aggregation) consume their input
+  /// through NextBatch, and the refiner accounts for batch-drained
   /// buffers (RefinementOptions::batch_size). 1 — the default — keeps
   /// tuple-at-a-time execution everywhere, the paper's setting; set e.g.
   /// Operator::kDefaultBatchSize to enable the batch path.

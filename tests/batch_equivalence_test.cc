@@ -54,6 +54,82 @@ std::vector<std::pair<int64_t, double>> TestRows(size_t n = 997) {
   return rows;
 }
 
+// 997 rows of (k INT64, v DOUBLE, ni INT64, nd DOUBLE, s STRING, an INT64):
+// ni, nd and s are NULL on every 5th, 7th and 11th row, `an` on every row.
+std::unique_ptr<Table> MakeNullableTable() {
+  Schema schema({{"k", DataType::kInt64},
+                 {"v", DataType::kDouble},
+                 {"ni", DataType::kInt64},
+                 {"nd", DataType::kDouble},
+                 {"s", DataType::kString},
+                 {"an", DataType::kInt64}});
+  auto table = std::make_unique<Table>("n", schema);
+  const char* const kNames[] = {"ash", "birch", "cedar", "alder", "beech"};
+  size_t i = 0;
+  for (const auto& [k, v] : TestRows()) {
+    table->AppendRow(
+        {Value::Int64(k), Value::Double(v),
+         i % 5 == 0 ? Value::Null(DataType::kInt64) : Value::Int64(k * 3 - 50),
+         i % 7 == 0 ? Value::Null(DataType::kDouble) : Value::Double(v - 42.5),
+         i % 11 == 0 ? Value::Null(DataType::kString)
+                     : Value::String(kNames[static_cast<size_t>(k) % 5]),
+         Value::Null(DataType::kInt64)});
+    ++i;
+  }
+  return table;
+}
+
+// Every aggregate function over the int and double columns of
+// MakeNullableTable, plus an all-NULL column and a computed argument.
+std::vector<AggSpec> AllAggregates(const Schema& s) {
+  std::vector<AggSpec> specs;
+  specs.push_back(AggSpec{AggFunc::kCountStar, nullptr, "c"});
+  for (const char* col : {"ni", "nd", "an"}) {
+    std::string name = col;
+    specs.push_back(AggSpec{AggFunc::kCount, Col(s, name), "count_" + name});
+    specs.push_back(AggSpec{AggFunc::kSum, Col(s, name), "sum_" + name});
+    specs.push_back(AggSpec{AggFunc::kAvg, Col(s, name), "avg_" + name});
+    specs.push_back(AggSpec{AggFunc::kMin, Col(s, name), "min_" + name});
+    specs.push_back(AggSpec{AggFunc::kMax, Col(s, name), "max_" + name});
+  }
+  specs.push_back(AggSpec{
+      AggFunc::kSum,
+      Bin(BinaryOp::kMul, Col(s, "nd"),
+          Bin(BinaryOp::kSub, Lit(Value::Int64(1)), Col(s, "ni"))),
+      "sum_expr"});
+  return specs;
+}
+
+// Pass-through that records how its parent pulls rows.
+class CountingOperator final : public Operator {
+ public:
+  explicit CountingOperator(OperatorPtr child) { AddChild(std::move(child)); }
+
+  Status Open(ExecContext* ctx) override {
+    ctx_ = ctx;
+    return child(0)->Open(ctx);
+  }
+  const uint8_t* Next() override {
+    ++next_calls;
+    return child(0)->Next();
+  }
+  size_t NextBatch(const uint8_t** out, size_t max) override {
+    ++batch_calls;
+    return child(0)->NextBatch(out, max);
+  }
+  void Close() override { child(0)->Close(); }
+  const VectorBatch* BatchColumns() const override {
+    return child(0)->BatchColumns();
+  }
+  const Schema& output_schema() const override {
+    return child(0)->output_schema();
+  }
+  sim::ModuleId module_id() const override { return child(0)->module_id(); }
+
+  size_t next_calls = 0;
+  size_t batch_calls = 0;
+};
+
 std::vector<std::vector<Value>> Decode(const std::vector<const uint8_t*>& rows,
                                        const Schema& schema) {
   std::vector<std::vector<Value>> out;
@@ -122,12 +198,20 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
   // parameterized width against the tuple-at-a-time output.
   template <typename Factory>
   void CheckEquivalent(Factory factory) {
+    CheckBatchedLoad([&](size_t) { return factory(); });
+  }
+
+  // For plans whose operators take a load width (aggregation): the
+  // reference is built with width 1 and drained through Next(), the
+  // candidate with the parameterized width and drained through NextBatch().
+  template <typename Factory>
+  void CheckBatchedLoad(Factory factory) {
     // Both plans go through the contract checker: in Debug builds every
     // operator pairing in this suite also asserts the Open/Next/Close state
     // machine and poisons stale batch slices; in Release the wrapper
     // compiles away.
-    OperatorPtr tuple_plan = testutil::ContractChecked(factory());
-    OperatorPtr batch_plan = testutil::ContractChecked(factory());
+    OperatorPtr tuple_plan = testutil::ContractChecked(factory(1));
+    OperatorPtr batch_plan = testutil::ContractChecked(factory(batch()));
     MaybeEnableAdaptive(tuple_plan.get());
     MaybeEnableAdaptive(batch_plan.get());
     ExpectSameRows(RunPlan(tuple_plan.get()),
@@ -226,15 +310,39 @@ TEST_P(BatchEquivalenceTest, SortDefaultNextBatch) {
 TEST_P(BatchEquivalenceTest, ScalarAggregation) {
   auto table = MakeKvTable("t", TestRows());
   const Schema& s = table->schema();
-  CheckEquivalent([&] {
+  CheckBatchedLoad([&](size_t load_batch) {
     std::vector<AggSpec> specs;
     specs.push_back(AggSpec{AggFunc::kCountStar, nullptr, "c"});
     specs.push_back(AggSpec{AggFunc::kSum, Col(s, "v"), "sum_v"});
     specs.push_back(AggSpec{AggFunc::kMax, Col(s, "k"), "max_k"});
-    return std::make_unique<AggregationOperator>(
+    auto agg = std::make_unique<AggregationOperator>(
         std::make_unique<SeqScanOperator>(table.get(), nullptr),
         std::move(specs));
+    agg->set_batch_size(load_batch);
+    return agg;
   });
+}
+
+TEST_P(BatchEquivalenceTest, ScalarAggregationOverNullsWithAndWithoutBuffer) {
+  // Every aggregate over NULL-bearing int and double columns (and an
+  // all-NULL one), folded column-at-a-time, must match the tuple loop
+  // bit-for-bit. With a Buffer below, the buffer's refills run through the
+  // scan's NextBatch.
+  auto table = MakeNullableTable();
+  const Schema& s = table->schema();
+  for (bool buffered : {false, true}) {
+    CheckBatchedLoad([&](size_t load_batch) {
+      OperatorPtr input =
+          std::make_unique<SeqScanOperator>(table.get(), nullptr);
+      if (buffered) {
+        input = std::make_unique<BufferOperator>(std::move(input), 100);
+      }
+      auto agg = std::make_unique<AggregationOperator>(std::move(input),
+                                                       AllAggregates(s));
+      agg->set_batch_size(load_batch);
+      return agg;
+    });
+  }
 }
 
 TEST_P(BatchEquivalenceTest, HashJoinBatchedProbe) {
@@ -263,23 +371,79 @@ TEST_P(BatchEquivalenceTest, HashJoinBatchedProbe) {
 }
 
 TEST_P(BatchEquivalenceTest, HashAggregationBatchedLoad) {
-  auto table = MakeKvTable("t", TestRows());
+  // Group keys from every source: an int column, a string column with NULLs
+  // (both read from the packed rows), a NULL-bearing int column, a compiled
+  // computed key and a LIKE key that only the interpreter evaluates. The
+  // string MIN/MAX arguments take the interpreter fallback as well.
+  auto table = MakeNullableTable();
   const Schema& s = table->schema();
-  auto make_agg = [&](size_t load_batch) {
-    std::vector<GroupKeyExpr> groups;
-    groups.push_back(GroupKeyExpr{Col(s, "k"), "k"});
-    std::vector<AggSpec> specs;
-    specs.push_back(AggSpec{AggFunc::kSum, Col(s, "v"), "sum_v"});
-    specs.push_back(AggSpec{AggFunc::kCountStar, nullptr, "c"});
-    auto agg = std::make_unique<HashAggregationOperator>(
-        std::make_unique<SeqScanOperator>(table.get(), nullptr),
-        std::move(groups), std::move(specs));
-    agg->set_batch_size(load_batch);
-    return agg;
-  };
-  auto expected = RunPlan(make_agg(1).get());
-  ExpectSameRows(expected, RunPlan(make_agg(batch()).get()));
-  ExpectSameRows(expected, RunPlanBatched(make_agg(batch()).get(), batch()));
+  std::vector<std::vector<std::string>> key_sets = {
+      {"k"}, {"s"}, {"ni"}, {"k+ni"}, {"s", "ni"}, {"s like"}};
+  for (const std::vector<std::string>& keys : key_sets) {
+    auto make_agg = [&](size_t load_batch) {
+      std::vector<GroupKeyExpr> groups;
+      for (const std::string& key : keys) {
+        ExprPtr expr;
+        if (key == "k+ni") {
+          expr = Bin(BinaryOp::kAdd, Col(s, "k"), Col(s, "ni"));
+        } else if (key == "s like") {
+          expr = Bin(BinaryOp::kLike, Col(s, "s"), Lit(Value::String("b%")));
+        } else {
+          expr = Col(s, key);
+        }
+        groups.push_back(GroupKeyExpr{std::move(expr), key});
+      }
+      std::vector<AggSpec> specs = AllAggregates(s);
+      specs.push_back(AggSpec{AggFunc::kMin, Col(s, "s"), "min_s"});
+      specs.push_back(AggSpec{AggFunc::kMax, Col(s, "s"), "max_s"});
+      auto agg = std::make_unique<HashAggregationOperator>(
+          std::make_unique<SeqScanOperator>(table.get(), nullptr),
+          std::move(groups), std::move(specs));
+      agg->set_batch_size(load_batch);
+      return agg;
+    };
+    SCOPED_TRACE(keys.front());
+    auto expected = RunPlan(make_agg(1).get());
+    ExpectSameRows(expected, RunPlan(make_agg(batch()).get()));
+    CheckBatchedLoad(make_agg);
+  }
+}
+
+TEST_P(BatchEquivalenceTest, BatchedAggregationPullsOnlyThroughNextBatch) {
+  // A batched load (and a Buffer refilled for a batch-draining parent) must
+  // never fall back to per-tuple Next() on its input.
+  if (batch() == 1) GTEST_SKIP() << "width 1 selects the tuple-at-a-time load";
+  auto table = MakeNullableTable();
+  const Schema& s = table->schema();
+  for (bool buffered : {false, true}) {
+    for (bool grouped : {false, true}) {
+      auto counting = std::make_unique<CountingOperator>(
+          std::make_unique<SeqScanOperator>(table.get(), nullptr));
+      CountingOperator* probe = counting.get();
+      OperatorPtr input = std::move(counting);
+      if (buffered) {
+        input = std::make_unique<BufferOperator>(std::move(input), 100);
+      }
+      OperatorPtr root;
+      if (grouped) {
+        std::vector<GroupKeyExpr> groups;
+        groups.push_back(GroupKeyExpr{Col(s, "s"), "s"});
+        auto agg = std::make_unique<HashAggregationOperator>(
+            std::move(input), std::move(groups), AllAggregates(s));
+        agg->set_batch_size(batch());
+        root = std::move(agg);
+      } else {
+        auto agg = std::make_unique<AggregationOperator>(std::move(input),
+                                                         AllAggregates(s));
+        agg->set_batch_size(batch());
+        root = std::move(agg);
+      }
+      RunPlanBatched(root.get(), batch());
+      EXPECT_EQ(probe->next_calls, 0u)
+          << "buffered=" << buffered << " grouped=" << grouped;
+      EXPECT_GT(probe->batch_calls, 0u);
+    }
+  }
 }
 
 TEST_P(BatchEquivalenceTest, MixingNextAndNextBatchIsAllowed) {

@@ -230,6 +230,87 @@ TEST(BufferOperatorTest, RefillNeverReallocatesThePointerArray) {
   EXPECT_EQ(buffer.buffer_reallocs(), 0u);
 }
 
+// Drains `buffer` (already open) through NextBatch in slices of `slice`
+// rows and returns the rows in order.
+std::vector<const uint8_t*> DrainBatched(BufferOperator* buffer,
+                                         size_t slice) {
+  std::vector<const uint8_t*> rows;
+  std::vector<const uint8_t*> out(slice);
+  while (size_t n = buffer->NextBatch(out.data(), slice)) {
+    rows.insert(rows.end(), out.begin(), out.begin() + n);
+  }
+  return rows;
+}
+
+TEST(BufferOperatorTest, NextBatchRefillPullsChildBatches) {
+  // A refill triggered by NextBatch fills the array through the child's
+  // NextBatch: same stream, one refill per started window (the last one
+  // partial), and the array reserved at Open is reused throughout.
+  auto table = SequentialTable(10000);
+  BufferOperator buffer(
+      std::make_unique<SeqScanOperator>(table.get(), nullptr), 64);
+  ExecContext ctx;
+  ASSERT_TRUE(buffer.Open(&ctx).ok());
+  auto rows = DrainBatched(&buffer, 16);
+  ASSERT_EQ(rows.size(), 10000u);
+  for (size_t i = 0; i < rows.size(); ++i) ASSERT_EQ(rows[i], table->row(i));
+  EXPECT_EQ(buffer.refills(), (10000u + 63u) / 64u);  // ceil(rows / capacity)
+  EXPECT_EQ(buffer.tuples_buffered(), 10000u);
+  EXPECT_EQ(buffer.buffer_reallocs(), 0u);
+  buffer.Close();
+}
+
+TEST(BufferOperatorTest, NextBatchRefilledStreamReplaysOnRescan) {
+  // One NextBatch-driven refill that saw end-of-stream holds the whole
+  // input, so Rescan replays it without re-running the child.
+  auto table = SequentialTable(50);
+  BufferOperator buffer(
+      std::make_unique<SeqScanOperator>(table.get(), nullptr), 100);
+  ExecContext ctx;
+  ASSERT_TRUE(buffer.Open(&ctx).ok());
+  for (int pass = 0; pass < 3; ++pass) {
+    auto rows = DrainBatched(&buffer, 7);
+    ASSERT_EQ(rows.size(), 50u) << "pass " << pass;
+    for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], table->row(i));
+    ASSERT_TRUE(buffer.Rescan().ok());
+  }
+  EXPECT_EQ(buffer.replays(), 3u);
+  EXPECT_EQ(buffer.refills(), 1u);
+  buffer.Close();
+}
+
+TEST(BufferOperatorTest, NextBatchRefillAppliesResizeAtRefillBoundary) {
+  auto table = SequentialTable(100);
+  BufferOperator buffer(
+      std::make_unique<SeqScanOperator>(table.get(), nullptr), 10);
+  ExecContext ctx;
+  ASSERT_TRUE(buffer.Open(&ctx).ok());
+  std::vector<const uint8_t*> rows;
+  const uint8_t* out[4];
+  while (rows.size() < 24) {  // Mid-window: two full refills plus four rows.
+    size_t n = buffer.NextBatch(out, 4);
+    rows.insert(rows.end(), out, out + n);
+  }
+  buffer.Resize(3);
+  EXPECT_EQ(buffer.buffer_size(), 10u);  // Pending until the next refill.
+  while (rows.size() < 30) {  // Finish the window; no refill yet.
+    size_t n = buffer.NextBatch(out, 4);
+    rows.insert(rows.end(), out, out + n);
+  }
+  EXPECT_EQ(buffer.buffer_size(), 10u);
+  EXPECT_EQ(buffer.refills(), 3u);
+  size_t n = buffer.NextBatch(out, 4);  // Refill at the new capacity.
+  rows.insert(rows.end(), out, out + n);
+  EXPECT_EQ(n, 3u);
+  EXPECT_EQ(buffer.buffer_size(), 3u);
+  auto rest = DrainBatched(&buffer, 4);
+  rows.insert(rows.end(), rest.begin(), rest.end());
+  ASSERT_EQ(rows.size(), 100u);
+  for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], table->row(i));
+  EXPECT_EQ(buffer.buffer_reallocs(), 0u);
+  buffer.Close();
+}
+
 TEST(BufferOperatorTest, ResizeMidStreamKeepsResultIdentity) {
   // Satellite: Resize() between reads must never disturb the stream. The new
   // capacity applies at the next refill boundary, so tuples keep flowing in

@@ -188,6 +188,42 @@ TEST(AggAccumulatorTest, MinMaxTrackExtrema) {
   EXPECT_EQ(acc2.Final(AggFunc::kMax, DataType::kInt64), Value::Int64(9));
 }
 
+TEST(AggAccumulatorTest, MergeOfSplitInputEqualsWholeInput) {
+  // Folding the two halves of an input separately and merging them must
+  // give what one pass over the whole input gives, for every function and
+  // input type, including halves with no non-NULL value.
+  const std::vector<std::vector<Value>> inputs = {
+      {Value::Int64(4), Value::Null(DataType::kInt64), Value::Int64(-7),
+       Value::Int64(9)},
+      {Value::Double(2.5), Value::Double(-1.0), Value::Null(DataType::kDouble),
+       Value::Double(8.25)},
+      {Value::String("pear"), Value::Null(DataType::kString),
+       Value::String("apple"), Value::String("plum")},
+      {Value::Null(DataType::kInt64), Value::Null(DataType::kInt64),
+       Value::Int64(3), Value::Int64(1)},
+  };
+  for (const std::vector<Value>& input : inputs) {
+    const DataType type = input.front().type();
+    for (AggFunc func : {AggFunc::kCountStar, AggFunc::kCount, AggFunc::kSum,
+                         AggFunc::kAvg, AggFunc::kMin, AggFunc::kMax}) {
+      const bool numeric_only = func == AggFunc::kSum || func == AggFunc::kAvg;
+      if (numeric_only && type == DataType::kString) continue;
+      for (size_t split = 0; split <= input.size(); ++split) {
+        AggAccumulator whole, left, right;
+        for (size_t i = 0; i < input.size(); ++i) {
+          whole.Update(func, input[i]);
+          (i < split ? left : right).Update(func, input[i]);
+        }
+        left.Merge(func, right);
+        const DataType out = AggOutputType(func, type);
+        EXPECT_EQ(left.Final(func, out), whole.Final(func, out))
+            << AggFuncName(func) << " over " << DataTypeName(type)
+            << ", split at " << split;
+      }
+    }
+  }
+}
+
 TEST(AggOutputTypeTest, Rules) {
   EXPECT_EQ(AggOutputType(AggFunc::kCountStar, DataType::kString),
             DataType::kInt64);

@@ -28,7 +28,8 @@ see (see DESIGN.md section 9):
                             propagation and TSan coverage stay centralized.
                             Annotate with `// LINT: allow-thread(<reason>)`.
   ENG006 scalar-eval        No per-tuple Expression::Evaluate /
-                            EvaluatePredicate calls inside NextBatch()
+                            EvaluatePredicate calls inside NextBatch() or
+                            LoadBatched() (an aggregation's batched load)
                             bodies: the batch fast path must evaluate
                             expressions through compiled kernel programs
                             (expr/vector_eval.h). The deliberate interpreter
@@ -42,7 +43,8 @@ see (see DESIGN.md section 9):
                             level diagnostics stay in one place. Annotate
                             with `// LINT: allow-syscall(<reason>)`.
   ENG008 row-decode         No RowBatchDecoder::Decode calls inside
-                            NextBatch() bodies: batch-native operators must
+                            NextBatch() or LoadBatched() bodies:
+                            batch-native operators must
                             decode through RowBatchDecoder::DecodeMissing so
                             columns a ColumnScan (or any publishing child)
                             already exposes via BatchColumns() are aliased
@@ -431,12 +433,14 @@ def check_thread_containment(path: str, raw: str, stripped: str) -> list[Finding
 
 
 # ---------------------------------------------------------------------------
-# ENG006: no per-tuple interpreter calls in NextBatch() bodies
+# ENG006: no per-tuple interpreter calls in batch-path bodies
 # ---------------------------------------------------------------------------
 
+# The batch-path function bodies ENG006 and ENG008 scan: NextBatch() and the
+# aggregations' batched load, LoadBatched().
 BATCH_FUNC_DEF_RE = re.compile(
-    r"(?:size_t|std::size_t)\s+"
-    r"(?:[A-Za-z_]\w*\s*::\s*)*NextBatch\s*\([^;{}]*\)\s*"
+    r"(?:size_t|std::size_t|void)\s+"
+    r"(?:[A-Za-z_]\w*\s*::\s*)*(?:NextBatch|LoadBatched)\s*\([^;{}]*\)\s*"
     r"(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?(?:final\s*)?\{"
 )
 
@@ -458,14 +462,15 @@ def check_scalar_eval(path: str, raw: str, stripped: str) -> list[Finding]:
                 continue
             findings.append(Finding(
                 path, line, "ENG006",
-                "per-tuple expression interpreter inside NextBatch(); use a "
+                "per-tuple expression interpreter inside NextBatch()/"
+                "LoadBatched(); use a "
                 "compiled kernel program (expr/vector_eval.h) or annotate the "
                 f"fallback `// {ALLOW_SCALAR_EVAL}(<reason>)`"))
     return findings
 
 
 # ---------------------------------------------------------------------------
-# ENG008: no raw RowBatchDecoder::Decode in NextBatch() bodies
+# ENG008: no raw RowBatchDecoder::Decode in batch-path bodies
 # ---------------------------------------------------------------------------
 
 # `Decode(` specifically: `DecodeMissing(` continues with `M` and does not
@@ -487,7 +492,7 @@ def check_row_decode(path: str, raw: str, stripped: str) -> list[Finding]:
                 continue
             findings.append(Finding(
                 path, line, "ENG008",
-                "RowBatchDecoder::Decode inside NextBatch(); use "
+                "RowBatchDecoder::Decode inside NextBatch()/LoadBatched(); use "
                 "DecodeMissing with the child's BatchColumns() so published "
                 "columns are aliased instead of re-decoded, or annotate "
                 f"`// {ALLOW_ROW_DECODE}(<reason>)`"))
@@ -748,6 +753,34 @@ size_t BadOp::NextBatch(const uint8_t** out, size_t max) {
 }  // namespace bufferdb
 """,
     ),
+    "src/exec/bad_load_scalar_eval.cc": (
+        "ENG006",
+        """\
+#include "exec/bad_agg.h"
+namespace bufferdb {
+void BadAgg::LoadBatched() {
+  while (size_t n = child(0)->NextBatch(rows_, max_)) {
+    for (size_t i = 0; i < n; ++i) {
+      accs_[0].Update(func_, arg_->Evaluate(TupleView(rows_[i], schema_)));
+    }
+  }
+}
+}  // namespace bufferdb
+""",
+    ),
+    "src/exec/bad_load_row_decode.cc": (
+        "ENG008",
+        """\
+#include "exec/bad_agg.h"
+namespace bufferdb {
+void BadAgg::LoadBatched() {
+  while (size_t n = child(0)->NextBatch(rows_, max_)) {
+    RowBatchDecoder::Decode(rows_, n, *schema_, cols_, &vbatch_);
+  }
+}
+}  // namespace bufferdb
+""",
+    ),
     "src/core/adaptive_buffer.cc": (
         "ENG009",
         """\
@@ -815,6 +848,20 @@ size_t GoodOp::NextBatch(const uint8_t** out, size_t max) {
   // LINT: allow-row-decode(leaf: gathered rows, no batch source)
   RowBatchDecoder::Decode(out, max, schema_, cols_, &vbatch_);
   return max != 0 ? 0 : 0;
+}
+void GoodOp::LoadBatched() {
+  while (size_t n = child(0)->NextBatch(rows_, max_)) {
+    // A batched load decodes through DecodeMissing, and its annotated
+    // interpreter fallback must not trip ENG006.
+    RowBatchDecoder::DecodeMissing(rows_, n, *schema_, cols_, nullptr, &vbatch_);
+    // LINT: allow-scalar-eval(fallback: the argument did not compile)
+    Value v = arg_->Evaluate(TupleView(rows_[0], schema_));
+    (void)v;
+  }
+}
+void GoodOp::Load() {
+  // Evaluate in the tuple-at-a-time load is fine.
+  while (const uint8_t* row = child(0)->Next()) (void)arg_->Evaluate(row);
 }
 const uint8_t* GoodOp::NextHelper() {
   // Evaluate outside NextBatch() (tuple-at-a-time path) is fine.
