@@ -2,41 +2,27 @@
 // size. The paper: small buffers pay overhead; beyond ~1000 entries there is
 // no further benefit.
 //
-// This bench also runs the runtime-adaptive series (DESIGN.md §14): one run
-// per sweep config with adaptive_buffering on, starting from the fixed
-// default capacity. Gated in-bench:
-//   - the adaptive run must land within kAdaptiveGapPct of that config's
-//     best static point (simulated seconds), and
-//   - on at least one sweep config it must strictly beat the fixed default
-//     (kDefaultBufferSize) static run.
-// Two sweep configs:
-//   "default"         — Query 1 on the Table-1 machine. The static default
-//                       sits in the flat region of the curve, so the gate
-//                       here is that calibration costs (nearly) nothing and
-//                       hysteresis keeps the default.
-//   "low-cardinality" — the regime where the fixed default is *wrong*:
-//                       Query 1 with an equality ship-date predicate leaves
-//                       a post-scan stream of a handful of rows, which the
-//                       refiner buffers anyway (cardinality_threshold forced
-//                       to 0, modeling an estimation error). The plan runs
-//                       several times like a prepared statement: static
-//                       plans pay the buffering overhead on a sub-threshold
-//                       stream in every execution; the adaptive controller
-//                       observes the under-floor cardinality at the first
-//                       stream end, demotes the buffer (§6/§7.3
-//                       re-refinement), and serves later executions
-//                       pass-through.
-//   "rescan-replay"   — the other direction of mis-sizing: the fixed
-//                       default is too *small*. A naive nested-loop join
+// Three sweep configs. Besides the paper's curve, two gate the static
+// Buffer's simulated counters where its capacity matters most:
+//   "default"         — Query 1 on the Table-1 machine (the paper's figure).
+//   "low-cardinality" — a tiny stream: Query 1 with an equality ship-date
+//                       predicate leaves a post-scan stream of a handful of
+//                       rows, which the refiner buffers anyway
+//                       (cardinality_threshold forced to 0, modeling an
+//                       estimation error). The plan runs several times like
+//                       a prepared statement, so every execution pays the
+//                       buffering overhead on a sub-threshold stream.
+//   "rescan-replay"   — a rescanned inner: a naive nested-loop join
 //                       (hand-built — the SQL planner always upgrades to
 //                       hash/merge/index joins) rescans a buffered inner
 //                       stream once per outer row. A buffer that holds the
 //                       whole stream replays rescans from its array; one
 //                       sized under the stream re-executes the inner scan
-//                       every time. The adaptive controller learns the
-//                       stream's exact length from the first failed replay
-//                       (OnRescanMiss) and grows past it, so only the first
-//                       two inner executions run the scan.
+//                       every time.
+// Each config emits the unbuffered "original" run, one "static" record per
+// capacity, and a "fixed_default" record at the default capacity (1000).
+// The bench exits nonzero if any buffered run returns other rows than the
+// config's original run.
 
 #include <cstdio>
 #include <memory>
@@ -44,7 +30,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/adaptive_buffer.h"
 #include "core/buffer_operator.h"
 #include "exec/aggregation.h"
 #include "exec/nested_loop_join.h"
@@ -56,8 +41,6 @@
 using namespace bufferdb::bench;  // NOLINT
 
 namespace {
-
-constexpr double kAdaptiveGapPct = 10.0;
 
 // Rescan-replay scenario shape. Synthetic tables, so the config is
 // scale-factor-invariant (the sweep's story is the rescan count, not the
@@ -90,8 +73,7 @@ bufferdb::ExprPtr Bin(bufferdb::BinaryOp op, bufferdb::ExprPtr l,
 // matched, so a replay that served wrong tuples would show up.
 bufferdb::OperatorPtr BuildRescanPlan(bufferdb::Table* outer_table,
                                       bufferdb::Table* inner_table,
-                                      bool buffered, size_t buffer_size,
-                                      bool adaptive) {
+                                      bool buffered, size_t buffer_size) {
   using bufferdb::AggFunc;
   using bufferdb::AggSpec;
   using bufferdb::BinaryOp;
@@ -100,10 +82,8 @@ bufferdb::OperatorPtr BuildRescanPlan(bufferdb::Table* outer_table,
   OperatorPtr inner =
       std::make_unique<bufferdb::SeqScanOperator>(inner_table, nullptr);
   if (buffered) {
-    auto buffer = std::make_unique<bufferdb::BufferOperator>(std::move(inner),
-                                                             buffer_size);
-    if (adaptive) buffer->EnableAdaptive(bufferdb::AdaptiveBufferOptions());
-    inner = std::move(buffer);
+    inner = std::make_unique<bufferdb::BufferOperator>(std::move(inner),
+                                                       buffer_size);
   }
   OperatorPtr outer =
       std::make_unique<bufferdb::SeqScanOperator>(outer_table, nullptr);
@@ -160,7 +140,6 @@ int main(int argc, char** argv) {
     int executions = 1;
     // Refinement overrides; negative keeps the RefinementOptions default.
     double cardinality_threshold = -1.0;
-    double demote_row_floor = -1.0;
     // Hand-built rescan nested-loop plan instead of planning `sql`.
     bool rescan = false;
     // Per-config static sweep points; empty uses the full default list.
@@ -178,10 +157,8 @@ int main(int argc, char** argv) {
     low.name = "low-cardinality";
     low.sql = kSelectiveQuery;
     // Force the refiner to buffer the sub-threshold stream (a cardinality
-    // mis-estimate); the controller's demotion floor stays at the paper's
-    // measured threshold and must undo the mistake at runtime.
+    // mis-estimate).
     low.cardinality_threshold = 0.0;
-    low.demote_row_floor = 128.0;
     low.executions = 8;
     configs.push_back(low);
   }
@@ -210,7 +187,6 @@ int main(int argc, char** argv) {
   const size_t kDefault = bufferdb::BufferOperator::kDefaultBufferSize;
 
   int failures = 0;
-  bool beats_default_somewhere = false;
   for (const SweepConfig& config : configs) {
     RunOptions base;
     base.sim_config = config.sim;
@@ -218,27 +194,31 @@ int main(int argc, char** argv) {
     if (config.cardinality_threshold >= 0.0) {
       base.refinement.cardinality_threshold = config.cardinality_threshold;
     }
-    if (config.demote_row_floor >= 0.0) {
-      base.refinement.adaptive.demote_row_floor = config.demote_row_floor;
-    }
     // One runner for every series of this config: SQL configs plan `sql`
     // with/without refinement; the rescan config builds its tree by hand.
-    auto run_one = [&](bool buffered, size_t size, bool adaptive) {
+    auto run_one = [&](bool buffered, size_t size) {
       if (config.rescan) {
         return RunPlan(
             [&] {
               return BuildRescanPlan(rescan_outer.get(), rescan_inner.get(),
-                                     buffered, size, adaptive);
+                                     buffered, size);
             },
             base);
       }
       RunOptions options = base;
       options.refine = buffered;
       options.buffer_size = size;
-      options.adaptive_buffering = adaptive;
       return RunQuery(catalog, config.sql, options);
     };
-    QueryRun original = run_one(false, kDefault, false);
+    QueryRun original = run_one(false, kDefault);
+    const std::string original_rows = RowsFingerprint(original);
+    auto check_rows = [&](const QueryRun& run, size_t size) {
+      if (RowsFingerprint(run) == original_rows) return;
+      Note("FAIL [%s]: buffer size %zu returned other rows than the "
+           "unbuffered run\n",
+           config.name, size);
+      ++failures;
+    };
     Note("Figure 12 [%s]: varied buffer sizes (%d execution%s)\n\n",
          config.name, config.executions, config.executions == 1 ? "" : "s");
     Note("%-12s %14s\n", "buffer size", "elapsed (sim s)");
@@ -257,14 +237,12 @@ int main(int argc, char** argv) {
     line += "}";
     EmitJsonLine(line);
 
-    size_t best_static = 0;
-    double best_static_seconds = 0.0;
-    double fixed_default_seconds = 0.0;
-    std::string fixed_default_rows;
+    bool swept_default = false;
     const std::vector<size_t>& sizes =
         config.sizes.empty() ? kSizes : config.sizes;
     for (size_t size : sizes) {
-      QueryRun run = run_one(true, size, false);
+      QueryRun run = run_one(true, size);
+      check_rows(run, size);
       double seconds = run.breakdown.seconds();
       Note("%-12zu %14.4f\n", size, seconds);
       std::snprintf(prefix, sizeof(prefix),
@@ -276,23 +254,15 @@ int main(int argc, char** argv) {
       line += run.breakdown.counters.ToJson();
       line += "}";
       EmitJsonLine(line);
-      if (best_static == 0 || seconds < best_static_seconds) {
-        best_static = size;
-        best_static_seconds = seconds;
-      }
-      if (size == kDefault) {
-        fixed_default_seconds = seconds;
-        fixed_default_rows = RowsFingerprint(run);
-      }
+      swept_default = swept_default || size == kDefault;
     }
-    if (fixed_default_seconds == 0.0) {
+    if (!swept_default) {
       // kDefault (1000) is not one of the power-of-two sweep points; run it
-      // explicitly — it is the baseline the adaptive series must beat.
-      QueryRun run = run_one(true, kDefault, false);
-      fixed_default_seconds = run.breakdown.seconds();
-      fixed_default_rows = RowsFingerprint(run);
-      Note("%-12zu %14.4f  (fixed default)\n", kDefault,
-           fixed_default_seconds);
+      // explicitly — it is the capacity the refiner inserts.
+      QueryRun run = run_one(true, kDefault);
+      check_rows(run, kDefault);
+      Note("%-12zu %14.4f  (fixed default)\n\n", kDefault,
+           run.breakdown.seconds());
       std::snprintf(prefix, sizeof(prefix),
                     "{\"bench\": \"fig12_buffer_size\", \"config\": \"%s\", "
                     "\"series\": \"fixed_default\", \"buffer_size\": %zu, "
@@ -303,70 +273,6 @@ int main(int argc, char** argv) {
       line += "}";
       EmitJsonLine(line);
     }
-
-    QueryRun adaptive_run = run_one(true, kDefault, true);
-    double adaptive_seconds = adaptive_run.breakdown.seconds();
-    size_t chosen = kDefault;
-    bool demoted = false;
-    for (const bufferdb::BufferRuntimeStats& b : adaptive_run.buffers) {
-      if (!b.adaptive) continue;
-      chosen = b.final_capacity;
-      demoted = demoted || b.demoted;
-      Note("adaptive buffer [%s]: %s capacity %zu -> %zu (%s)\n", config.name,
-           b.label.c_str(), b.initial_capacity, b.final_capacity,
-           b.state.c_str());
-    }
-    if (RowsFingerprint(adaptive_run) != fixed_default_rows) {
-      Note("FAIL [%s]: adaptive run's result differs from the static run\n",
-           config.name);
-      ++failures;
-    }
-    double gap_pct =
-        best_static_seconds > 0
-            ? 100.0 * (adaptive_seconds / best_static_seconds - 1.0)
-            : 0.0;
-    double improvement_pct =
-        fixed_default_seconds > 0
-            ? 100.0 * (1.0 - adaptive_seconds / fixed_default_seconds)
-            : 0.0;
-    Note("%-12s %14.4f  (chose %zu; best static %zu @ %.4f; gap %.2f%%; "
-         "vs default %+.2f%%)\n\n",
-         "adaptive", adaptive_seconds, chosen, best_static,
-         best_static_seconds, gap_pct, improvement_pct);
-    std::snprintf(
-        prefix, sizeof(prefix),
-        "{\"bench\": \"fig12_buffer_size\", \"config\": \"%s\", "
-        "\"series\": \"adaptive\", \"buffer_size\": %zu, "
-        "\"adaptive_chosen_size\": %zu, \"adaptive_demoted\": %s, "
-        "\"best_static\": %zu, \"best_static_seconds\": %.6f, "
-        "\"fixed_default_seconds\": %.6f, \"adaptive_seconds\": %.6f, "
-        "\"adaptive_gap_vs_best_pct\": %.2f, "
-        "\"adaptive_improvement_pct\": %.2f, \"sim\": ",
-        config.name, kDefault, chosen, demoted ? "true" : "false",
-        best_static, best_static_seconds, fixed_default_seconds,
-        adaptive_seconds, gap_pct, improvement_pct);
-    line = prefix;
-    line += adaptive_run.breakdown.counters.ToJson();
-    line += "}";
-    EmitJsonLine(line);
-
-    if (adaptive_seconds > best_static_seconds * (1.0 + kAdaptiveGapPct / 100.0)) {
-      Note("FAIL [%s]: adaptive series %.4fs is more than %.0f%% over the "
-           "best static point %.4fs (size %zu)\n",
-           config.name, adaptive_seconds, kAdaptiveGapPct,
-           best_static_seconds, best_static);
-      ++failures;
-    }
-    if (adaptive_seconds < fixed_default_seconds) {
-      beats_default_somewhere = true;
-    }
-  }
-
-  if (!beats_default_somewhere) {
-    Note("FAIL: adaptive series never strictly beat the fixed-%zu default "
-         "on any sweep config\n",
-         kDefault);
-    ++failures;
   }
   return failures == 0 ? 0 : 1;
 }

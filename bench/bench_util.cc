@@ -33,7 +33,6 @@ const char kQuery3[] =
 namespace {
 bool g_smoke_mode = false;
 bool g_hw_mode = false;
-bool g_adaptive_mode = false;
 bool g_json_strict = false;
 size_t g_batch_size = 1;
 size_t g_buffer_size = BufferOperator::kDefaultBufferSize;
@@ -110,8 +109,6 @@ size_t BatchSizeArg() { return g_batch_size; }
 
 size_t BufferSizeArg() { return g_buffer_size; }
 
-bool AdaptiveArg() { return g_adaptive_mode; }
-
 const std::string& CalibrationArg() { return g_calibration_path; }
 
 void Note(const char* fmt, ...) {
@@ -136,10 +133,6 @@ double ScaleFactorFromArgs(int argc, char** argv) {
     }
     if (arg == "--hw") {
       g_hw_mode = true;
-      continue;
-    }
-    if (arg == "--adaptive") {
-      g_adaptive_mode = true;
       continue;
     }
     if (arg == "--json-strict") {
@@ -185,11 +178,10 @@ void PrintJsonHeader(const char* bench_name, double scale_factor) {
       buf, sizeof(buf),
       "{\"bench\": \"%s\", \"scale_factor\": %.6g, \"smoke\": %s, "
       "\"hw\": %s, \"batch_size\": %zu, \"buffer_size\": %zu, "
-      "\"calibrated\": %s, \"adaptive\": %s}",
+      "\"calibrated\": %s}",
       bench_name, scale_factor, g_smoke_mode ? "true" : "false",
       g_hw_mode ? "true" : "false", g_batch_size, g_buffer_size,
-      g_calibration_path.empty() ? "false" : "true",
-      g_adaptive_mode ? "true" : "false");
+      g_calibration_path.empty() ? "false" : "true");
   EmitJsonLine(buf);
 }
 
@@ -209,8 +201,6 @@ QueryRun RunQuery(Catalog& catalog, const std::string& sql,
       options.batch_size > 0 ? options.batch_size : BatchSizeArg();
   planner_options.refinement = options.refinement;
   planner_options.refinement.buffer_size = options.buffer_size;
-  planner_options.refinement.adaptive_buffering =
-      options.adaptive_buffering || g_adaptive_mode;
   PhysicalPlanner planner(&catalog, planner_options);
 
   QueryRun run;
@@ -273,8 +263,6 @@ QueryRun RunQuery(Catalog& catalog, const std::string& sql,
     if (!options.simulate) run.rows = std::move(*rows);
     run.profile.AttributeGroups(run.report);
   }
-  // Post-run buffer telemetry (walks through profiler wrappers).
-  CollectBufferStats(*root, &run.buffers);
   return run;
 }
 
@@ -300,7 +288,6 @@ QueryRun RunPlan(const std::function<OperatorPtr()>& build,
   }
   run.rows = std::move(*rows);
   run.breakdown = cpu.Breakdown();
-  CollectBufferStats(*root, &run.buffers);
   return run;
 }
 

@@ -35,10 +35,6 @@ Catalog& SharedTpch(double scale_factor);
 ///                  tells benches (via SmokeMode) to cut iteration counts.
 ///   --batch=N      NextBatch width for batch-aware consumers (default 1).
 ///   --buffer=N     Buffer operator capacity in tuples.
-///   --adaptive     Turn on runtime-adaptive buffer sizing
-///                  (RefinementOptions::adaptive_buffering) for every
-///                  refined RunQuery: buffers sweep candidate capacities at
-///                  refill boundaries and lock the cheapest (DESIGN.md §14).
 ///   --calibration=PATH
 ///                  Loads a measured code-layout calibration (the file
 ///                  `tools/footprint_audit.py --emit-calibration` writes)
@@ -71,9 +67,6 @@ size_t BatchSizeArg();
 
 /// Buffer capacity selected by `--buffer=N` (kDefaultBufferSize when absent).
 size_t BufferSizeArg();
-
-/// True once ScaleFactorFromArgs has seen `--adaptive`.
-bool AdaptiveArg();
 
 /// Calibration file selected by `--calibration=PATH` (empty when absent).
 const std::string& CalibrationArg();
@@ -113,9 +106,6 @@ struct QueryRun {
   double wall_seconds = 0;
   /// Per-operator hardware attribution; empty() unless hw profiling ran.
   perf::QueryProfile profile;
-  /// Post-run per-BufferOperator runtime stats (chosen capacity, demotion,
-  /// refill counts), in plan pre-order. Empty when the plan has no buffers.
-  std::vector<BufferRuntimeStats> buffers;
 };
 
 struct RunOptions {
@@ -133,14 +123,9 @@ struct RunOptions {
   /// twice — simulated first, then profiled with the simulator detached —
   /// so neither measurement observes the other's overhead.
   bool hw_profile = false;
-  /// Runtime-adaptive buffer sizing for refined plans. Defaults to the
-  /// `--adaptive` flag; setting it here forces it for this run regardless.
-  bool adaptive_buffering = false;
   /// How many times to execute the plan (Open -> drain -> Close), modeling a
   /// re-executed prepared statement. Counters accumulate across executions
-  /// and `rows` holds the last execution's output. Operators keep their
-  /// state across executions, so an adaptive buffer that calibrated or
-  /// demoted itself in the first execution serves the later ones frozen.
+  /// and `rows` holds the last execution's output.
   int executions = 1;
   sim::SimConfig sim_config;
   RefinementOptions refinement;  // cardinality/l1i defaults; buffer_size and

@@ -1,164 +1,4 @@
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-namespace bufferdb {
-
-struct ExecContext;
-class Operator;
-
-namespace sim {
-class SimCpu;
-}
-namespace perf {
-class PerfCounterGroup;
-}
-
-/// Tuning knobs for the runtime-adaptive buffer controller (DESIGN.md §14).
-struct AdaptiveBufferOptions {
-  /// Candidate capacity sweep range; candidates are geometric (x2) from
-  /// min_capacity to max_capacity, plus the statically configured size.
-  size_t min_capacity = 64;
-  size_t max_capacity = 8192;
-  /// Refill windows measured per candidate before moving to the next one.
-  /// One suffices on the deterministic simulator; wall-clock signals may
-  /// want 2-3 to dampen scheduler noise.
-  int samples_per_candidate = 1;
-  /// Relative cost improvement a candidate must show over the statically
-  /// configured capacity before the controller switches away from it. Keeps
-  /// ties (the flat region of Fig. 12) on the predictable static choice.
-  double hysteresis = 0.02;
-  /// Calibration tuple budget as a fraction of the estimated output rows:
-  /// the sweep stops early (locking the best capacity seen) once this many
-  /// tuples flowed through exploratory windows, so short streams are not
-  /// spent entirely on measurement.
-  double calibration_fraction = 0.25;
-  /// Absolute floor for the calibration budget in tuples.
-  size_t min_calibration_tuples = 2048;
-  /// Runtime re-refinement (§6/§7.3 analog): when the stream ends having
-  /// produced fewer rows than this floor, the static refiner's cardinality
-  /// guess was wrong and the buffer demotes itself to pass-through on its
-  /// next Open. Negative means "use the refiner's cardinality threshold"
-  /// (the PlanRefiner substitutes its batch-scaled threshold).
-  double demote_row_floor = -1.0;
-};
-
-/// Per-BufferOperator feedback controller: during the first refills it
-/// sweeps candidate capacities and locks the one minimizing a per-tuple
-/// cost signal, chosen by availability at Open:
-///
-///   simulating (ctx->cpu set)  -> simulated cycles (CycleBreakdown over
-///                                 SimCounters: L1i/L1d misses + branch
-///                                 mispredictions priced per the SimConfig)
-///   hardware PMU on the thread -> PerfCounterGroup cycle deltas
-///   otherwise                  -> wall-clock ns (always available)
-///
-/// State machine: kCalibrating -> kLocked (freeze: every subsequent refill
-/// boundary is one branch + return, no allocation, no atomics) with a
-/// terminal kDemoted reachable from either when the observed output
-/// cardinality lands under the demotion floor.
-///
-/// Thread affinity: a controller belongs to one BufferOperator and runs on
-/// that operator's executing thread (under Exchange, the worker thread that
-/// opened the fragment — so per-worker controllers read per-worker
-/// counters). It holds no shared state and needs no synchronization.
-class AdaptiveBufferController {
- public:
-  enum class State { kCalibrating, kLocked, kDemoted };
-
-  AdaptiveBufferController(const AdaptiveBufferOptions& options,
-                           size_t initial_capacity);
-
-  /// Binds the cost signal for this run and returns the capacity the first
-  /// refill should use. Called from BufferOperator::Open on the executing
-  /// thread; the only phase allowed to allocate (ENG009). Once locked or
-  /// demoted, later Opens return the frozen choice without re-calibrating.
-  size_t OnOpen(ExecContext* ctx, double estimated_rows);
-
-  /// Refill boundary: `tuples_served` tuples flowed out of the window that
-  /// just ended. Samples the cost signal, advances the sweep, and returns
-  /// the capacity for the next refill. O(1), allocation-free.
-  size_t OnRefillBoundary(size_t tuples_served);
-
-  /// Child stream exhausted after `total_rows` tuples: locks the sweep if
-  /// still calibrating, and demotes when `total_rows` is under the floor.
-  void OnStreamEnd(uint64_t total_rows);
-
-  /// A Rescan could not replay from the array — the stream outgrew the
-  /// capacity and the buffer fell back to re-executing its child. The stream
-  /// length is now known exactly, so adopt `observed_rows + 1`: the next
-  /// fill then sees end-of-stream within a single refill, and every later
-  /// Rescan replays from the array instead of re-running the child
-  /// (BufferOperator::Rescan). Grow-only once locked; no-op when demoted or
-  /// when the stream would not fit under max_capacity anyway. O(1),
-  /// allocation-free (the actual growth happens at the next Open, which
-  /// reserves to max_capacity up front).
-  void OnRescanMiss(uint64_t observed_rows);
-
-  State state() const { return state_; }
-  bool demoted() const { return state_ == State::kDemoted; }
-  bool locked() const { return state_ == State::kLocked; }
-  size_t initial_capacity() const { return initial_capacity_; }
-  /// Best capacity known so far (== initial until the sweep locks).
-  size_t chosen_capacity() const { return chosen_capacity_; }
-  size_t max_capacity() const { return options_.max_capacity; }
-  double demote_row_floor() const { return options_.demote_row_floor; }
-  int windows_measured() const { return windows_measured_; }
-  const char* signal_name() const;
-  const char* StateName() const;
-
-  /// One-line human summary, e.g.
-  /// "adaptive: 1000 -> 2048 (locked, signal=sim, windows=9)".
-  std::string Summary() const;
-
- private:
-  enum class Signal { kNone, kSim, kHw, kWall };
-
-  /// Monotonic running cost in the active signal's units (simulated cycles,
-  /// hw cycles, or wall ns). Deltas between reads price one refill window.
-  double ReadCostNow() const;
-  void RecordSample(double cost_per_tuple);
-  void Lock();
-
-  AdaptiveBufferOptions options_;
-  size_t initial_capacity_;
-  size_t chosen_capacity_;
-  State state_ = State::kCalibrating;
-  Signal signal_ = Signal::kNone;
-
-  const sim::SimCpu* cpu_ = nullptr;          // signal_ == kSim
-  const perf::PerfCounterGroup* hw_ = nullptr;  // signal_ == kHw
-
-  std::vector<size_t> candidates_;     // ascending; built once in the ctor.
-  std::vector<double> best_cost_;      // per candidate; <0 = unmeasured.
-  size_t budget_tuples_ = 0;
-  size_t calibration_tuples_ = 0;
-  int candidate_ = 0;            // index into candidates_ being measured.
-  int samples_taken_ = 0;        // samples recorded for candidates_[candidate_].
-  bool warmup_pending_ = true;   // first window is cold-cache; discarded.
-  bool window_open_ = false;
-  double window_start_cost_ = 0.0;
-  int windows_measured_ = 0;
-};
-
-/// Post-run runtime stats for one BufferOperator, for EXPLAIN/bench output.
-struct BufferRuntimeStats {
-  std::string label;
-  size_t initial_capacity = 0;
-  size_t final_capacity = 0;
-  bool adaptive = false;
-  bool demoted = false;
-  std::string state;  // "static", "calibrating", "locked" or "demoted".
-  uint64_t refills = 0;
-  uint64_t tuples_buffered = 0;
-};
-
-/// Walks an executed plan and appends one BufferRuntimeStats per
-/// BufferOperator found (pre-order). Decorator nodes (profilers, contract
-/// checkers) are traversed through via the child links.
-void CollectBufferStats(const Operator& root,
-                        std::vector<BufferRuntimeStats>* out);
-
-}  // namespace bufferdb
+// Old home of CollectBufferStats, still included by perfbench/sqlbench.cc.
+#include "core/buffer_operator.h"

@@ -48,14 +48,6 @@ OperatorPtr PlanRefiner::CloseGroup(OperatorPtr group_top, OpenGroup group,
   auto buffer = std::make_unique<BufferOperator>(std::move(group_top),
                                                  options_.buffer_size);
   buffer->set_estimated_rows(group.output_rows);
-  if (options_.adaptive_buffering) {
-    AdaptiveBufferOptions adaptive = options_.adaptive;
-    // The runtime demotion floor defaults to the same (batch-scaled)
-    // cardinality break-even the static decision above used, so demotion
-    // is exactly "the estimate said profitable, the observed rows say not".
-    if (adaptive.demote_row_floor < 0.0) adaptive.demote_row_floor = threshold;
-    buffer->EnableAdaptive(adaptive);
-  }
   if (report != nullptr) {
     ++report->buffers_added;
     report->groups.push_back(

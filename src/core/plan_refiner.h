@@ -39,17 +39,6 @@ struct RefinementOptions {
   /// overestimate makes groups look too big, so plans get buffers they do
   /// not need.
   bool assume_static_footprints = false;
-  /// Runtime-adaptive buffer sizing (DESIGN.md §14): every inserted Buffer
-  /// gets an AdaptiveBufferController that sweeps candidate capacities
-  /// during the first refills, locks the cheapest, and demotes the buffer
-  /// to pass-through when the observed cardinality lands under the
-  /// threshold. OFF by default — with the knob off, plans, results and sim
-  /// counters are bit-identical to the static refiner.
-  bool adaptive_buffering = false;
-  /// Controller knobs applied when adaptive_buffering is on. A negative
-  /// demote_row_floor (the default) follows the refiner's batch-scaled
-  /// cardinality_threshold.
-  AdaptiveBufferOptions adaptive;
 };
 
 struct RefinementReport {

@@ -99,12 +99,6 @@ class Operator {
   /// Short label for plan printing, e.g. "Scan(lineitem)".
   virtual std::string label() const;
 
-  /// Post-run self-description for EXPLAIN ANALYZE-style output (e.g. the
-  /// adaptive buffer's chosen capacity): read after the plan drained, shown
-  /// by QueryProfile next to the node's counters. Empty (the default) when
-  /// there is nothing to report.
-  virtual std::string AnalyzeDetail() const { return std::string(); }
-
   /// The synthetic functions executed per unit of work. Includes per-query
   /// additions (aggregate functions, predicate evaluation); this is what the
   /// profiler's dynamic call graph observes and what the plan refiner sums.

@@ -62,9 +62,6 @@ class ProfiledOperator final : public Operator {
   void Close() override {
     PerfRegion region(&stats_->hw, &stats_->wall_ns);
     child(0)->Close();
-    // Post-run self-description (adaptive buffer capacities etc.); captured
-    // at Close so EXPLAIN ANALYZE output reflects the executed query.
-    stats_->detail = child(0)->AnalyzeDetail();
   }
 
   const Schema& output_schema() const override {

@@ -184,12 +184,6 @@ std::string QueryProfile::ToText() const {
                   static_cast<unsigned long long>(excl.instructions),
                   static_cast<unsigned long long>(excl.l1i_misses));
     out += line;
-    if (!n.detail.empty()) {
-      out += std::string(static_cast<size_t>(f.depth) * 2 + 2, ' ');
-      out += "`- ";
-      out += n.detail;
-      out += "\n";
-    }
     for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
       stack.push_back({*it, f.depth + 1});
     }
@@ -234,7 +228,6 @@ std::string QueryProfile::ToJson() const {
     out += buf;
     out += "\"label\": \"" + JsonEscape(n.label) + "\", ";
     out += "\"module\": \"" + JsonEscape(n.module) + "\", ";
-    out += "\"detail\": \"" + JsonEscape(n.detail) + "\", ";
     AppendU64(&out, "opens", n.opens);
     AppendU64(&out, "next_calls", n.next_calls);
     AppendU64(&out, "batch_calls", n.batch_calls);

@@ -30,9 +30,6 @@ struct OperatorStats {
   int fragment = -1;
   std::string label;
   std::string module;
-  /// Operator's post-run self-description (Operator::AnalyzeDetail), e.g.
-  /// "adaptive: 1000 -> 2048 (locked, ...)". Empty for most operators.
-  std::string detail;
   std::vector<int> children;
 
   uint64_t opens = 0;

@@ -27,11 +27,7 @@ void PrintRec(const Operator& op, int depth, bool show_footprints,
     line += buf;
   }
   if (const auto* buffer = dynamic_cast<const BufferOperator*>(&op)) {
-    // EXPLAIN shows the configured capacity; the post-run (adaptive) final
-    // capacity is reported by QueryProfile via Operator::AnalyzeDetail.
-    std::snprintf(buf, sizeof(buf), " capacity=%zu%s",
-                  buffer->initial_buffer_size(),
-                  buffer->controller() != nullptr ? " adaptive" : "");
+    std::snprintf(buf, sizeof(buf), " capacity=%zu", buffer->buffer_size());
     line += buf;
   }
   if (op.excluded_from_buffering()) line += " [no-buffer]";

@@ -11,13 +11,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/adaptive_buffer.h"
 #include "core/buffer_operator.h"
 #include "exec/aggregation.h"
 #include "exec/filter.h"
@@ -156,27 +154,6 @@ std::vector<std::vector<Value>> RunPlanBatched(Operator* root, size_t batch) {
   return Decode(*rows, root->output_schema());
 }
 
-// CI's debug-contracts job re-runs this suite with BUFFERDB_ADAPTIVE_BUFFERING
-// set: every BufferOperator in every checked plan then carries a runtime
-// controller (DESIGN.md §14), so batch/tuple equivalence — and the contract
-// checker's slice poisoning — also covers mid-stream capacity resizing and
-// demotion. Unset (the default), the suite is bit-identical to the static
-// engine.
-bool AdaptiveFromEnv() {
-  const char* env = std::getenv("BUFFERDB_ADAPTIVE_BUFFERING");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-void MaybeEnableAdaptive(Operator* op) {
-  if (!AdaptiveFromEnv()) return;
-  if (auto* buffer = dynamic_cast<BufferOperator*>(op)) {
-    buffer->EnableAdaptive(AdaptiveBufferOptions());
-  }
-  for (size_t i = 0; i < op->num_children(); ++i) {
-    MaybeEnableAdaptive(op->child(i));
-  }
-}
-
 void ExpectSameRows(const std::vector<std::vector<Value>>& expected,
                     const std::vector<std::vector<Value>>& actual) {
   ASSERT_EQ(expected.size(), actual.size());
@@ -212,8 +189,6 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
     // compiles away.
     OperatorPtr tuple_plan = testutil::ContractChecked(factory(1));
     OperatorPtr batch_plan = testutil::ContractChecked(factory(batch()));
-    MaybeEnableAdaptive(tuple_plan.get());
-    MaybeEnableAdaptive(batch_plan.get());
     ExpectSameRows(RunPlan(tuple_plan.get()),
                    RunPlanBatched(batch_plan.get(), batch()));
   }
@@ -450,10 +425,8 @@ TEST_P(BatchEquivalenceTest, MixingNextAndNextBatchIsAllowed) {
   // The contract allows interleaving Next() and NextBatch() on one stream.
   auto table = MakeKvTable("t", TestRows());
   auto make_buffer = [&] {
-    auto buffer = std::make_unique<BufferOperator>(
+    return std::make_unique<BufferOperator>(
         std::make_unique<SeqScanOperator>(table.get(), nullptr), 100);
-    MaybeEnableAdaptive(buffer.get());
-    return buffer;
   };
   auto expected = RunPlan(make_buffer().get());
 
@@ -506,6 +479,17 @@ class ExchangeBatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
     return std::move(*plan);
   }
 
+  // A parallel plan at the parameterized batch width. With `refine`, each
+  // worker fragment gets its own static Buffers (the Exchange is a group
+  // boundary); the result must still match the unrefined serial plan.
+  PlannerOptions Options(size_t degree, bool refine) const {
+    PlannerOptions options;
+    options.parallel_degree = degree;
+    options.batch_size = GetParam();
+    options.refine = refine;
+    return options;
+  }
+
   static Catalog* catalog_;
 };
 
@@ -518,18 +502,12 @@ TEST_P(ExchangeBatchEquivalenceTest, ProjectionAcrossDegrees) {
   OperatorPtr serial = MustPlan(kSql, PlannerOptions{});
   auto expected = Canonical(RunPlan(serial.get()));
   for (size_t degree : {1u, 2u, 8u}) {
-    PlannerOptions options;
-    options.parallel_degree = degree;
-    options.batch_size = GetParam();
-    if (AdaptiveFromEnv()) {
-      // Adaptive CI pass: every per-worker buffer calibrates on its own
-      // thread; the result must still match the unrefined serial plan.
-      options.refine = true;
-      options.refinement.adaptive_buffering = true;
+    for (bool refine : {false, true}) {
+      OperatorPtr plan = MustPlan(kSql, Options(degree, refine));
+      auto actual = Canonical(RunPlanBatched(plan.get(), GetParam()));
+      EXPECT_EQ(expected, actual) << "degree " << degree << " refine "
+                                  << refine;
     }
-    OperatorPtr plan = MustPlan(kSql, options);
-    auto actual = Canonical(RunPlanBatched(plan.get(), GetParam()));
-    EXPECT_EQ(expected, actual) << "degree " << degree;
   }
 }
 
@@ -543,30 +521,27 @@ TEST_P(ExchangeBatchEquivalenceTest, JoinAggregateAcrossDegrees) {
   auto expected = RunPlan(serial.get());
   ASSERT_EQ(expected.size(), 1u);
   for (size_t degree : {1u, 2u, 8u}) {
-    PlannerOptions options;
-    options.parallel_degree = degree;
-    options.batch_size = GetParam();
-    options.join_strategy = JoinStrategy::kHashJoin;
-    if (AdaptiveFromEnv()) {
-      options.refine = true;
-      options.refinement.adaptive_buffering = true;
-    }
-    OperatorPtr plan = MustPlan(kSql, options);
-    auto actual = RunPlanBatched(plan.get(), GetParam());
-    ASSERT_EQ(actual.size(), 1u) << "degree " << degree;
-    ASSERT_EQ(expected[0].size(), actual[0].size());
-    for (size_t c = 0; c < expected[0].size(); ++c) {
-      const Value& a = expected[0][c];
-      const Value& b = actual[0][c];
-      ASSERT_EQ(a.is_null(), b.is_null());
-      if (a.is_null()) continue;
-      if (a.type() == DataType::kDouble) {
-        double tolerance = 1e-9 * (1.0 + std::abs(a.double_value()));
-        EXPECT_NEAR(a.double_value(), b.double_value(), tolerance)
-            << "degree " << degree << " col " << c;
-      } else {
-        EXPECT_TRUE(a == b) << "degree " << degree << " col " << c << ": "
-                            << a.ToString() << " vs " << b.ToString();
+    for (bool refine : {false, true}) {
+      PlannerOptions options = Options(degree, refine);
+      options.join_strategy = JoinStrategy::kHashJoin;
+      OperatorPtr plan = MustPlan(kSql, options);
+      auto actual = RunPlanBatched(plan.get(), GetParam());
+      ASSERT_EQ(actual.size(), 1u) << "degree " << degree;
+      ASSERT_EQ(expected[0].size(), actual[0].size());
+      for (size_t c = 0; c < expected[0].size(); ++c) {
+        const Value& a = expected[0][c];
+        const Value& b = actual[0][c];
+        ASSERT_EQ(a.is_null(), b.is_null());
+        if (a.is_null()) continue;
+        if (a.type() == DataType::kDouble) {
+          double tolerance = 1e-9 * (1.0 + std::abs(a.double_value()));
+          EXPECT_NEAR(a.double_value(), b.double_value(), tolerance)
+              << "degree " << degree << " refine " << refine << " col " << c;
+        } else {
+          EXPECT_TRUE(a == b)
+              << "degree " << degree << " refine " << refine << " col " << c
+              << ": " << a.ToString() << " vs " << b.ToString();
+        }
       }
     }
   }

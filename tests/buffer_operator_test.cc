@@ -3,8 +3,12 @@
 #include "core/buffer_operator.h"
 #include "exec/aggregation.h"
 #include "exec/seq_scan.h"
+#include "perf/profiled_operator.h"
+#include "plan/physical_planner.h"
 #include "sim/sim_cpu.h"
+#include "sql/binder.h"
 #include "test_util.h"
+#include "tpch/tpch_gen.h"
 
 namespace bufferdb {
 namespace {
@@ -279,111 +283,23 @@ TEST(BufferOperatorTest, NextBatchRefilledStreamReplaysOnRescan) {
   buffer.Close();
 }
 
-TEST(BufferOperatorTest, NextBatchRefillAppliesResizeAtRefillBoundary) {
-  auto table = SequentialTable(100);
-  BufferOperator buffer(
-      std::make_unique<SeqScanOperator>(table.get(), nullptr), 10);
-  ExecContext ctx;
-  ASSERT_TRUE(buffer.Open(&ctx).ok());
-  std::vector<const uint8_t*> rows;
-  const uint8_t* out[4];
-  while (rows.size() < 24) {  // Mid-window: two full refills plus four rows.
-    size_t n = buffer.NextBatch(out, 4);
-    rows.insert(rows.end(), out, out + n);
-  }
-  buffer.Resize(3);
-  EXPECT_EQ(buffer.buffer_size(), 10u);  // Pending until the next refill.
-  while (rows.size() < 30) {  // Finish the window; no refill yet.
-    size_t n = buffer.NextBatch(out, 4);
-    rows.insert(rows.end(), out, out + n);
-  }
-  EXPECT_EQ(buffer.buffer_size(), 10u);
-  EXPECT_EQ(buffer.refills(), 3u);
-  size_t n = buffer.NextBatch(out, 4);  // Refill at the new capacity.
-  rows.insert(rows.end(), out, out + n);
-  EXPECT_EQ(n, 3u);
-  EXPECT_EQ(buffer.buffer_size(), 3u);
-  auto rest = DrainBatched(&buffer, 4);
-  rows.insert(rows.end(), rest.begin(), rest.end());
-  ASSERT_EQ(rows.size(), 100u);
-  for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], table->row(i));
-  EXPECT_EQ(buffer.buffer_reallocs(), 0u);
-  buffer.Close();
-}
-
-TEST(BufferOperatorTest, ResizeMidStreamKeepsResultIdentity) {
-  // Satellite: Resize() between reads must never disturb the stream. The new
-  // capacity applies at the next refill boundary, so tuples keep flowing in
-  // order across shrink and grow while a window is in flight.
-  auto table = SequentialTable(100);
-  BufferOperator buffer(
-      std::make_unique<SeqScanOperator>(table.get(), nullptr), 10);
-  ExecContext ctx;
-  ASSERT_TRUE(buffer.Open(&ctx).ok());
-  size_t i = 0;
-  for (; i < 25; ++i) {  // mid-window: 25 = 2 full refills + half a third
-    ASSERT_EQ(buffer.Next(), table->row(i));
-  }
-  buffer.Resize(3);
-  for (; i < 31; ++i) {  // cross the pending-resize refill boundary
-    ASSERT_EQ(buffer.Next(), table->row(i));
-  }
-  EXPECT_EQ(buffer.buffer_size(), 3u);  // applied at the refill, not before
-  buffer.Resize(64);
-  for (; i < 100; ++i) {
-    ASSERT_EQ(buffer.Next(), table->row(i));
-  }
-  EXPECT_EQ(buffer.Next(), nullptr);
-  EXPECT_EQ(buffer.buffer_size(), 64u);
-  buffer.Close();
-}
-
-TEST(BufferOperatorTest, ResizeThenRescanStillReplaysIdentically) {
-  // Satellite: a pending Resize must not invalidate the Rescan replay — the
-  // pending capacity only applies at a refill, which a replayed
-  // (single-refill, fully buffered) stream never performs.
-  auto table = SequentialTable(50);
-  BufferOperator buffer(
-      std::make_unique<SeqScanOperator>(table.get(), nullptr), 100);
-  ExecContext ctx;
-  ASSERT_TRUE(buffer.Open(&ctx).ok());
-  for (int i = 0; i < 50; ++i) ASSERT_EQ(buffer.Next(), table->row(i));
-  EXPECT_EQ(buffer.Next(), nullptr);
-  buffer.Resize(5);
-  ASSERT_TRUE(buffer.Rescan().ok());
-  EXPECT_EQ(buffer.replays(), 1u);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(buffer.Next(), table->row(static_cast<size_t>(i)))
-        << "replayed tuple " << i;
-  }
-  EXPECT_EQ(buffer.Next(), nullptr);
-  EXPECT_EQ(buffer.refills(), 1u);  // the child still ran exactly once
-  buffer.Close();
-}
-
-TEST(BufferOperatorTest, ResizeUnderContractCheckerWithSlicePoisoning) {
-  // Satellite: drive the batch path through the contract checker while
-  // resizing mid-stream. Every NextBatch() poisons the previous slice, so
-  // this fails loudly if a resize ever served a stale window; meanwhile the
-  // delivered values must stay the full stream in order.
+TEST(BufferOperatorTest, ContractCheckedSlicesStayValidAcrossRefills) {
+  // Drive the batch path through the contract checker with slices (4) that
+  // do not divide the capacity (7), so slices end on and straddle refill
+  // boundaries. Every NextBatch() poisons the previous slice, so this fails
+  // loudly if a refill ever served a stale window; meanwhile the delivered
+  // values must stay the full stream in order.
   auto table = SequentialTable(60);
-  auto buffer = std::make_unique<BufferOperator>(
-      std::make_unique<SeqScanOperator>(table.get(), nullptr), 7);
-  BufferOperator* raw = buffer.get();
-  ContractCheckedOperator checked(std::move(buffer));
+  ContractCheckedOperator checked(std::make_unique<BufferOperator>(
+      std::make_unique<SeqScanOperator>(table.get(), nullptr), 7));
   ExecContext ctx;
   ASSERT_TRUE(checked.Open(&ctx).ok());
   const uint8_t* slice[4];
   std::vector<int64_t> seen;
-  bool resized = false;
   while (size_t n = checked.NextBatch(slice, 4)) {
     for (size_t i = 0; i < n; ++i) {
       ASSERT_NE(slice[i], ContractCheckedOperator::PoisonPointer());
       seen.push_back(TupleView(slice[i], &table->schema()).GetInt64(0));
-    }
-    if (!resized && seen.size() >= 20) {
-      raw->Resize(3);
-      resized = true;
     }
   }
   // The final call (returning 0) poisoned the last handed-out slice.
@@ -392,8 +308,100 @@ TEST(BufferOperatorTest, ResizeUnderContractCheckerWithSlicePoisoning) {
   for (size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], static_cast<int64_t>(i));
   }
-  EXPECT_EQ(raw->buffer_size(), 3u);
   checked.Close();
+}
+
+// The BufferOperators under `op` in pre-order, looking through decorators
+// (profilers, contract checkers) via the child links.
+void FindBuffers(const Operator& op, std::vector<const BufferOperator*>* out) {
+  if (const auto* buffer = dynamic_cast<const BufferOperator*>(&op)) {
+    out->push_back(buffer);
+  }
+  for (size_t i = 0; i < op.num_children(); ++i) {
+    FindBuffers(*op.child(i), out);
+  }
+}
+
+// Refined TPC-H plans for the CollectBufferStats walk.
+class BufferStatsTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    catalog_ = new Catalog();
+    tpch::TpchConfig config;
+    config.scale_factor = 0.002;
+    ASSERT_TRUE(tpch::LoadTpch(config, catalog_).ok());
+  }
+  static void TearDownTestSuite() {
+    delete catalog_;
+    catalog_ = nullptr;
+  }
+
+  static OperatorPtr RefinedPlan(const std::string& sql, size_t degree) {
+    sql::Binder binder(catalog_);
+    auto query = binder.BindSql(sql);
+    EXPECT_TRUE(query.ok()) << query.status();
+    PlannerOptions options;
+    options.refine = true;
+    options.parallel_degree = degree;
+    // Small morsels, so both workers of a parallel plan can claim some.
+    options.morsel_rows = 1000;
+    PhysicalPlanner planner(catalog_, options);
+    auto plan = planner.CreatePlan(*query);
+    EXPECT_TRUE(plan.ok()) << plan.status();
+    return std::move(*plan);
+  }
+
+  static Catalog* catalog_;
+};
+
+Catalog* BufferStatsTest::catalog_ = nullptr;
+
+TEST_F(BufferStatsTest, OneRecordPerBufferInPreOrderThroughProfiler) {
+  perf::QueryProfile profile;
+  OperatorPtr plan = perf::ProfilePlan(
+      RefinedPlan(
+          "SELECT SUM(o_totalprice), COUNT(*) FROM lineitem, orders "
+          "WHERE l_orderkey = o_orderkey AND l_shipdate <= DATE '1998-09-02' "
+          "AND o_orderdate < DATE '1995-03-15'",
+          1),
+      &profile);
+  RunPlan(plan.get());
+  // A Buffer above the join and one above the lineitem scan, which buffer
+  // different row counts, so a walk out of pre-order would show.
+  std::vector<const BufferOperator*> buffers;
+  FindBuffers(*plan, &buffers);
+  ASSERT_EQ(buffers.size(), 2u);
+  EXPECT_NE(buffers[0]->tuples_buffered(), buffers[1]->tuples_buffered());
+  std::vector<BufferRuntimeStats> stats;
+  CollectBufferStats(*plan, &stats);
+  ASSERT_EQ(stats.size(), buffers.size());
+  for (size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_EQ(stats[i].label, "Buffer(1000)") << i;
+    EXPECT_EQ(stats[i].capacity, 1000u) << i;
+    EXPECT_EQ(stats[i].refills, buffers[i]->refills()) << i;
+    EXPECT_EQ(stats[i].tuples_buffered, buffers[i]->tuples_buffered()) << i;
+    EXPECT_GT(stats[i].refills, 0u) << i;
+  }
+}
+
+TEST_F(BufferStatsTest, PerWorkerBuffersSumToTheSerialBuffer) {
+  const char kSql[] =
+      "SELECT l_returnflag, COUNT(*) AS c FROM lineitem "
+      "WHERE l_shipdate <= DATE '1998-09-02' GROUP BY l_returnflag";
+  OperatorPtr serial = RefinedPlan(kSql, 1);
+  RunPlan(serial.get());
+  std::vector<BufferRuntimeStats> serial_stats;
+  CollectBufferStats(*serial, &serial_stats);
+  ASSERT_EQ(serial_stats.size(), 1u);
+  ASSERT_GT(serial_stats[0].tuples_buffered, 0u);
+
+  OperatorPtr parallel = RefinedPlan(kSql, 2);
+  RunPlan(parallel.get());
+  std::vector<BufferRuntimeStats> worker_stats;
+  CollectBufferStats(*parallel, &worker_stats);
+  ASSERT_EQ(worker_stats.size(), 2u);  // One Buffer per worker fragment.
+  EXPECT_EQ(worker_stats[0].tuples_buffered + worker_stats[1].tuples_buffered,
+            serial_stats[0].tuples_buffered);
 }
 
 TEST(BufferOperatorTest, ReducesInstructionCacheMissesUnderSim) {

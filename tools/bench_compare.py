@@ -43,19 +43,12 @@ import re
 import sys
 
 # Fields that identify a record rather than measure it: must be equal.
-# The adaptive-buffering outcome fields are identity on purpose: the
-# controller is deterministic on the simulator, so a changed chosen capacity
-# or demotion decision is a behavior change, not measurement noise. The
-# record's `best_static` (the fastest static size of a sweep) is not: two
-# sizes can tie to ~1e-5 simulated seconds, and L2 misses that depend on
-# heap addresses break the tie differently from run to run.
 IDENTITY_FIELDS = {
     "bench", "config", "query", "comparison", "predicate", "scale_factor",
     "smoke", "hw", "rows", "sim_rows", "key_range", "batch_width",
     "batch_size", "buffer_size", "sim_buffer_size", "iters", "keep_fraction",
     "buffers_added", "groups_out", "selected", "outputs_identical", "avx2",
     "decode_rows_out", "string_rows_out", "rows_out", "series",
-    "adaptive_chosen_size", "adaptive_demoted",
 }
 
 # (regex on the dotted metric path, direction, kind)
@@ -307,16 +300,6 @@ def self_test() -> int:
         sink = io.StringIO()
         assert run(bdir, cdir, 0.15, 0.6, None, sink) == 1
         assert "stale" in sink.getvalue()
-
-        # A different best_static pick (a tie broken by heap-dependent L2
-        # misses) is reported, not gated; an adaptive outcome change is.
-        write(bdir, "x.jsonl", [dict(base_rec, best_static=2048)])
-        write(cdir, "x.jsonl", [dict(base_rec, best_static=4096)])
-        assert run(bdir, cdir, 0.15, 0.6, None, io.StringIO()) == 0
-        write(bdir, "x.jsonl", [dict(base_rec, adaptive_chosen_size=2048)])
-        write(cdir, "x.jsonl", [dict(base_rec, adaptive_chosen_size=4096)])
-        assert run(bdir, cdir, 0.15, 0.6, None, io.StringIO()) == 1
-        write(bdir, "x.jsonl", [base_rec])
 
         # Empty baseline file -> explicit FAIL (even against an empty current
         # run), not a silent zero-record PASS.

@@ -53,16 +53,6 @@ see (see DESIGN.md section 9):
                             batch source to alias from) are annotated
                             `// LINT: allow-row-decode(<reason>)` on the
                             same or the preceding line.
-  ENG009 adaptive-hot-path  The adaptive buffer controller
-                            (core/adaptive_buffer.*) sits on every refill
-                            boundary of every adaptive buffer, and its
-                            frozen fast path is advertised as "one branch +
-                            return" (DESIGN.md section 14). No allocation
-                            and no locks/atomics in any of its function
-                            bodies outside the cold phases: the
-                            constructor, OnOpen(), Summary(), and the
-                            post-run stats walk. Annotate deliberate cases
-                            `// LINT: allow-eng009(<reason>)`.
 
 Suppressions use one canonical grammar across all rules:
 `// LINT: allow-<rule>(<reason>)`. The deprecated aliases
@@ -106,7 +96,6 @@ ALLOW_THREAD = "LINT: allow-thread"
 ALLOW_SCALAR_EVAL = "LINT: allow-scalar-eval"
 ALLOW_SYSCALL = "LINT: allow-syscall"
 ALLOW_ROW_DECODE = "LINT: allow-row-decode"
-ALLOW_ENG009 = "LINT: allow-eng009"
 
 
 @dataclass(frozen=True)
@@ -526,76 +515,6 @@ def check_syscall_containment(path: str, raw: str, stripped: str) -> list[Findin
 
 
 # ---------------------------------------------------------------------------
-# ENG009: adaptive buffer controller hot paths stay allocation- and lock-free
-# ---------------------------------------------------------------------------
-
-# Functions of the controller allowed to allocate / touch synchronization:
-# everything else in adaptive_buffer.* runs per refill boundary (or per
-# stream end / rescan miss) and must stay O(1) and allocation-free.
-ENG009_COLD_FUNCS = {
-    "AdaptiveBufferController",  # constructor: builds the candidate ladder
-    "OnOpen",                    # per-run signal binding
-    "EnableAdaptive",            # one-time controller attachment
-    "Summary",                   # human-readable reporting
-    "CollectBufferStats",        # post-run telemetry walk
-}
-
-# A function definition: `name(params) [const] [: init-list] {`. Params may
-# not contain parens or semicolons (rules out for/if/while headers beyond
-# the keyword filter); the optional init-list clause lets the constructor
-# match so its body registers as cold instead of leaking hot-scanned
-# fragments like `chosen_capacity_(x) {`.
-ENG009_FUNC_DEF_RE = re.compile(
-    r"([A-Za-z_]\w*)\s*\(([^;{}()]*)\)\s*(?:const\s*)?(?:noexcept\s*)?"
-    r"(?::[^{;]*?)?\{")
-
-ENG009_KEYWORDS = {"if", "while", "for", "switch", "catch", "return"}
-
-ENG009_BAN_PATTERNS = ALLOC_PATTERNS + [
-    (re.compile(r"\bstd::(?:mutex|recursive_mutex|shared_mutex|timed_mutex|"
-                r"lock_guard|unique_lock|scoped_lock|shared_lock|"
-                r"condition_variable)\b"), "lock primitive"),
-    (re.compile(r"\bstd::atomic\b|\bstd::atomic_\w+"), "atomic"),
-    (re.compile(r"(?:\.|->)\s*(?:lock|try_lock|unlock)\s*\("),
-     "explicit lock call"),
-]
-
-
-def check_adaptive_hot_path(path: str, raw: str, stripped: str) -> list[Finding]:
-    name = Path(path).name
-    if not name.startswith("adaptive_buffer"):
-        return []
-    findings: list[Finding] = []
-    allowed = annotated_lines(raw, ALLOW_ENG009)
-    raw_lines = raw.splitlines()
-    consumed_until = 0
-    for m in ENG009_FUNC_DEF_RE.finditer(stripped):
-        if m.start() < consumed_until:
-            continue  # nested inside a body already classified
-        func = m.group(1)
-        if func in ENG009_KEYWORDS:
-            continue
-        open_idx = stripped.index("{", m.start())
-        end_idx = match_brace_block(stripped, open_idx)
-        consumed_until = end_idx
-        if func in ENG009_COLD_FUNCS:
-            continue
-        body = stripped[open_idx:end_idx]
-        for pattern, what in ENG009_BAN_PATTERNS:
-            for hit in pattern.finditer(body):
-                line = line_of(stripped, open_idx + hit.start())
-                if is_annotated(raw_lines, allowed, line):
-                    continue
-                findings.append(Finding(
-                    path, line, "ENG009",
-                    f"{what} in adaptive-buffer hot function {func}(); "
-                    f"only the cold phases "
-                    f"({', '.join(sorted(ENG009_COLD_FUNCS))}) may — move "
-                    f"it there or annotate `// {ALLOW_ENG009}(<reason>)`"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -608,7 +527,6 @@ ALL_CHECKS = [
     check_scalar_eval,
     check_syscall_containment,
     check_row_decode,
-    check_adaptive_hot_path,
 ]
 
 
@@ -781,23 +699,6 @@ void BadAgg::LoadBatched() {
 }  // namespace bufferdb
 """,
     ),
-    "src/core/adaptive_buffer.cc": (
-        "ENG009",
-        """\
-#include "core/adaptive_buffer.h"
-namespace bufferdb {
-AdaptiveBufferController::AdaptiveBufferController(size_t initial)
-    : chosen_capacity_(initial) {
-  candidates_.push_back(initial);  // cold: the ctor may allocate
-}
-size_t AdaptiveBufferController::OnRefillBoundary(size_t tuples_served) {
-  samples_.push_back(tuples_served);  // allocation on the per-refill path
-  std::lock_guard<std::mutex> hold(mu_);  // and a lock on top
-  return tuples_served;
-}
-}  // namespace bufferdb
-""",
-    ),
     "src/exec/bad_row_decode.cc": (
         "ENG008",
         """\
@@ -867,28 +768,6 @@ const uint8_t* GoodOp::NextHelper() {
   // Evaluate outside NextBatch() (tuple-at-a-time path) is fine.
   return EvaluatePredicate(*pred_, row_, schema_) ? row_ : nullptr;
 }
-}  // namespace bufferdb
-""",
-    "src/core/adaptive_buffer.h": """\
-#pragma once
-#include <cstdint>
-#include <vector>
-namespace bufferdb {
-/// ENG009 fixture: hot controller functions that stay allocation-free pass,
-/// and the canonical annotation silences a deliberate cold-side exception.
-class AdaptiveBufferController {
- public:
-  size_t OnRefillBoundary(size_t tuples_served) {
-    if (tuples_served > best_) best_ = tuples_served;
-    return best_;
-  }
-  void OnStreamEnd(uint64_t total_rows) {
-    trace_.push_back(total_rows);  // LINT: allow-eng009(test fixture)
-  }
- private:
-  size_t best_ = 0;
-  std::vector<uint64_t> trace_;
-};
 }  // namespace bufferdb
 """,
     "src/perf/good_syscall.cc": """\
