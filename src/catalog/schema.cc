@@ -15,10 +15,15 @@ int Schema::FindColumn(const std::string& name) const {
   return -1;
 }
 
-Schema Schema::Concat(const Schema& left, const Schema& right) {
+Schema Schema::Concat(const Schema& left, const Schema& right,
+                      std::span<const int> columns) {
   std::vector<Column> cols = left.columns_;
   cols.insert(cols.end(), right.columns_.begin(), right.columns_.end());
-  return Schema(std::move(cols));
+  if (columns.empty()) return Schema(std::move(cols));
+  std::vector<Column> picked;
+  picked.reserve(columns.size());
+  for (int c : columns) picked.push_back(cols[c]);
+  return Schema(std::move(picked));
 }
 
 std::string Schema::ToString() const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,10 +40,13 @@ class Schema {
   /// Bytes of the fixed-size part of a row (header + slots).
   size_t fixed_bytes() const { return kHeaderBytes + 8 * columns_.size(); }
 
-  /// Join-output schema: columns of `left` followed by columns of `right`.
-  /// Duplicate names are disambiguated with the given prefixes when both
-  /// sides contain the same name.
-  static Schema Concat(const Schema& left, const Schema& right);
+  /// Join-output schema: the columns of `left` followed by those of
+  /// `right`, names unchanged (a name on both sides appears twice). With
+  /// `columns`, only those columns of that concatenation, in that order:
+  /// entry c < left.num_columns() is left column c, any other is right
+  /// column c - left.num_columns().
+  static Schema Concat(const Schema& left, const Schema& right,
+                       std::span<const int> columns = {});
 
   std::string ToString() const;
 

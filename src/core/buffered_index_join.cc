@@ -9,12 +9,14 @@ namespace bufferdb {
 BufferedIndexJoinOperator::BufferedIndexJoinOperator(OperatorPtr outer,
                                                      const IndexInfo* index,
                                                      ExprPtr outer_key_expr,
-                                                     size_t batch_size)
+                                                     size_t batch_size,
+                                                     std::vector<int> columns)
     : index_(index),
       outer_key_expr_(std::move(outer_key_expr)),
-      batch_size_(batch_size == 0 ? 1 : batch_size) {
-  output_schema_ =
-      Schema::Concat(outer->output_schema(), index->table->schema());
+      batch_size_(batch_size == 0 ? 1 : batch_size),
+      columns_(std::move(columns)) {
+  output_schema_ = Schema::Concat(outer->output_schema(),
+                                  index->table->schema(), columns_);
   AddChild(std::move(outer));
   InitHotFuncs(module_id());
   // Per-tuple hot path: join driver + the buffer bookkeeping. The batch
@@ -77,7 +79,7 @@ bool BufferedIndexJoinOperator::FillBatch() {
       ctx_->Touch(inner_row, TupleView(inner_row, &inner_schema).size_bytes());
       const uint8_t* combined = TupleBuilder::ConcatRows(
           output_schema_, outer_schema, outer_row, inner_schema, inner_row,
-          &ctx_->arena);
+          &ctx_->arena, columns_);
       results_.push_back(combined);
       it.Next();
     }

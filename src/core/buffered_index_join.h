@@ -22,10 +22,13 @@ namespace bufferdb {
 ///
 /// Output rows within a batch are ordered by join key, not by outer order
 /// (the join is still an equi inner join with identical result multiset).
+/// `columns` (optional) narrows the output row to those columns of
+/// Concat(outer, index table), as in HashJoinOperator.
 class BufferedIndexJoinOperator final : public Operator {
  public:
   BufferedIndexJoinOperator(OperatorPtr outer, const IndexInfo* index,
-                            ExprPtr outer_key_expr, size_t batch_size = 1000);
+                            ExprPtr outer_key_expr, size_t batch_size = 1000,
+                            std::vector<int> columns = {});
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   const uint8_t* Next() override;
@@ -47,6 +50,7 @@ class BufferedIndexJoinOperator final : public Operator {
   const IndexInfo* index_;
   ExprPtr outer_key_expr_;
   size_t batch_size_;
+  std::vector<int> columns_;
   Schema output_schema_;
 
   std::vector<sim::FuncId> probe_funcs_;  // Index-descent code.

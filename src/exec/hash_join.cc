@@ -25,14 +25,16 @@ std::unique_ptr<CompiledExpr> CompileKey(const Expression& key,
 
 HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
                                    ExprPtr probe_key, ExprPtr build_key,
-                                   ExprPtr residual_predicate)
+                                   ExprPtr residual_predicate,
+                                   std::vector<int> columns)
     : probe_key_(FoldConstants(std::move(probe_key))),
       build_key_(FoldConstants(std::move(build_key))),
       residual_predicate_(residual_predicate == nullptr
                               ? nullptr
-                              : FoldConstants(std::move(residual_predicate))) {
-  output_schema_ =
-      Schema::Concat(probe->output_schema(), build->output_schema());
+                              : FoldConstants(std::move(residual_predicate))),
+      columns_(std::move(columns)) {
+  output_schema_ = Schema::Concat(probe->output_schema(),
+                                  build->output_schema(), columns_);
   AddChild(std::move(probe));
   AddChild(std::move(build));
   InitHotFuncs(module_id());
@@ -209,7 +211,7 @@ const uint8_t* HashJoinOperator::Next() {
       ctx_->ExecModule(module_id(), hot_funcs_);
       const uint8_t* combined = TupleBuilder::ConcatRows(
           output_schema_, probe_schema, probe_row_, build_schema,
-          nodes_[current].row, &ctx_->arena);
+          nodes_[current].row, &ctx_->arena, columns_);
       TupleView view(combined, &output_schema_);
       ctx_->Touch(combined, view.size_bytes());
       if (residual_predicate_ == nullptr ||

@@ -25,10 +25,15 @@ namespace bufferdb {
 /// first chain nodes) of tuples ahead in the batch, so the DRAM misses of
 /// independent probes overlap instead of serializing. Default is the
 /// paper-faithful tuple-at-a-time probe.
+///
+/// `columns` (optional) narrows the output row to those columns of
+/// Concat(probe, build), numbered as in Schema::Concat; only they are
+/// copied. A residual predicate is bound to the output schema.
 class HashJoinOperator final : public Operator {
  public:
   HashJoinOperator(OperatorPtr probe, OperatorPtr build, ExprPtr probe_key,
-                   ExprPtr build_key, ExprPtr residual_predicate = nullptr);
+                   ExprPtr build_key, ExprPtr residual_predicate = nullptr,
+                   std::vector<int> columns = {});
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   const uint8_t* Next() override;
@@ -73,6 +78,7 @@ class HashJoinOperator final : public Operator {
   ExprPtr probe_key_;
   ExprPtr build_key_;
   ExprPtr residual_predicate_;
+  std::vector<int> columns_;
   Schema output_schema_;
   std::vector<sim::FuncId> build_funcs_;
   std::vector<sim::FuncId> build_batch_funcs_;

@@ -5,10 +5,13 @@
 namespace bufferdb {
 
 MergeJoinOperator::MergeJoinOperator(OperatorPtr left, OperatorPtr right,
-                                     ExprPtr left_key, ExprPtr right_key)
-    : left_key_(std::move(left_key)), right_key_(std::move(right_key)) {
-  output_schema_ =
-      Schema::Concat(left->output_schema(), right->output_schema());
+                                     ExprPtr left_key, ExprPtr right_key,
+                                     std::vector<int> columns)
+    : left_key_(std::move(left_key)),
+      right_key_(std::move(right_key)),
+      columns_(std::move(columns)) {
+  output_schema_ = Schema::Concat(left->output_schema(),
+                                  right->output_schema(), columns_);
   AddChild(std::move(left));
   AddChild(std::move(right));
   InitHotFuncs(module_id());
@@ -50,7 +53,7 @@ const uint8_t* MergeJoinOperator::Next() {
         ctx_->ExecModule(module_id(), hot_funcs_);
         const uint8_t* combined = TupleBuilder::ConcatRows(
             output_schema_, left_schema, left_row_, right_schema,
-            right_group_[group_pos_++], &ctx_->arena);
+            right_group_[group_pos_++], &ctx_->arena, columns_);
         ctx_->Touch(combined, TupleView(combined, &output_schema_).size_bytes());
         return combined;
       }

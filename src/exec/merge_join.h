@@ -12,11 +12,13 @@ namespace bufferdb {
 /// (NULL keys must not appear, or are skipped). Duplicate right-side key
 /// groups are buffered in a small vector to produce the cross product.
 /// Non-blocking on both inputs: it interleaves per tuple with both children,
-/// which is why the paper's Fig. 17 plan buffers below it.
+/// which is why the paper's Fig. 17 plan buffers below it. `columns`
+/// (optional) narrows the output row to those columns of Concat(left,
+/// right), as in HashJoinOperator.
 class MergeJoinOperator final : public Operator {
  public:
   MergeJoinOperator(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
-                    ExprPtr right_key);
+                    ExprPtr right_key, std::vector<int> columns = {});
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   const uint8_t* Next() override;
@@ -33,6 +35,7 @@ class MergeJoinOperator final : public Operator {
 
   ExprPtr left_key_;
   ExprPtr right_key_;
+  std::vector<int> columns_;
   Schema output_schema_;
 
   const uint8_t* left_row_ = nullptr;

@@ -61,10 +61,10 @@ void NestLoopJoinOperator::Close() {
 
 IndexNestLoopJoinOperator::IndexNestLoopJoinOperator(
     OperatorPtr outer, std::unique_ptr<IndexScanOperator> inner,
-    ExprPtr outer_key_expr)
-    : outer_key_expr_(std::move(outer_key_expr)) {
-  output_schema_ =
-      Schema::Concat(outer->output_schema(), inner->output_schema());
+    ExprPtr outer_key_expr, std::vector<int> columns)
+    : outer_key_expr_(std::move(outer_key_expr)), columns_(std::move(columns)) {
+  output_schema_ = Schema::Concat(outer->output_schema(),
+                                  inner->output_schema(), columns_);
   inner_scan_ = inner.get();
   AddChild(std::move(outer));
   AddChild(std::move(inner));
@@ -103,7 +103,8 @@ const uint8_t* IndexNestLoopJoinOperator::Next() {
     ctx_->ExecModule(module_id(), hot_funcs_);
     const uint8_t* combined =
         TupleBuilder::ConcatRows(output_schema_, outer_schema, outer_row_,
-                                 inner_schema, inner_row, &ctx_->arena);
+                                 inner_schema, inner_row, &ctx_->arena,
+                                 columns_);
     ctx_->Touch(combined, TupleView(combined, &output_schema_).size_bytes());
     return combined;
   }

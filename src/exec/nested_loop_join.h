@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "exec/index_scan.h"
 #include "exec/operator.h"
@@ -39,12 +40,14 @@ class NestLoopJoinOperator final : public Operator {
 /// binds the join key on the inner IndexScan and drains the matches. When
 /// the planner knows the inner is a key lookup ("the optimizer knows that at
 /// most one row matches each outer tuple"), it marks the inner operator as
-/// excluded from buffering (§6).
+/// excluded from buffering (§6). `columns` (optional) narrows the output
+/// row to those columns of Concat(outer, inner), as in HashJoinOperator.
 class IndexNestLoopJoinOperator final : public Operator {
  public:
   IndexNestLoopJoinOperator(OperatorPtr outer,
                             std::unique_ptr<IndexScanOperator> inner,
-                            ExprPtr outer_key_expr);
+                            ExprPtr outer_key_expr,
+                            std::vector<int> columns = {});
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   const uint8_t* Next() override;
@@ -58,6 +61,7 @@ class IndexNestLoopJoinOperator final : public Operator {
 
  private:
   ExprPtr outer_key_expr_;
+  std::vector<int> columns_;
   Schema output_schema_;
   IndexScanOperator* inner_scan_ = nullptr;  // Alias of child(1).
   const uint8_t* outer_row_ = nullptr;

@@ -31,6 +31,7 @@ Result<std::vector<const uint8_t*>> ExecutePlan(Operator* root,
     rows.push_back(row);
   }
   root->Close();
+  BUFFERDB_RETURN_IF_ERROR(ctx->error);
   return rows;
 }
 
@@ -45,6 +46,7 @@ Result<std::vector<const uint8_t*>> ExecutePlanBatched(Operator* root,
     rows.insert(rows.end(), batch.begin(), batch.begin() + n);
   }
   root->Close();
+  BUFFERDB_RETURN_IF_ERROR(ctx->error);
   return rows;
 }
 

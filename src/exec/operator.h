@@ -32,15 +32,25 @@ class VectorBatch;
 /// Simulated counters therefore only describe the whole query in
 /// single-threaded plans; in parallel plans they cover just the operators
 /// above the Exchange.
+///
+/// `error` is the first failure an operator could not return from Open: an
+/// Exchange records its workers' first error here when its stream ends, so
+/// a stream that ended early is told apart from a complete one. Every
+/// ExecutePlan* returns it.
 struct ExecContext {
   sim::SimCpu* cpu = nullptr;
   Arena arena;
+  Status error;
 
   void ExecModule(sim::ModuleId module, std::span<const sim::FuncId> funcs) {
     if (cpu != nullptr) cpu->ExecuteModuleCall(module, funcs);
   }
   void Touch(const void* addr, size_t bytes) {
     if (cpu != nullptr) cpu->TouchData(addr, bytes);
+  }
+  /// Keeps the first non-OK status.
+  void RecordError(Status status) {
+    if (error.ok()) error = std::move(status);
   }
 };
 
@@ -197,7 +207,8 @@ class Operator {
 using OperatorPtr = std::unique_ptr<Operator>;
 
 /// Runs a plan to completion (Open, drain, Close) and returns the produced
-/// rows. Convenience used by tests, examples and benches.
+/// rows, or the error from Open or ctx->error. Convenience used by tests,
+/// examples and benches.
 Result<std::vector<const uint8_t*>> ExecutePlan(Operator* root,
                                                 ExecContext* ctx);
 

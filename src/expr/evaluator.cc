@@ -130,4 +130,29 @@ void CollectColumns(const Expression& expr, std::vector<int>* columns) {
   }
 }
 
+ExprPtr RemapColumns(const Expression& expr, std::span<const int> pos,
+                     const Schema& schema) {
+  switch (expr.kind()) {
+    case ExprKind::kLiteral:
+      return expr.Clone();
+    case ExprKind::kColumnRef: {
+      int col = pos[static_cast<const ColumnRefExpr&>(expr).column()];
+      return MakeColumnRefUnchecked(col, schema.column(col).type,
+                                    schema.column(col).name);
+    }
+    case ExprKind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(expr);
+      auto out = MakeBinary(b.op(), RemapColumns(b.left(), pos, schema),
+                            RemapColumns(b.right(), pos, schema));
+      return std::move(*out);
+    }
+    case ExprKind::kUnary: {
+      const auto& u = static_cast<const UnaryExpr&>(expr);
+      auto out = MakeUnary(u.op(), RemapColumns(u.operand(), pos, schema));
+      return std::move(*out);
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace bufferdb

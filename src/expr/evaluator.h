@@ -1,5 +1,7 @@
 #pragma once
 
+#include <span>
+
 #include "expr/expression.h"
 
 namespace bufferdb {
@@ -17,6 +19,12 @@ bool ExprBoundTo(const Expression& expr, size_t num_columns);
 
 /// Collects the distinct column indexes referenced by `expr`.
 void CollectColumns(const Expression& expr, std::vector<int>* columns);
+
+/// Clones `expr` with every column reference `c` rebound to column `pos[c]`
+/// of `schema` (type and name taken from there). Every referenced `c` must
+/// have `pos[c] >= 0`.
+ExprPtr RemapColumns(const Expression& expr, std::span<const int> pos,
+                     const Schema& schema);
 
 /// Recursively evaluates constant subtrees into literals, including the
 /// boolean short-circuits (FALSE AND x -> FALSE, TRUE AND x -> x, and the

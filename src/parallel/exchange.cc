@@ -113,30 +113,29 @@ void ExchangeOperator::RunFragment(size_t index) {
   queue->ProducerDone();
 }
 
+bool ExchangeOperator::PopBatch() {
+  current_.clear();
+  current_pos_ = 0;
+  // One merge-module execution per batch: the consumer-side cost of the
+  // Exchange is amortized across the batch, like a buffer refill. The end
+  // of the stream costs one more.
+  ctx_->ExecModule(module_id(), hot_funcs_);
+  if (queue_ != nullptr && queue_->Pop(&current_)) return true;
+  // Every worker has finished, so any error one raised is recorded.
+  ctx_->RecordError(error());
+  return false;
+}
+
 const uint8_t* ExchangeOperator::Next() {
   while (current_pos_ >= current_.size()) {
-    current_.clear();
-    current_pos_ = 0;
-    if (queue_ == nullptr || !queue_->Pop(&current_)) {
-      ctx_->ExecModule(module_id(), hot_funcs_);  // End-of-stream bookkeeping.
-      return nullptr;
-    }
-    // One merge-module execution per batch: the consumer-side cost of the
-    // Exchange is amortized across the batch, like a buffer refill.
-    ctx_->ExecModule(module_id(), hot_funcs_);
+    if (!PopBatch()) return nullptr;
   }
   return current_[current_pos_++];
 }
 
 size_t ExchangeOperator::NextBatch(const uint8_t** out, size_t max) {
   while (current_pos_ >= current_.size()) {
-    current_.clear();
-    current_pos_ = 0;
-    if (queue_ == nullptr || !queue_->Pop(&current_)) {
-      ctx_->ExecModule(module_id(), hot_funcs_);  // End-of-stream bookkeeping.
-      return 0;
-    }
-    ctx_->ExecModule(module_id(), hot_funcs_);  // One merge per popped batch.
+    if (!PopBatch()) return 0;
   }
   size_t n = current_.size() - current_pos_;
   if (n > max) n = max;

@@ -69,8 +69,9 @@ class ExchangeOperator final : public Operator {
   std::string label() const override;
 
   /// First error raised by a worker fragment (fragment Open failure or an
-  /// exception). Next() ends the stream early on error; callers that need
-  /// to distinguish "empty" from "failed" check this after draining.
+  /// exception). Next() ends the stream early on error; at the end of the
+  /// stream the Exchange also records it into its consumer's ExecContext
+  /// (ExecContext::error), which ExecutePlan* return.
   [[nodiscard]] Status error() const;
 
   /// Gives every fragment its own SimCpu (instead of none) so the simulated
@@ -86,6 +87,9 @@ class ExchangeOperator final : public Operator {
 
  private:
   void RunFragment(size_t index);
+  /// Pops the next batch into current_; at the end of the stream records
+  /// the workers' error into ctx_ and returns false. Consumer thread only.
+  bool PopBatch();
   void RecordError(Status status);
   void JoinWorkers();
 

@@ -1,6 +1,7 @@
 #include "plan/physical_planner.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/buffered_index_join.h"
 #include "exec/aggregation.h"
@@ -17,6 +18,7 @@
 #include "exec/project.h"
 #include "exec/seq_scan.h"
 #include "exec/sort.h"
+#include "expr/evaluator.h"
 #include "parallel/agg_merge.h"
 #include "parallel/exchange.h"
 #include "parallel/morsel.h"
@@ -60,6 +62,35 @@ OperatorPtr MakeScan(Table* table, const ExprPtr& filter,
   return scan;
 }
 
+// The input_schema columns that anything above the scans reads: the select
+// list (group keys and aggregate arguments), the cross-table predicates and
+// both ends of every join edge. `offsets[t]` is table t's first column.
+std::vector<bool> ColumnsReadAboveScans(const LogicalQuery& query,
+                                        const std::vector<size_t>& offsets) {
+  std::vector<int> cols;
+  for (const OutputItem& item : query.items) {
+    if (item.expr != nullptr) CollectColumns(*item.expr, &cols);
+  }
+  for (const ExprPtr& pred : query.cross_predicates) {
+    CollectColumns(*pred, &cols);
+  }
+  for (const LogicalJoinEdge& edge : query.joins) {
+    cols.push_back(static_cast<int>(offsets[edge.left_table]) + edge.left_col);
+    cols.push_back(static_cast<int>(offsets[edge.right_table]) +
+                   edge.right_col);
+  }
+  std::vector<bool> read(query.input_schema.num_columns(), false);
+  for (int c : cols) read[c] = true;
+  return read;
+}
+
+// `expr` (nullable, bound to input_schema) rebound to a plan whose row
+// holds input column c at column pos[c] of `schema`.
+ExprPtr Rebind(const ExprPtr& expr, const std::vector<int>& pos,
+               const Schema& schema) {
+  return expr != nullptr ? RemapColumns(*expr, pos, schema) : nullptr;
+}
+
 }  // namespace
 
 const char* JoinStrategyName(JoinStrategy strategy) {
@@ -78,14 +109,15 @@ const char* JoinStrategyName(JoinStrategy strategy) {
   return "?";
 }
 
-// Builds one join step: joins `plan` (covering the first k FROM tables,
-// whose schema is a prefix of query.input_schema) with query.tables[k].
-// `outer_key_col` indexes the accumulated schema; `inner_key_col` the new
-// table's own schema.
+// Builds one join step: joins `plan` (covering the first k FROM tables)
+// with query.tables[k]. `outer_key_col` indexes the plan's output schema;
+// `inner_key_col` the new table's own schema. `columns` is the join's
+// output column list (empty: every column of both sides).
 Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
                                                   OperatorPtr plan, size_t k,
                                                   int outer_key_col,
-                                                  int inner_key_col) {
+                                                  int inner_key_col,
+                                                  std::vector<int> columns) {
   Table* inner_table = query.tables[k];
   const Schema& outer_schema = plan->output_schema();
   const Schema& inner_schema = inner_table->schema();
@@ -126,7 +158,8 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
             "inner filters unsupported for batched index probes");
       }
       join_op = std::make_unique<BufferedIndexJoinOperator>(
-          std::move(plan), inner_index, ColRef(outer_schema, outer_key_col));
+          std::move(plan), inner_index, ColRef(outer_schema, outer_key_col),
+          /*batch_size=*/1000, std::move(columns));
       break;
     }
     case JoinStrategy::kIndexNestLoop: {
@@ -146,7 +179,7 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
                                                     : inner_filtered_rows);
       join_op = std::make_unique<IndexNestLoopJoinOperator>(
           std::move(plan), std::move(inner),
-          ColRef(outer_schema, outer_key_col));
+          ColRef(outer_schema, outer_key_col), std::move(columns));
       break;
     }
     case JoinStrategy::kHashJoin: {
@@ -154,7 +187,7 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
       auto hash_join = std::make_unique<HashJoinOperator>(
           std::move(plan), std::move(build),
           ColRef(outer_schema, outer_key_col),
-          ColRef(inner_schema, inner_key_col), nullptr);
+          ColRef(inner_schema, inner_key_col), nullptr, std::move(columns));
       hash_join->set_probe_batch_size(options_.batch_size);
       join_op = std::move(hash_join);
       break;
@@ -188,7 +221,7 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
       join_op = std::make_unique<MergeJoinOperator>(
           std::move(sorted_left), std::move(right),
           ColRef(outer_schema, outer_key_col),
-          ColRef(inner_schema, inner_key_col));
+          ColRef(inner_schema, inner_key_col), std::move(columns));
       break;
     }
     case JoinStrategy::kAuto:
@@ -199,7 +232,14 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
 }
 
 // Left-deep join chain in FROM order over the binder's equi-join edges.
-Result<OperatorPtr> PhysicalPlanner::PlanJoins(const LogicalQuery& query) {
+//
+// Batched plans narrow each join's row to ColumnsReadAboveScans. The narrow
+// row keeps input_schema order, so a column keeps its position once joined
+// and `pos` only gains entries as tables join. Tuple-at-a-time plans keep
+// full-width rows, which leaves the paper's plans and their simulated
+// counters as they were.
+Result<OperatorPtr> PhysicalPlanner::PlanJoins(const LogicalQuery& query,
+                                               std::vector<int>* pos) {
   std::vector<size_t> offsets;
   size_t offset = 0;
   for (Table* table : query.tables) {
@@ -207,45 +247,69 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoins(const LogicalQuery& query) {
     offset += table->schema().num_columns();
   }
 
+  const size_t width = query.input_schema.num_columns();
+  const std::vector<bool> read = options_.batch_size > 1
+                                     ? ColumnsReadAboveScans(query, offsets)
+                                     : std::vector<bool>(width, true);
+
   OperatorPtr plan = MakeScan(query.tables[0], query.filters[0], options_);
+  // The driving scan emits table 0's whole row.
+  pos->assign(width, -1);
+  std::iota(pos->begin(),
+            pos->begin() + query.tables[0]->schema().num_columns(), 0);
   std::vector<bool> joined(query.tables.size(), false);
   joined[0] = true;
   std::vector<bool> edge_used(query.joins.size(), false);
 
   for (size_t k = 1; k < query.tables.size(); ++k) {
-    int outer_key_col = -1, inner_key_col = -1;
+    int outer_col = -1, inner_key_col = -1;
     for (size_t e = 0; e < query.joins.size(); ++e) {
       if (edge_used[e]) continue;
       const LogicalJoinEdge& edge = query.joins[e];
       if (edge.right_table == static_cast<int>(k) && joined[edge.left_table]) {
-        outer_key_col =
-            static_cast<int>(offsets[edge.left_table]) + edge.left_col;
+        outer_col = static_cast<int>(offsets[edge.left_table]) + edge.left_col;
         inner_key_col = edge.right_col;
         edge_used[e] = true;
         break;
       }
       if (edge.left_table == static_cast<int>(k) && joined[edge.right_table]) {
-        outer_key_col =
+        outer_col =
             static_cast<int>(offsets[edge.right_table]) + edge.right_col;
         inner_key_col = edge.left_col;
         edge_used[e] = true;
         break;
       }
     }
-    if (outer_key_col < 0) {
+    if (outer_col < 0) {
       return Status::NotImplemented(
           "table " + query.tables[k]->name() +
           " is not connected to the preceding FROM tables by an equi-join");
     }
+    // The join's row: the read columns of tables 0..k, as columns of
+    // Concat(plan, tables[k]).
+    const size_t outer_width = plan->output_schema().num_columns();
+    const size_t inner_width = query.tables[k]->schema().num_columns();
+    std::vector<int> columns;
+    std::vector<int> next_pos(width, -1);
+    for (size_t c = 0; c < offsets[k] + inner_width; ++c) {
+      if (!read[c]) continue;
+      next_pos[c] = static_cast<int>(columns.size());
+      columns.push_back(c < offsets[k]
+                            ? (*pos)[c]
+                            : static_cast<int>(outer_width + c - offsets[k]));
+    }
+    // Every column kept, in order: no column list, a full-width row.
+    if (columns.size() == outer_width + inner_width) columns.clear();
     BUFFERDB_ASSIGN_OR_RETURN(
-        next, PlanJoinStep(query, std::move(plan), k, outer_key_col,
-                           inner_key_col));
+        next, PlanJoinStep(query, std::move(plan), k, (*pos)[outer_col],
+                           inner_key_col, std::move(columns)));
     plan = std::move(next);
+    *pos = std::move(next_pos);
     joined[k] = true;
   }
 
-  // Redundant edges (cycles) and cross-table predicates apply over the
-  // final schema, which equals input_schema.
+  // Redundant edges (cycles) and cross-table predicates, bound to
+  // input_schema, apply over the final join's row.
   ExprPtr leftover;
   auto and_combine = [&leftover](ExprPtr e) {
     if (leftover == nullptr) {
@@ -271,21 +335,25 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoins(const LogicalQuery& query) {
   }
   if (leftover != nullptr) {
     double rows = plan->estimated_rows();
+    ExprPtr predicate = RemapColumns(*leftover, *pos, plan->output_schema());
     plan = std::make_unique<FilterOperator>(std::move(plan),
-                                            std::move(leftover));
+                                            std::move(predicate));
     plan->set_estimated_rows(rows / 3.0);
   }
   return plan;
 }
 
-Result<OperatorPtr> PhysicalPlanner::BuildInput(const LogicalQuery& query) {
+Result<OperatorPtr> PhysicalPlanner::BuildInput(const LogicalQuery& query,
+                                                std::vector<int>* pos) {
   if (query.tables.size() == 1) {
     if (!query.cross_predicates.empty()) {
       return Status::Internal("cross predicate on single-table query");
     }
+    pos->resize(query.input_schema.num_columns());
+    std::iota(pos->begin(), pos->end(), 0);
     return MakeScan(query.tables[0], query.filters[0], options_);
   }
-  return PlanJoins(query);
+  return PlanJoins(query, pos);
 }
 
 Result<PhysicalPlanner::ParallelInput> PhysicalPlanner::BuildParallelInput(
@@ -298,21 +366,25 @@ Result<PhysicalPlanner::ParallelInput> PhysicalPlanner::BuildParallelInput(
   for (const OutputItem& item : query.items) {
     if (!item.is_aggregate) scalar_agg = false;
   }
-  std::vector<AggSpec> final_specs;
-  if (scalar_agg) {
-    for (const OutputItem& item : query.items) {
-      final_specs.push_back(AggSpec{
-          item.agg, item.expr != nullptr ? item.expr->Clone() : nullptr,
-          item.name});
-    }
-  }
 
   ParallelInput out;
   std::vector<OperatorPtr> fragments;
   fragments.reserve(degree);
   for (size_t w = 0; w < degree; ++w) {
-    BUFFERDB_ASSIGN_OR_RETURN(frag, BuildInput(query));
+    BUFFERDB_ASSIGN_OR_RETURN(frag, BuildInput(query, &out.pos));
     if (w == 0) out.input_rows = frag->estimated_rows();
+    fragments.push_back(std::move(frag));
+  }
+  // The fragments are alike: one position map serves them all.
+  std::vector<AggSpec> final_specs;
+  if (scalar_agg) {
+    for (const OutputItem& item : query.items) {
+      final_specs.push_back(AggSpec{
+          item.agg, Rebind(item.expr, out.pos, fragments[0]->output_schema()),
+          item.name});
+    }
+  }
+  for (OperatorPtr& frag : fragments) {
     if (scalar_agg) {
       auto agg = std::make_unique<AggregationOperator>(
           std::move(frag), parallel::MakePartialAggSpecs(final_specs));
@@ -322,7 +394,8 @@ Result<PhysicalPlanner::ParallelInput> PhysicalPlanner::BuildParallelInput(
     } else if (!query.has_aggregates) {
       std::vector<ProjectItem> items;
       for (const OutputItem& item : query.items) {
-        items.push_back(ProjectItem{item.expr->Clone(), item.name});
+        items.push_back(ProjectItem{
+            Rebind(item.expr, out.pos, frag->output_schema()), item.name});
       }
       auto proj = std::make_unique<ProjectOperator>(std::move(frag),
                                                     std::move(items));
@@ -330,7 +403,6 @@ Result<PhysicalPlanner::ParallelInput> PhysicalPlanner::BuildParallelInput(
       frag = std::move(proj);
     }
     SetVectorizedEval(frag.get(), options_.vectorize_expressions);
-    fragments.push_back(std::move(frag));
   }
 
   // All fragments share one morsel cursor over the driving (leftmost) table
@@ -377,17 +449,19 @@ Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
   }
 
   OperatorPtr plan;
+  std::vector<int> pos;
   double input_rows;
   bool aggregation_done = false;
   bool projection_done = false;
   if (options_.parallel_degree > 1) {
     BUFFERDB_ASSIGN_OR_RETURN(par, BuildParallelInput(query));
     plan = std::move(par.plan);
+    pos = std::move(par.pos);
     input_rows = par.input_rows;
     aggregation_done = par.aggregation_done;
     projection_done = par.projection_done;
   } else {
-    BUFFERDB_ASSIGN_OR_RETURN(input, BuildInput(query));
+    BUFFERDB_ASSIGN_OR_RETURN(input, BuildInput(query, &pos));
     plan = std::move(input);
     input_rows = plan->estimated_rows();
   }
@@ -399,12 +473,12 @@ Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
     std::vector<GroupKeyExpr> groups;
     std::vector<AggSpec> specs;
     for (const OutputItem& item : query.items) {
+      // The select list is bound to input_schema, `plan` may be narrower.
+      ExprPtr expr = Rebind(item.expr, pos, plan->output_schema());
       if (item.is_aggregate) {
-        specs.push_back(AggSpec{
-            item.agg, item.expr != nullptr ? item.expr->Clone() : nullptr,
-            item.name});
+        specs.push_back(AggSpec{item.agg, std::move(expr), item.name});
       } else {
-        groups.push_back(GroupKeyExpr{item.expr->Clone(), item.name});
+        groups.push_back(GroupKeyExpr{std::move(expr), item.name});
       }
     }
     if (groups.empty()) {
@@ -425,7 +499,8 @@ Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
   } else {
     std::vector<ProjectItem> items;
     for (const OutputItem& item : query.items) {
-      items.push_back(ProjectItem{item.expr->Clone(), item.name});
+      items.push_back(ProjectItem{
+          Rebind(item.expr, pos, plan->output_schema()), item.name});
     }
     plan = std::make_unique<ProjectOperator>(std::move(plan),
                                              std::move(items));

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "core/plan_refiner.h"
@@ -73,12 +74,16 @@ struct PlannerOptions {
 /// Translates a bound LogicalQuery into an executable operator tree.
 ///
 /// Physical conventions (all deterministic, so benches can force the paper's
-/// plans): tables[0] is always the outer/probe/left side, tables[1] the
-/// inner/build/right side; the join output schema is therefore exactly
-/// Concat(tables[0], tables[1]) == LogicalQuery::input_schema. The planner
-/// annotates every operator with a cardinality estimate and marks the inner
-/// index scan of a unique-key index nested-loop join as excluded from
-/// buffering (§6).
+/// plans): joins run left-deep in FROM order, the plan so far being the
+/// outer/probe/left side and the next table the inner/build/right side.
+/// In a tuple-at-a-time plan (batch_size 1) every join row carries every
+/// column, so the top join's schema is exactly LogicalQuery::input_schema.
+/// In a batched plan each join copies only the input_schema columns read
+/// above the scans (the select list, cross-table predicates and both ends
+/// of every join edge), in input_schema order; the planner rebinds what it
+/// places above the joins to that narrower row. The planner annotates every
+/// operator with a cardinality estimate and marks the inner index scan of a
+/// unique-key index nested-loop join as excluded from buffering (§6).
 class PhysicalPlanner {
  public:
   PhysicalPlanner(const Catalog* catalog, PlannerOptions options)
@@ -91,18 +96,23 @@ class PhysicalPlanner {
 
  private:
   /// Everything below aggregation/projection: scans, filters, joins and
-  /// leftover cross-table predicates.
-  Result<OperatorPtr> BuildInput(const LogicalQuery& query);
-  Result<OperatorPtr> PlanJoins(const LogicalQuery& query);
+  /// leftover cross-table predicates. `pos` receives, for each column of
+  /// query.input_schema, its column in the returned plan's output (-1 when
+  /// no operator above the scans reads it).
+  Result<OperatorPtr> BuildInput(const LogicalQuery& query,
+                                 std::vector<int>* pos);
+  Result<OperatorPtr> PlanJoins(const LogicalQuery& query,
+                                std::vector<int>* pos);
   Result<OperatorPtr> PlanJoinStep(const LogicalQuery& query, OperatorPtr plan,
                                    size_t k, int outer_key_col,
-                                   int inner_key_col);
+                                   int inner_key_col, std::vector<int> columns);
 
   /// The parallel_degree > 1 path: builds N input fragments sharing one
   /// morsel cursor, merges them under an Exchange, and (for scalar
   /// aggregates / pure projections) pushes that work into the fragments.
   struct ParallelInput {
     OperatorPtr plan;
+    std::vector<int> pos;  // As BuildInput's, for every fragment.
     double input_rows = 0;
     bool aggregation_done = false;
     bool projection_done = false;

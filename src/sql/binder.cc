@@ -1,6 +1,7 @@
 #include "sql/binder.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "expr/evaluator.h"
 
@@ -65,33 +66,6 @@ Result<ExprPtr> BindExpr(const ParseExpr& pe, const Scope& scope) {
     }
   }
   return Status::Internal("bad parse expr");
-}
-
-// Clones `expr`, shifting every column index by -offset and renaming to the
-// local table schema (used to push a conjunct down to one table's scan).
-ExprPtr Localize(const Expression& expr, int offset, const Schema& local) {
-  switch (expr.kind()) {
-    case ExprKind::kColumnRef: {
-      const auto& col = static_cast<const ColumnRefExpr&>(expr);
-      int local_col = col.column() - offset;
-      return MakeColumnRefUnchecked(local_col, local.column(local_col).type,
-                                    local.column(local_col).name);
-    }
-    case ExprKind::kLiteral:
-      return expr.Clone();
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(expr);
-      auto out = MakeBinary(b.op(), Localize(b.left(), offset, local),
-                            Localize(b.right(), offset, local));
-      return std::move(*out);
-    }
-    case ExprKind::kUnary: {
-      const auto& u = static_cast<const UnaryExpr&>(expr);
-      auto out = MakeUnary(u.op(), Localize(u.operand(), offset, local));
-      return std::move(*out);
-    }
-  }
-  return nullptr;
 }
 
 void FlattenConjuncts(ParseExpr* expr, std::vector<ParseExpr*>* out) {
@@ -187,10 +161,14 @@ Result<LogicalQuery> Binder::Bind(const SelectStatement& stmt) {
       int single = SingleTableOf(mask);
       if (mask == 0) single = 0;  // Constant predicate: attach to t0.
       if (single >= 0) {
+        // Push the conjunct down to its table's scan: combined-schema
+        // column c is column c - offset of that table.
+        std::vector<int> pos(query.input_schema.num_columns());
+        std::iota(pos.begin(), pos.end(),
+                  -static_cast<int>(scope.offsets[single]));
         query.filters[single] = AndCombine(
             std::move(query.filters[single]),
-            Localize(*bound, static_cast<int>(scope.offsets[single]),
-                     query.tables[single]->schema()));
+            RemapColumns(*bound, pos, query.tables[single]->schema()));
         continue;
       }
       // Cross-table: an equality between single columns of two tables is a

@@ -88,27 +88,28 @@ const uint8_t* TupleBuilder::Finish(Arena* arena) const {
   return row;
 }
 
-const uint8_t* TupleBuilder::ConcatRows(const Schema& out_schema,
-                                        const Schema& left_schema,
-                                        const uint8_t* left,
-                                        const Schema& right_schema,
-                                        const uint8_t* right, Arena* arena) {
-  TupleView lv(left, &left_schema);
-  TupleView rv(right, &right_schema);
-  size_t ln = left_schema.num_columns();
-  size_t rn = right_schema.num_columns();
+namespace {
+
+// ConcatRows' body: output column `out` copies column `source(out)` of the
+// concatenation. A template, so that the full-width copy (the identity
+// source) compiles to the plain loop and pays nothing for column lists.
+template <typename Source>
+const uint8_t* Concat(const Schema& out_schema, const Schema& left_schema,
+                      const uint8_t* left, const Schema& right_schema,
+                      const uint8_t* right, Arena* arena, Source source) {
+  const TupleView lv(left, &left_schema);
+  const TupleView rv(right, &right_schema);
+  const size_t ln = left_schema.num_columns();
+  const size_t n = out_schema.num_columns();
 
   size_t fixed = out_schema.fixed_bytes();
   size_t var_bytes = 0;
-  for (size_t i = 0; i < ln; ++i) {
-    if (left_schema.column(i).type == DataType::kString && !lv.IsNull(i)) {
-      var_bytes += lv.GetString(i).size();
-    }
-  }
-  for (size_t i = 0; i < rn; ++i) {
-    if (right_schema.column(i).type == DataType::kString && !rv.IsNull(i)) {
-      var_bytes += rv.GetString(i).size();
-    }
+  for (size_t out = 0; out < n; ++out) {
+    if (out_schema.column(out).type != DataType::kString) continue;
+    const size_t c = source(out);
+    const TupleView& src = c < ln ? lv : rv;
+    const size_t col = c < ln ? c : c - ln;
+    if (!src.IsNull(col)) var_bytes += src.GetString(col).size();
   }
   size_t total = fixed + var_bytes;
   uint8_t* row = arena->Allocate(total);
@@ -117,31 +118,51 @@ const uint8_t* TupleBuilder::ConcatRows(const Schema& out_schema,
 
   uint64_t bitmap = 0;
   uint32_t var_offset = static_cast<uint32_t>(fixed);
-  for (size_t out = 0; out < ln + rn; ++out) {
-    bool from_left = out < ln;
-    const TupleView& src = from_left ? lv : rv;
-    const Schema& src_schema = from_left ? left_schema : right_schema;
-    size_t src_col = from_left ? out : out - ln;
+  for (size_t out = 0; out < n; ++out) {
+    const size_t c = source(out);
+    const TupleView& src = c < ln ? lv : rv;
+    const size_t col = c < ln ? c : c - ln;
     uint8_t* slot = row + Schema::kHeaderBytes + 8 * out;
-    if (src.IsNull(src_col)) {
+    if (src.IsNull(col)) {
       bitmap |= (uint64_t{1} << out);
       std::memset(slot, 0, 8);
       continue;
     }
-    if (src_schema.column(src_col).type == DataType::kString) {
-      std::string_view s = src.GetString(src_col);
+    if (out_schema.column(out).type == DataType::kString) {
+      std::string_view s = src.GetString(col);
       uint64_t packed = (static_cast<uint64_t>(var_offset) << 32) |
                         static_cast<uint32_t>(s.size());
       std::memcpy(slot, &packed, 8);
       std::memcpy(row + var_offset, s.data(), s.size());
       var_offset += static_cast<uint32_t>(s.size());
     } else {
-      int64_t raw = src.GetInt64(src_col);  // Bit-copy works for all fixed.
+      int64_t raw = src.GetInt64(col);  // Bit-copy works for all fixed.
       std::memcpy(slot, &raw, 8);
     }
   }
   std::memcpy(row + 8, &bitmap, 8);
   return row;
+}
+
+}  // namespace
+
+const uint8_t* TupleBuilder::ConcatRows(const Schema& out_schema,
+                                        const Schema& left_schema,
+                                        const uint8_t* left,
+                                        const Schema& right_schema,
+                                        const uint8_t* right, Arena* arena,
+                                        std::span<const int> columns) {
+  if (columns.empty()) {
+    assert(out_schema.num_columns() ==
+           left_schema.num_columns() + right_schema.num_columns());
+    return Concat(out_schema, left_schema, left, right_schema, right, arena,
+                  [](size_t out) { return out; });
+  }
+  assert(out_schema.num_columns() == columns.size());
+  return Concat(out_schema, left_schema, left, right_schema, right, arena,
+                [columns](size_t out) {
+                  return static_cast<size_t>(columns[out]);
+                });
 }
 
 }  // namespace bufferdb

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -99,12 +100,18 @@ class TupleBuilder {
 
   /// Serializes the concatenation of two existing rows (join output) without
   /// going through boxed values. `left`/`right` follow `left_schema`/
-  /// `right_schema`; the builder's schema must be their concatenation.
+  /// `right_schema`. With `columns` empty the row carries every column of
+  /// both; otherwise output column i is column `columns[i]` of the
+  /// concatenation, numbered as in Schema::Concat, and only those slots and
+  /// strings are copied. `out_schema` must be
+  /// Schema::Concat(left_schema, right_schema, columns). The row is
+  /// byte-identical to Finish() over the same values.
   static const uint8_t* ConcatRows(const Schema& out_schema,
                                    const Schema& left_schema,
                                    const uint8_t* left,
                                    const Schema& right_schema,
-                                   const uint8_t* right, Arena* arena);
+                                   const uint8_t* right, Arena* arena,
+                                   std::span<const int> columns = {});
 
  private:
   const Schema* schema_;

@@ -547,6 +547,54 @@ TEST_P(ExchangeBatchEquivalenceTest, JoinAggregateAcrossDegrees) {
   }
 }
 
+// Three-table joins under every join strategy: batched plans narrow each
+// join row to the columns read above the scans (a cross predicate's
+// columns, both ends of a redundant edge, a string group key), the serial
+// tuple-at-a-time reference keeps full-width rows. The aggregates are
+// exact in any summation order, so results compare as strings.
+TEST_P(ExchangeBatchEquivalenceTest, ThreeTableJoinsAcrossStrategies) {
+  const char* const kQueries[] = {
+      // String group key carried through both joins; a cross predicate on
+      // a column nothing else reads.
+      "SELECT c_name, COUNT(*) AS n, MAX(l_extendedprice) AS top, "
+      "SUM(l_linenumber) AS lines FROM customer, orders, lineitem "
+      "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
+      "AND l_extendedprice * 4 > o_totalprice GROUP BY c_name",
+      // A cycle: the nation join uses one edge, the other is a filter.
+      "SELECT n_name, COUNT(*) AS n, MIN(s_acctbal) AS lo "
+      "FROM supplier, customer, nation "
+      "WHERE s_nationkey = c_nationkey AND s_nationkey = n_nationkey "
+      "AND c_nationkey = n_nationkey GROUP BY n_name",
+      // Scalar aggregates, computed inside the Exchange fragments.
+      "SELECT COUNT(*) AS n, MIN(o_totalprice) AS lo, "
+      "MAX(l_extendedprice) AS hi FROM customer, orders, lineitem "
+      "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
+      "AND c_mktsegment = 'BUILDING'",
+      // A projection, also pushed into the fragments.
+      "SELECT c_name, o_orderdate, l_linenumber "
+      "FROM customer, orders, lineitem "
+      "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
+      "AND l_quantity < 3"};
+  for (const char* sql : kQueries) {
+    OperatorPtr serial = MustPlan(sql, PlannerOptions{});
+    auto expected = Canonical(RunPlan(serial.get()));
+    ASSERT_FALSE(expected.empty()) << sql;
+    for (JoinStrategy strategy :
+         {JoinStrategy::kAuto, JoinStrategy::kHashJoin,
+          JoinStrategy::kMergeJoin}) {
+      for (size_t degree : {1u, 2u, 8u}) {
+        PlannerOptions options = Options(degree, /*refine=*/false);
+        options.join_strategy = strategy;
+        OperatorPtr plan = MustPlan(sql, options);
+        auto actual = Canonical(RunPlanBatched(plan.get(), GetParam()));
+        EXPECT_EQ(expected, actual)
+            << sql << "\nstrategy " << JoinStrategyName(strategy)
+            << " degree " << degree;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, ExchangeBatchEquivalenceTest,
                          ::testing::Values(1, 7, 256, 1024));
 

@@ -350,6 +350,35 @@ TEST(ExchangeErrorTest, FragmentOpenFailureIsReported) {
   EXPECT_EQ(exchange.error().code(), StatusCode::kInternal);
 }
 
+// The same failure through ExecutePlanRows and ExecutePlanBatched: the
+// stream ends early, and the caller gets the workers' error rather than OK
+// with truncated rows.
+TEST(ExchangeErrorTest, ExecutePlanReturnsFragmentFailure) {
+  auto table = testutil::MakeKvTable("t", {{1, 1.0}});
+  auto make_exchange = [&table] {
+    std::vector<OperatorPtr> fragments;
+    fragments.push_back(std::make_unique<FailingOperator>(&table->schema()));
+    fragments.push_back(std::make_unique<FailingOperator>(&table->schema()));
+    return std::make_unique<parallel::ExchangeOperator>(std::move(fragments),
+                                                        nullptr);
+  };
+  {
+    auto exchange = make_exchange();
+    ExecContext ctx;
+    auto rows = ExecutePlanRows(exchange.get(), &ctx);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kInternal);
+  }
+  {
+    auto exchange = make_exchange();
+    ExecContext ctx;
+    auto rows = ExecutePlanBatched(exchange.get(), &ctx);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(ctx.error.code(), StatusCode::kInternal);
+  }
+}
+
 TEST(ExchangeErrorTest, EarlyCloseDoesNotDeadlock) {
   // A consumer that abandons the stream (e.g. LIMIT) must not leave
   // producers blocked on the bounded queue.

@@ -110,6 +110,43 @@ TEST_F(PlannerTest, AllJoinStrategiesReturnSameAnswer) {
   }
 }
 
+// Batched plans copy into each join row only the columns read above the
+// scans; tuple-at-a-time plans keep the paper's full-width rows.
+TEST_F(PlannerTest, BatchedJoinRowsCarryOnlyTheColumnsReadAbove) {
+  const size_t full_width =
+      catalog_->GetTable("lineitem")->schema().num_columns() +
+      catalog_->GetTable("orders")->schema().num_columns();
+  for (JoinStrategy strategy :
+       {JoinStrategy::kAuto, JoinStrategy::kHashJoin,
+        JoinStrategy::kMergeJoin}) {
+    SCOPED_TRACE(JoinStrategyName(strategy));
+    PlannerOptions tuple;
+    tuple.join_strategy = strategy;
+    PlannerOptions batched = tuple;
+    batched.batch_size = Operator::kDefaultBatchSize;
+    OperatorPtr wide = MustPlan(kQuery3, tuple);
+    OperatorPtr narrow = MustPlan(kQuery3, batched);
+    EXPECT_EQ(wide->child(0)->output_schema().num_columns(), full_width);
+    const Schema& schema = narrow->child(0)->output_schema();
+    std::vector<std::string> names;
+    for (const Column& column : schema.columns()) names.push_back(column.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"l_orderkey", "l_discount",
+                                               "o_orderkey", "o_totalprice"}));
+
+    ExecContext wide_ctx;
+    ExecContext narrow_ctx;
+    auto wide_rows = ExecutePlanRows(wide.get(), &wide_ctx);
+    auto narrow_rows = ExecutePlanRows(narrow.get(), &narrow_ctx);
+    ASSERT_TRUE(wide_rows.ok() && narrow_rows.ok());
+    ASSERT_EQ(narrow_rows->size(), 1u);
+    EXPECT_NEAR((*wide_rows)[0][0].double_value(),
+                (*narrow_rows)[0][0].double_value(), 1e-6);
+    EXPECT_EQ((*wide_rows)[0][1], (*narrow_rows)[0][1]);
+    EXPECT_LT(4 * narrow_ctx.arena.bytes_allocated(),
+              wide_ctx.arena.bytes_allocated());
+  }
+}
+
 TEST_F(PlannerTest, RefinedAndOriginalPlansAgree) {
   PlannerOptions refined;
   refined.refine = true;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/arena.h"
 #include "storage/tuple.h"
 
@@ -164,6 +167,60 @@ TEST(TupleTest, ConcatRowsToStringMatchesManualBuild) {
   const uint8_t* direct = ob.Finish(&arena);
   EXPECT_EQ(TupleView(joined, &out).ToString(),
             TupleView(direct, &out).ToString());
+}
+
+// ConcatRows with and without a column list: the row must be byte for byte
+// the one Finish() builds from the same values (header, null bitmap, zeroed
+// NULL slots, strings packed in output column order).
+TEST(TupleTest, ConcatRowsWithColumnsIsByteIdenticalToFinish) {
+  Schema left({{"a", DataType::kInt64},
+               {"s", DataType::kString},
+               {"d", DataType::kDouble},
+               {"n", DataType::kString}});
+  Schema right({{"b", DataType::kDate},
+                {"t", DataType::kString},
+                {"u", DataType::kInt64},
+                {"w", DataType::kString}});
+  Arena arena;
+  TupleBuilder lb(&left);
+  lb.SetInt64(0, -7);
+  lb.SetString(1, "left side");
+  lb.SetDouble(2, 2.5);
+  lb.SetNull(3);
+  const uint8_t* lrow = lb.Finish(&arena);
+  TupleBuilder rb(&right);
+  rb.SetDate(0, 9000);
+  rb.SetString(1, "rt");
+  rb.SetNull(2);
+  rb.SetString(3, "");
+  const uint8_t* rrow = rb.Finish(&arena);
+
+  const std::vector<Value> values = {
+      Value::Int64(-7), Value::String("left side"), Value::Double(2.5),
+      Value::Null(DataType::kString), Value::Date(9000), Value::String("rt"),
+      Value::Null(DataType::kInt64), Value::String("")};
+  // A subset of both sides, reordered, with a NULL from each and the
+  // strings out of their source order; then every column.
+  const std::vector<std::vector<int>> lists = {{5, 2, 1, 6, 3, 4, 0}, {}};
+  for (const std::vector<int>& columns : lists) {
+    Schema out = Schema::Concat(left, right, columns);
+    ASSERT_EQ(out.num_columns(), columns.empty() ? 8u : columns.size());
+    TupleBuilder expected(&out);
+    for (size_t i = 0; i < out.num_columns(); ++i) {
+      const size_t c = columns.empty() ? i : static_cast<size_t>(columns[i]);
+      EXPECT_EQ(out.column(i).name,
+                c < 4 ? left.column(c).name : right.column(c - 4).name);
+      expected.Set(i, values[c]);
+    }
+    const uint8_t* direct = expected.Finish(&arena);
+    const uint8_t* joined = TupleBuilder::ConcatRows(out, left, lrow, right,
+                                                     rrow, &arena, columns);
+    const uint32_t size = TupleView(direct, &out).size_bytes();
+    ASSERT_EQ(TupleView(joined, &out).size_bytes(), size);
+    EXPECT_EQ(std::memcmp(joined, direct, size), 0)
+        << TupleView(joined, &out).ToString() << " vs "
+        << TupleView(direct, &out).ToString();
+  }
 }
 
 }  // namespace

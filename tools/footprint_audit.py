@@ -128,26 +128,35 @@ def parse_nm(text: str, binary: Binary) -> None:
 
 def parse_objdump(text: str, binary: Binary) -> None:
     current: str | None = None
+    # A direct call's annotated target, held back one line: in an object
+    # file a relocated call shows its placeholder operand (the next
+    # instruction's address, possibly the next symbol), and the relocation
+    # record on the following line names the real target.
+    pending: tuple[str, str] | None = None
+
+    def add_call(caller: str, target: str) -> None:
+        if target and target != caller:
+            binary.calls.setdefault(caller, set()).add(target)
+
     for line in text.splitlines():
+        reloc = RELOC_RE.match(line) if current is not None else None
+        if pending is not None and reloc is None:
+            add_call(*pending)
+        pending = None
         header = FUNC_HEADER_RE.match(line)
         if header:
             current = normalize_symbol(header.group(1))
             continue
         if current is None:
             continue
-        reloc = RELOC_RE.match(line)
         if reloc:
-            target = normalize_symbol(re.sub(r"[+-]0x[0-9a-fA-F]+$", "",
-                                             reloc.group(1)))
-            if target and target != current:
-                binary.calls.setdefault(current, set()).add(target)
+            add_call(current, normalize_symbol(
+                re.sub(r"[+-]0x[0-9a-fA-F]+$", "", reloc.group(1))))
             continue
         hit = DIRECT_CALL_RE.search(line)
         if hit:
-            target = normalize_symbol(re.sub(r"\+0x[0-9a-fA-F]+$", "",
-                                             hit.group(1)))
-            if target and target != current:
-                binary.calls.setdefault(current, set()).add(target)
+            pending = (current, normalize_symbol(
+                re.sub(r"\+0x[0-9a-fA-F]+$", "", hit.group(1))))
             continue
         if INDIRECT_RE.search(line):
             plt = PLT_COMMENT_RE.search(line)
@@ -160,6 +169,8 @@ def parse_objdump(text: str, binary: Binary) -> None:
             else:
                 binary.indirect_sites[current] = (
                     binary.indirect_sites.get(current, 0) + 1)
+    if pending is not None:
+        add_call(*pending)
 
 
 def run_tool(cmd: list[str]) -> str:
@@ -506,6 +517,8 @@ def _fixture_binary() -> Binary:
       Sort::Next  --direct-->  Scan::Next          (cut: foreign module)
       dispatch    --indirect-> {Scan::Next, Sort::Next}  (vtable heuristic)
       Scan::Open  --reloc--->  helper_reloc        (archive-style record)
+    Scan::Open's last call is relocated too; its placeholder operand names
+    the next symbol (Sort::Next), which must not become an edge.
     """
     nm_text = "\n".join([
         _nm_line(0x1000, 0x400, "T", "bufferdb::SeqScanOperator::Next()"),
@@ -526,6 +539,9 @@ def _fixture_binary() -> Binary:
         "    1400:\te8 00 00 00 00\tcall   1405 "
         "<bufferdb::SeqScanOperator::Open()+0x5>",
         "\t\t\t1401: R_X86_64_PLT32\thelper_reloc()-0x4",
+        "    15fb:\te8 00 00 00 00\tcall   1600 "
+        "<bufferdb::SortOperator::Next()>",
+        "\t\t\t15fc: R_X86_64_PLT32\t_Unwind_Resume-0x4",
         "0000000000001600 <bufferdb::SortOperator::Next()>:",
         "    1600:\te8 00 00 00 00\tcall   1900 <helper_shared()>",
         "    1605:\te8 00 00 00 00\tcall   1000 "
@@ -566,6 +582,9 @@ def self_test() -> int:
         check("helper_reloc()" in
               binary.calls["bufferdb::SeqScanOperator::Open()"],
               "objdump parse: relocation-record call target")
+        check("bufferdb::SortOperator::Next()" not in
+              binary.calls["bufferdb::SeqScanOperator::Open()"],
+              "objdump parse: a relocated call's placeholder operand")
         check("leaf_shared()" in binary.calls["helper_shared()"],
               "objdump parse: tail-jmp edge")
         check(binary.indirect_sites.get("bufferdb::ExecutePlan()") == 1,
