@@ -4,20 +4,15 @@
 //
 //   k * 7 + v > threshold        (mul, add, compare over int64 columns)
 //
-// Three engines run the identical predicate over the identical rows:
+// Two engines run the identical predicate over the identical rows:
 //
 //   interpreted      Expression::Evaluate per row (virtual dispatch per
 //                    node, Value boxing per intermediate).
-//   vectorized       CompiledExpr::RunFilter with the scalar kernels
-//                    (set_use_avx2(false)); timing includes the
+//   vectorized       CompiledExpr::RunFilter; timing includes the
 //                    RowBatchDecoder pass, so the decode overhead the
 //                    operators actually pay is charged to the kernel side.
-//   vectorized_avx2  Same program with the AVX2 specializations, present
-//                    only when the binary was built with BUFFERDB_AVX2
-//                    (otherwise this mode reports the scalar numbers and
-//                    "avx2": false).
 //
-// All engines' selection vectors are compared bit-for-bit before any timing
+// Both engines' selection vectors are compared bit-for-bit before any timing
 // is reported. Output is JSON lines only (bench_util run header plus one
 // object per batch width), so CI archives stdout directly.
 
@@ -127,49 +122,39 @@ int main(int argc, char** argv) {
   }
 
   ExprPtr pred = MakePredicate(threshold);
-  auto scalar = CompiledExpr::Compile(*pred, schema);
-  auto avx = CompiledExpr::Compile(*pred, schema);
-  if (scalar == nullptr || avx == nullptr) {
+  auto program = CompiledExpr::Compile(*pred, schema);
+  if (program == nullptr) {
     std::fprintf(stderr, "FAIL: predicate did not compile\n");
     return 1;
   }
-  scalar->set_use_avx2(false);
-  const bool have_avx2 = CompiledExpr::AvxEnabled();
 
-  std::vector<uint32_t> sel_interp, sel_scalar, sel_avx;
+  std::vector<uint32_t> sel_interp, sel_vec;
   VectorBatch batch;
   SelectionVector sel;
 
   for (size_t width : {size_t{256}, size_t{1024}}) {
-    // Verification: all engines agree on the selection before timing.
+    // Verification: both engines agree on the selection before timing.
     InterpretedPass(*pred, schema, rows, &sel_interp);
-    VectorizedPass(scalar.get(), schema, rows, width, &batch, &sel,
-                   &sel_scalar);
-    VectorizedPass(avx.get(), schema, rows, width, &batch, &sel, &sel_avx);
-    if (sel_interp != sel_scalar || sel_interp != sel_avx) {
+    VectorizedPass(program.get(), schema, rows, width, &batch, &sel, &sel_vec);
+    if (sel_interp != sel_vec) {
       std::fprintf(stderr,
                    "FAIL: engines disagree at width %zu "
-                   "(interp=%zu scalar=%zu avx=%zu rows selected)\n",
-                   width, sel_interp.size(), sel_scalar.size(),
-                   sel_avx.size());
+                   "(interp=%zu vectorized=%zu rows selected)\n",
+                   width, sel_interp.size(), sel_vec.size());
       return 1;
     }
 
-    double interp_best = 1e99, scalar_best = 1e99, avx_best = 1e99;
+    double interp_best = 1e99, vec_best = 1e99;
     size_t sink = 0;
     for (int i = 0; i < iters; ++i) {
       auto t0 = std::chrono::steady_clock::now();
       sink += InterpretedPass(*pred, schema, rows, &sel_interp);
       auto t1 = std::chrono::steady_clock::now();
-      sink += VectorizedPass(scalar.get(), schema, rows, width, &batch, &sel,
-                             &sel_scalar);
+      sink += VectorizedPass(program.get(), schema, rows, width, &batch, &sel,
+                             &sel_vec);
       auto t2 = std::chrono::steady_clock::now();
-      sink += VectorizedPass(avx.get(), schema, rows, width, &batch, &sel,
-                             &sel_avx);
-      auto t3 = std::chrono::steady_clock::now();
       interp_best = std::min(interp_best, Seconds(t0, t1));
-      scalar_best = std::min(scalar_best, Seconds(t1, t2));
-      avx_best = std::min(avx_best, Seconds(t2, t3));
+      vec_best = std::min(vec_best, Seconds(t1, t2));
     }
 
     const double n = static_cast<double>(num_rows);
@@ -178,16 +163,13 @@ int main(int argc, char** argv) {
         json, sizeof(json),
         "{\"bench\": \"expr_eval\", \"predicate\": \"k * 7 + v > %lld\", "
         "\"rows\": %zu, \"batch_width\": %zu, \"iters\": %d, "
-        "\"selected\": %zu, \"outputs_identical\": true, \"avx2\": %s, "
+        "\"selected\": %zu, \"outputs_identical\": true, "
         "\"interpreted_ns_per_row\": %.2f, "
         "\"vectorized_ns_per_row\": %.2f, "
-        "\"vectorized_avx2_ns_per_row\": %.2f, "
-        "\"speedup_vectorized\": %.3f, \"speedup_avx2\": %.3f, "
-        "\"sink\": %zu}",
+        "\"speedup_vectorized\": %.3f, \"sink\": %zu}",
         static_cast<long long>(threshold), num_rows, width, iters,
-        sel_interp.size(), have_avx2 ? "true" : "false",
-        interp_best / n * 1e9, scalar_best / n * 1e9, avx_best / n * 1e9,
-        interp_best / scalar_best, interp_best / avx_best, sink);
+        sel_interp.size(), interp_best / n * 1e9, vec_best / n * 1e9,
+        interp_best / vec_best, sink);
     bufferdb::bench::EmitJsonLine(json);
   }
   return 0;

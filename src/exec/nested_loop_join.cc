@@ -33,7 +33,10 @@ const uint8_t* NestLoopJoinOperator::Next() {
       outer_row_ = child(0)->Next();
       if (outer_row_ == nullptr) return nullptr;
       Status st = child(1)->Rescan();
-      if (!st.ok()) return nullptr;
+      if (!st.ok()) {
+        ctx_->RecordError(std::move(st));
+        return nullptr;
+      }
       need_outer_ = false;
     }
     const uint8_t* inner_row = child(1)->Next();
@@ -92,7 +95,10 @@ const uint8_t* IndexNestLoopJoinOperator::Next() {
       if (key.is_null()) continue;  // NULL keys never join.
       inner_scan_->BindEqualKey(key.int64_value());
       Status st = inner_scan_->Rescan();
-      if (!st.ok()) return nullptr;
+      if (!st.ok()) {
+        ctx_->RecordError(std::move(st));
+        return nullptr;
+      }
       need_outer_ = false;
     }
     const uint8_t* inner_row = child(1)->Next();

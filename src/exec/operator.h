@@ -33,10 +33,11 @@ class VectorBatch;
 /// single-threaded plans; in parallel plans they cover just the operators
 /// above the Exchange.
 ///
-/// `error` is the first failure an operator could not return from Open: an
-/// Exchange records its workers' first error here when its stream ends, so
-/// a stream that ended early is told apart from a complete one. Every
-/// ExecutePlan* returns it.
+/// `error` is the first failure an operator met where it could not return
+/// a Status: a join whose inner Rescan fails inside Next, or an Exchange
+/// whose workers failed (recorded when its stream ends). The operator ends
+/// its stream, and every ExecutePlan* returns the error, so a stream that
+/// ended early is told apart from a complete one.
 struct ExecContext {
   sim::SimCpu* cpu = nullptr;
   Arena arena;

@@ -5,10 +5,6 @@
 #include <cstdint>
 #include <limits>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace bufferdb {
 
 namespace {
@@ -27,127 +23,11 @@ void NullUnion(const uint8_t* an, const uint8_t* bn, size_t n, uint8_t* dn) {
   }
 }
 
-#if defined(__AVX2__)
-// The AVX2 kernels compute all lanes and fix up NULLs afterwards; the scalar
-// fallbacks fold the NULL check into the main loop instead.
-void ZeroNullLanesI64(int64_t* d, const uint8_t* dn, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    d[i] = dn[i] != 0 ? 0 : d[i];
-  }
-}
-
-// AVX2 specializations for the int64 arithmetic/compare kernels. They
-// compute the same lane values as the scalar loops bit for bit; the null
-// select runs as a separate (auto-vectorized) pass afterwards.
-
-inline __m256i LoadI64x4(const int64_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-inline void StoreI64x4(int64_t* p, __m256i v) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
-
-void AddI64Avx(const int64_t* a, const int64_t* b, size_t n, int64_t* d) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    StoreI64x4(d + i, _mm256_add_epi64(LoadI64x4(a + i), LoadI64x4(b + i)));
-  }
-  for (; i < n; ++i) d[i] = a[i] + b[i];
-}
-
-void SubI64Avx(const int64_t* a, const int64_t* b, size_t n, int64_t* d) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    StoreI64x4(d + i, _mm256_sub_epi64(LoadI64x4(a + i), LoadI64x4(b + i)));
-  }
-  for (; i < n; ++i) d[i] = a[i] - b[i];
-}
-
-// 64x64->64 low product from 32-bit partial products (AVX2 has no
-// vpmullq): lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32).
-void MulI64Avx(const int64_t* a, const int64_t* b, size_t n, int64_t* d) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = LoadI64x4(a + i);
-    const __m256i vb = LoadI64x4(b + i);
-    const __m256i ah = _mm256_srli_epi64(va, 32);
-    const __m256i bh = _mm256_srli_epi64(vb, 32);
-    const __m256i ll = _mm256_mul_epu32(va, vb);
-    const __m256i lh = _mm256_mul_epu32(va, bh);
-    const __m256i hl = _mm256_mul_epu32(ah, vb);
-    const __m256i cross = _mm256_add_epi64(lh, hl);
-    StoreI64x4(d + i,
-               _mm256_add_epi64(ll, _mm256_slli_epi64(cross, 32)));
-  }
-  for (; i < n; ++i) {
-    d[i] = static_cast<int64_t>(static_cast<uint64_t>(a[i]) *
-                                static_cast<uint64_t>(b[i]));
-  }
-}
-
-// Comparison results as 0/1 int64 lanes (bool payload convention).
-void CmpI64Avx(VecOp op, const int64_t* a, const int64_t* b, size_t n,
-               int64_t* d) {
-  const __m256i one = _mm256_set1_epi64x(1);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = LoadI64x4(a + i);
-    const __m256i vb = LoadI64x4(b + i);
-    __m256i bits;
-    switch (op) {
-      case VecOp::kCmpEqI64:
-        bits = _mm256_srli_epi64(_mm256_cmpeq_epi64(va, vb), 63);
-        break;
-      case VecOp::kCmpNeI64:
-        bits = _mm256_xor_si256(
-            _mm256_srli_epi64(_mm256_cmpeq_epi64(va, vb), 63), one);
-        break;
-      case VecOp::kCmpLtI64:
-        bits = _mm256_srli_epi64(_mm256_cmpgt_epi64(vb, va), 63);
-        break;
-      case VecOp::kCmpLeI64:
-        bits = _mm256_xor_si256(
-            _mm256_srli_epi64(_mm256_cmpgt_epi64(va, vb), 63), one);
-        break;
-      case VecOp::kCmpGtI64:
-        bits = _mm256_srli_epi64(_mm256_cmpgt_epi64(va, vb), 63);
-        break;
-      default:  // kCmpGeI64
-        bits = _mm256_xor_si256(
-            _mm256_srli_epi64(_mm256_cmpgt_epi64(vb, va), 63), one);
-        break;
-    }
-    StoreI64x4(d + i, bits);
-  }
-  for (; i < n; ++i) {
-    switch (op) {
-      case VecOp::kCmpEqI64: d[i] = a[i] == b[i] ? 1 : 0; break;
-      case VecOp::kCmpNeI64: d[i] = a[i] != b[i] ? 1 : 0; break;
-      case VecOp::kCmpLtI64: d[i] = a[i] < b[i] ? 1 : 0; break;
-      case VecOp::kCmpLeI64: d[i] = a[i] <= b[i] ? 1 : 0; break;
-      case VecOp::kCmpGtI64: d[i] = a[i] > b[i] ? 1 : 0; break;
-      default: d[i] = a[i] >= b[i] ? 1 : 0; break;
-    }
-  }
-}
-
-#endif  // defined(__AVX2__)
-
 void ArithI64(VecOp op, const int64_t* a, const uint8_t* an, const int64_t* b,
-              const uint8_t* bn, size_t n, int64_t* d, uint8_t* dn,
-              bool use_avx2) {
-  (void)use_avx2;
+              const uint8_t* bn, size_t n, int64_t* d, uint8_t* dn) {
   switch (op) {
     case VecOp::kAddI64:
       NullUnion(an, bn, n, dn);
-#if defined(__AVX2__)
-      if (use_avx2) {
-        AddI64Avx(a, b, n, d);
-        ZeroNullLanesI64(d, dn, n);
-        return;
-      }
-#endif
       for (size_t i = 0; i < n; ++i) {
         const int64_t v = a[i] + b[i];
         d[i] = dn[i] != 0 ? 0 : v;
@@ -155,13 +35,6 @@ void ArithI64(VecOp op, const int64_t* a, const uint8_t* an, const int64_t* b,
       return;
     case VecOp::kSubI64:
       NullUnion(an, bn, n, dn);
-#if defined(__AVX2__)
-      if (use_avx2) {
-        SubI64Avx(a, b, n, d);
-        ZeroNullLanesI64(d, dn, n);
-        return;
-      }
-#endif
       for (size_t i = 0; i < n; ++i) {
         const int64_t v = a[i] - b[i];
         d[i] = dn[i] != 0 ? 0 : v;
@@ -169,13 +42,6 @@ void ArithI64(VecOp op, const int64_t* a, const uint8_t* an, const int64_t* b,
       return;
     case VecOp::kMulI64:
       NullUnion(an, bn, n, dn);
-#if defined(__AVX2__)
-      if (use_avx2) {
-        MulI64Avx(a, b, n, d);
-        ZeroNullLanesI64(d, dn, n);
-        return;
-      }
-#endif
       for (size_t i = 0; i < n; ++i) {
         const int64_t v = a[i] * b[i];
         d[i] = dn[i] != 0 ? 0 : v;
@@ -248,17 +114,8 @@ void ArithF64(VecOp op, const double* a, const uint8_t* an, const double* b,
 }
 
 void CmpI64(VecOp op, const int64_t* a, const uint8_t* an, const int64_t* b,
-            const uint8_t* bn, size_t n, int64_t* d, uint8_t* dn,
-            bool use_avx2) {
-  (void)use_avx2;
+            const uint8_t* bn, size_t n, int64_t* d, uint8_t* dn) {
   NullUnion(an, bn, n, dn);
-#if defined(__AVX2__)
-  if (use_avx2) {
-    CmpI64Avx(op, a, b, n, d);
-    ZeroNullLanesI64(d, dn, n);
-    return;
-  }
-#endif
   switch (op) {
     case VecOp::kCmpEqI64:
       for (size_t i = 0; i < n; ++i) {
@@ -701,14 +558,6 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expression& expr,
 // Executor.
 // ---------------------------------------------------------------------------
 
-bool CompiledExpr::AvxEnabled() {
-#if defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 const ColumnVector& CompiledExpr::Vec(uint16_t ref,
                                       const VectorBatch& batch) const {
   if ((ref & VecInsn::kInputRef) != 0) {
@@ -754,7 +603,7 @@ const ColumnVector& CompiledExpr::Run(const VectorBatch& batch) {
         const ColumnVector& a = Vec(insn.a, batch);
         const ColumnVector& b = Vec(insn.b, batch);
         ArithI64(insn.op, a.i64_data(), a.null_data(), b.i64_data(),
-                 b.null_data(), n, dst.i64.data(), dn, use_avx2_);
+                 b.null_data(), n, dst.i64.data(), dn);
         break;
       }
       case VecOp::kAddF64:
@@ -776,7 +625,7 @@ const ColumnVector& CompiledExpr::Run(const VectorBatch& batch) {
         const ColumnVector& a = Vec(insn.a, batch);
         const ColumnVector& b = Vec(insn.b, batch);
         CmpI64(insn.op, a.i64_data(), a.null_data(), b.i64_data(),
-               b.null_data(), n, dst.i64.data(), dn, use_avx2_);
+               b.null_data(), n, dst.i64.data(), dn);
         break;
       }
       case VecOp::kCmpEqF64:

@@ -130,13 +130,6 @@ class CompiledExpr {
   /// true (EvaluatePredicate semantics), in lane order.
   void RunFilter(const VectorBatch& batch, SelectionVector* sel);
 
-  /// True when this binary was built with AVX2 kernels (-mavx2 /
-  /// BUFFERDB_AVX2=ON). The intrinsic kernels produce bit-identical results
-  /// to the scalar loops; set_use_avx2(false) forces the scalar loops for
-  /// A/B benchmarking.
-  static bool AvxEnabled();
-  void set_use_avx2(bool v) { use_avx2_ = v; }
-
  private:
   CompiledExpr() = default;
 
@@ -164,7 +157,6 @@ class CompiledExpr {
   std::vector<DataType> reg_types_;
   uint16_t result_ref_ = 0;
   DataType result_type_ = DataType::kBool;
-  bool use_avx2_ = true;
 };
 
 /// Boxes lane `i` of `v` into a Value — the bridge from vectorized results

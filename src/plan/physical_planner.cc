@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/buffered_index_join.h"
 #include "exec/aggregation.h"
 #include "exec/column_scan.h"
 #include "exec/distinct.h"
@@ -103,8 +102,6 @@ const char* JoinStrategyName(JoinStrategy strategy) {
       return "hash";
     case JoinStrategy::kMergeJoin:
       return "merge";
-    case JoinStrategy::kBufferedIndex:
-      return "buffered-index";
   }
   return "?";
 }
@@ -147,21 +144,6 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
 
   OperatorPtr join_op;
   switch (strategy) {
-    case JoinStrategy::kBufferedIndex: {
-      if (inner_index == nullptr) {
-        return Status::InvalidArgument(
-            "no index on the inner join column of " + inner_table->name() +
-            "; cannot use batched index probes (reorder FROM)");
-      }
-      if (inner_filter != nullptr) {
-        return Status::NotImplemented(
-            "inner filters unsupported for batched index probes");
-      }
-      join_op = std::make_unique<BufferedIndexJoinOperator>(
-          std::move(plan), inner_index, ColRef(outer_schema, outer_key_col),
-          /*batch_size=*/1000, std::move(columns));
-      break;
-    }
     case JoinStrategy::kIndexNestLoop: {
       if (inner_index == nullptr) {
         return Status::InvalidArgument(

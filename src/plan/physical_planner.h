@@ -20,10 +20,6 @@ enum class JoinStrategy : uint8_t {
   kIndexNestLoop,
   kHashJoin,
   kMergeJoin,
-  /// Extension: index nested loop with batched, key-sorted probes
-  /// (core/buffered_index_join.h). Within a probe batch, output order is by
-  /// join key rather than outer order.
-  kBufferedIndex,
 };
 
 const char* JoinStrategyName(JoinStrategy strategy);

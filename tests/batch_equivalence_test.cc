@@ -16,11 +16,14 @@
 #include <utility>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "core/buffer_operator.h"
 #include "exec/aggregation.h"
 #include "exec/filter.h"
 #include "exec/hash_aggregation.h"
 #include "exec/hash_join.h"
+#include "exec/index_scan.h"
+#include "exec/nested_loop_join.h"
 #include "exec/project.h"
 #include "exec/seq_scan.h"
 #include "exec/sort.h"
@@ -343,6 +346,32 @@ TEST_P(BatchEquivalenceTest, HashJoinBatchedProbe) {
   ExpectSameRows(expected, batched_tuple_drain);
   auto batched_batch_drain = RunPlanBatched(make_join(batch()).get(), batch());
   ExpectSameRows(expected, batched_batch_drain);
+}
+
+TEST_P(BatchEquivalenceTest, IndexNestLoopJoin) {
+  // Outer key `ni` is NULL on every 5th row. The inner index is non-unique
+  // (each key three times), its residual filter drops some duplicates, and
+  // the output row keeps three columns of Concat(outer, inner): outer k and
+  // s, inner v.
+  auto outer = MakeNullableTable();
+  std::vector<std::pair<int64_t, double>> inner_rows;
+  for (int64_t i = 0; i < 120; ++i) {
+    inner_rows.emplace_back(i % 40 - 10, static_cast<double>(i));
+  }
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(MakeKvTable("inner", inner_rows)).ok());
+  ASSERT_TRUE(catalog.CreateIndex("inner_k", "inner", "k").ok());
+  const IndexInfo* index = catalog.GetIndex("inner_k");
+  const Schema& is = index->table->schema();
+  CheckEquivalent([&] {
+    auto inner = std::make_unique<IndexScanOperator>(
+        index, std::nullopt, std::nullopt,
+        Bin(BinaryOp::kLt, Col(is, "v"), Lit(Value::Double(90.0))));
+    return std::make_unique<IndexNestLoopJoinOperator>(
+        std::make_unique<SeqScanOperator>(outer.get(), nullptr),
+        std::move(inner), Col(outer->schema(), "ni"),
+        std::vector<int>{0, 4, 7});
+  });
 }
 
 TEST_P(BatchEquivalenceTest, HashAggregationBatchedLoad) {

@@ -106,10 +106,17 @@ TEST(JoinTest, NullKeysNeverMatch) {
   left->AppendRow({Value::Int64(1), Value::Double(2)});
   auto right = std::make_unique<Table>("r", schema);
   right->AppendRow({Value::Null(DataType::kInt64), Value::Double(3)});
+  // 0 is a NULL's payload: a join that looked up a NULL key would match it.
+  right->AppendRow({Value::Int64(0), Value::Double(5)});
   right->AppendRow({Value::Int64(1), Value::Double(4)});
+  Catalog catalog;
+  Table* right_table = right.get();
+  ASSERT_TRUE(catalog.AddTable(std::move(right)).ok());
+  ASSERT_TRUE(catalog.CreateIndex("r_k", "r", "k").ok());
 
-  EXPECT_EQ(ViaHash(left.get(), right.get()).size(), 1u);
-  EXPECT_EQ(ViaMerge(left.get(), right.get()).size(), 1u);
+  EXPECT_EQ(ViaHash(left.get(), right_table).size(), 1u);
+  EXPECT_EQ(ViaMerge(left.get(), right_table).size(), 1u);
+  EXPECT_EQ(ViaIndexNlj(left.get(), &catalog, "r_k").size(), 1u);
 }
 
 TEST(JoinTest, IndexNestLoopMatchesOracle) {
@@ -157,6 +164,50 @@ TEST(JoinTest, HashJoinRehashGrowth) {
                         Key(*right));
   EXPECT_EQ(RunPlan(&join).size(), 5000u);
   EXPECT_EQ(join.build_size(), 0u);  // Cleared on Close.
+}
+
+// Inner input whose Rescan fails.
+class FailingRescanOperator final : public Operator {
+ public:
+  explicit FailingRescanOperator(OperatorPtr input) {
+    AddChild(std::move(input));
+  }
+  Status Open(ExecContext* ctx) override { return child(0)->Open(ctx); }
+  const uint8_t* Next() override { return child(0)->Next(); }
+  void Close() override { child(0)->Close(); }
+  Status Rescan() override {
+    return Status::Internal("injected inner rescan failure");
+  }
+  const Schema& output_schema() const override {
+    return child(0)->output_schema();
+  }
+  sim::ModuleId module_id() const override { return child(0)->module_id(); }
+};
+
+// A join that cannot rescan its inner ends its stream early; the caller must
+// get the Rescan error through both drivers, not OK with truncated rows.
+TEST(JoinTest, InnerRescanFailureReachesCaller) {
+  auto left = MakeKvTable("l", {{1, 1}, {2, 2}});
+  auto right = MakeKvTable("r", {{1, 10}, {2, 20}});
+  auto make_join = [&] {
+    return std::make_unique<NestLoopJoinOperator>(
+        Scan(left.get()),
+        std::make_unique<FailingRescanOperator>(Scan(right.get())), nullptr);
+  };
+  {
+    auto join = make_join();
+    ExecContext ctx;
+    auto rows = ExecutePlanRows(join.get(), &ctx);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kInternal);
+  }
+  {
+    auto join = make_join();
+    ExecContext ctx;
+    auto rows = ExecutePlanBatched(join.get(), &ctx);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kInternal);
+  }
 }
 
 class JoinEquivalenceTest : public ::testing::TestWithParam<int> {};

@@ -1,130 +1,22 @@
-// Tests for the extensions beyond the paper's core: batched index-probe
-// join (the authors' companion work), calibration persistence, and .tbl
-// import/export.
+// Tests for the extensions beyond the paper's core: calibration persistence
+// and .tbl import/export.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
-#include "common/rng.h"
-#include "core/buffered_index_join.h"
-#include "exec/nested_loop_join.h"
-#include "exec/seq_scan.h"
+#include "catalog/catalog.h"
 #include "profile/calibration_io.h"
-#include "sim/sim_cpu.h"
-#include "test_util.h"
+#include "sim/code_layout.h"
 #include "tpch/tbl_io.h"
 #include "tpch/tpch_gen.h"
 
 namespace bufferdb {
 namespace {
 
-using testutil::Canonical;
-using testutil::Col;
-using testutil::MakeKvTable;
-using testutil::RunPlan;
-
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
-}
-
-class BufferedIndexJoinTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    std::vector<std::pair<int64_t, double>> inner_rows;
-    for (int64_t i = 0; i < 300; ++i) inner_rows.push_back({i % 120, i * 1.0});
-    ASSERT_TRUE(catalog_.AddTable(MakeKvTable("inner", inner_rows)).ok());
-    ASSERT_TRUE(catalog_.CreateIndex("inner_k", "inner", "k").ok());
-    index_ = catalog_.GetIndex("inner_k");
-
-    Rng rng(99);
-    for (int i = 0; i < 500; ++i) {
-      outer_rows_.push_back({rng.Uniform(0, 150), i * 0.5});
-    }
-    outer_ = MakeKvTable("outer", outer_rows_);
-  }
-
-  std::vector<std::string> Expected() {
-    auto inner_scan = std::make_unique<IndexScanOperator>(
-        index_, std::nullopt, std::nullopt, nullptr);
-    IndexNestLoopJoinOperator join(
-        std::make_unique<SeqScanOperator>(outer_.get(), nullptr),
-        std::move(inner_scan), Col(outer_->schema(), "k"));
-    return Canonical(RunPlan(&join));
-  }
-
-  Catalog catalog_;
-  const IndexInfo* index_ = nullptr;
-  std::vector<std::pair<int64_t, double>> outer_rows_;
-  std::unique_ptr<Table> outer_;
-};
-
-TEST_F(BufferedIndexJoinTest, MatchesIndexNestLoopAsMultiset) {
-  BufferedIndexJoinOperator join(
-      std::make_unique<SeqScanOperator>(outer_.get(), nullptr), index_,
-      Col(outer_->schema(), "k"), /*batch_size=*/64);
-  EXPECT_EQ(Canonical(RunPlan(&join)), Expected());
-  EXPECT_EQ(join.batches(), 8u);  // ceil(500 / 64); stats survive Close.
-}
-
-TEST_F(BufferedIndexJoinTest, BatchSizeSweep) {
-  auto expected = Expected();
-  for (size_t batch : {1u, 2u, 7u, 100u, 500u, 5000u}) {
-    BufferedIndexJoinOperator join(
-        std::make_unique<SeqScanOperator>(outer_.get(), nullptr), index_,
-        Col(outer_->schema(), "k"), batch);
-    EXPECT_EQ(Canonical(RunPlan(&join)), expected) << "batch " << batch;
-  }
-}
-
-TEST_F(BufferedIndexJoinTest, WithinBatchOutputIsKeySorted) {
-  BufferedIndexJoinOperator join(
-      std::make_unique<SeqScanOperator>(outer_.get(), nullptr), index_,
-      Col(outer_->schema(), "k"), /*batch_size=*/10000);  // One batch.
-  auto rows = RunPlan(&join);
-  for (size_t i = 1; i < rows.size(); ++i) {
-    EXPECT_LE(rows[i - 1][0].int64_value(), rows[i][0].int64_value());
-  }
-}
-
-TEST_F(BufferedIndexJoinTest, NullOuterKeysSkipped) {
-  Schema schema({{"k", DataType::kInt64}, {"v", DataType::kDouble}});
-  Table outer("o", schema);
-  outer.AppendRow({Value::Null(DataType::kInt64), Value::Double(0)});
-  outer.AppendRow({Value::Int64(1), Value::Double(1)});
-  BufferedIndexJoinOperator join(
-      std::make_unique<SeqScanOperator>(&outer, nullptr), index_,
-      Col(schema, "k"), 10);
-  auto rows = RunPlan(&join);
-  for (const auto& row : rows) EXPECT_EQ(row[0], Value::Int64(1));
-}
-
-TEST_F(BufferedIndexJoinTest, ReducesIndexCodeInterleavingUnderSim) {
-  auto run = [this](bool batched) {
-    sim::SimCpu cpu;
-    ExecContext ctx;
-    ctx.cpu = &cpu;
-    if (batched) {
-      BufferedIndexJoinOperator join(
-          std::make_unique<SeqScanOperator>(outer_.get(), nullptr), index_,
-          Col(outer_->schema(), "k"), 1000);
-      auto rows = ExecutePlan(&join, &ctx);
-      EXPECT_TRUE(rows.ok());
-    } else {
-      auto inner_scan = std::make_unique<IndexScanOperator>(
-          index_, std::nullopt, std::nullopt, nullptr);
-      IndexNestLoopJoinOperator join(
-          std::make_unique<SeqScanOperator>(outer_.get(), nullptr),
-          std::move(inner_scan), Col(outer_->schema(), "k"));
-      auto rows = ExecutePlan(&join, &ctx);
-      EXPECT_TRUE(rows.ok());
-    }
-    return cpu.counters();
-  };
-  sim::SimCounters plain = run(false);
-  sim::SimCounters batched = run(true);
-  EXPECT_LT(batched.l1i_misses, plain.l1i_misses);
 }
 
 TEST(CalibrationIoTest, SaveLoadRoundTrip) {

@@ -568,68 +568,3 @@ TEST_F(MultiJoinTest, CrossPredicateAppliedAtTop) {
 
 }  // namespace
 }  // namespace bufferdb
-
-namespace bufferdb {
-namespace {
-
-class BufferedIndexStrategyTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    catalog_ = new Catalog();
-    tpch::TpchConfig config;
-    config.scale_factor = 0.002;
-    ASSERT_TRUE(tpch::LoadTpch(config, catalog_).ok());
-  }
-  static void TearDownTestSuite() {
-    delete catalog_;
-    catalog_ = nullptr;
-  }
-  static Catalog* catalog_;
-};
-
-Catalog* BufferedIndexStrategyTest::catalog_ = nullptr;
-
-TEST_F(BufferedIndexStrategyTest, AggregateMatchesIndexNestLoop) {
-  constexpr char kSql[] =
-      "SELECT SUM(o_totalprice), COUNT(*), AVG(l_discount) "
-      "FROM lineitem, orders "
-      "WHERE l_orderkey = o_orderkey AND l_shipdate <= DATE '1998-09-02'";
-  sql::Binder binder(catalog_);
-  std::vector<std::vector<Value>> results[2];
-  JoinStrategy strategies[] = {JoinStrategy::kIndexNestLoop,
-                               JoinStrategy::kBufferedIndex};
-  for (int i = 0; i < 2; ++i) {
-    auto q = binder.BindSql(kSql);
-    ASSERT_TRUE(q.ok());
-    PlannerOptions options;
-    options.join_strategy = strategies[i];
-    PhysicalPlanner planner(catalog_, options);
-    auto plan = planner.CreatePlan(*q);
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    if (i == 1) {
-      EXPECT_NE(PrintPlan(**plan).find("BufferedIndexJoin"),
-                std::string::npos);
-    }
-    ExecContext ctx;
-    auto rows = ExecutePlanRows(plan->get(), &ctx);
-    ASSERT_TRUE(rows.ok());
-    results[i] = *rows;
-  }
-  EXPECT_NEAR(results[0][0][0].double_value(), results[1][0][0].double_value(),
-              1e-6);
-  EXPECT_EQ(results[0][0][1], results[1][0][1]);
-}
-
-TEST_F(BufferedIndexStrategyTest, RequiresInnerIndex) {
-  sql::Binder binder(catalog_);
-  auto q = binder.BindSql(
-      "SELECT COUNT(*) FROM customer, nation WHERE c_nationkey = n_nationkey");
-  ASSERT_TRUE(q.ok());
-  PlannerOptions options;
-  options.join_strategy = JoinStrategy::kBufferedIndex;
-  PhysicalPlanner planner(catalog_, options);
-  EXPECT_FALSE(planner.CreatePlan(*q).ok());
-}
-
-}  // namespace
-}  // namespace bufferdb

@@ -7,9 +7,7 @@
 // null flag, the exact double bit pattern, division-by-zero -> NULL, and
 // the Kleene AND/OR truth tables. Boolean trees additionally check
 // RunFilter against EvaluatePredicate, and constant-folded trees against
-// their unfolded originals. Exercised at batch widths 1/7/256/1024 so both
-// the scalar kernels and (when compiled with BUFFERDB_AVX2) the AVX2
-// specializations with their scalar tails are covered.
+// their unfolded originals. Exercised at batch widths 1/7/256/1024.
 //
 // Integer leaf magnitudes are capped (|x| <= 3, literals |x| <= 3, depth
 // <= 4) so no tree can overflow int64 arithmetic: the deepest product chain
@@ -305,40 +303,6 @@ TEST_F(VectorEvalFuzzTest, KleeneTruthTables) {
                                   std::string(BinaryOpName(op)) + " case " +
                                       std::to_string(i));
     }
-  }
-}
-
-TEST_F(VectorEvalFuzzTest, ScalarAndAvxPathsAgree) {
-  // With BUFFERDB_AVX2 off this degenerates to scalar-vs-scalar, which is
-  // still a valid (if vacuous) assertion; the bench-smoke CI job compiles
-  // with -mavx2 and runs the real comparison.
-  BuildRows(/*seed=*/44);
-  Rng rng(13);
-  int checked = 0;
-  while (checked < 40) {
-    ExprPtr tree = RandomTree(&rng, 0);
-    if (tree == nullptr) continue;
-    auto avx = CompiledExpr::Compile(*tree, schema_);
-    auto scalar = CompiledExpr::Compile(*tree, schema_);
-    if (avx == nullptr) continue;
-    scalar->set_use_avx2(false);
-    VectorBatch ba, bs;
-    RowBatchDecoder::Decode(rows_.data(), rows_.size(), schema_,
-                            avx->input_columns(), &ba);
-    RowBatchDecoder::Decode(rows_.data(), rows_.size(), schema_,
-                            scalar->input_columns(), &bs);
-    const ColumnVector& ra = avx->Run(ba);
-    const ColumnVector& rs = scalar->Run(bs);
-    for (size_t lane = 0; lane < rows_.size(); ++lane) {
-      ASSERT_EQ(rs.nulls[lane], ra.nulls[lane]) << tree->ToString();
-      if (rs.is_double()) {
-        ASSERT_EQ(0, std::memcmp(&rs.f64[lane], &ra.f64[lane], 8))
-            << tree->ToString();
-      } else {
-        ASSERT_EQ(rs.i64[lane], ra.i64[lane]) << tree->ToString();
-      }
-    }
-    ++checked;
   }
 }
 

@@ -47,7 +47,7 @@ IDENTITY_FIELDS = {
     "bench", "config", "query", "comparison", "predicate", "scale_factor",
     "smoke", "hw", "rows", "sim_rows", "key_range", "batch_width",
     "batch_size", "buffer_size", "sim_buffer_size", "iters", "keep_fraction",
-    "buffers_added", "groups_out", "selected", "outputs_identical", "avx2",
+    "buffers_added", "groups_out", "selected", "outputs_identical",
     "decode_rows_out", "string_rows_out", "rows_out", "series",
 }
 
