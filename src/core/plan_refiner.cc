@@ -26,6 +26,14 @@ bool PlanRefiner::Eligible(const Operator& op) const {
   return true;
 }
 
+void PlanRefiner::LeaveUnbuffered(OpenGroup group, RefinementReport* report) {
+  if (report != nullptr) {
+    report->groups.push_back(ExecutionGroup{std::move(group.op_labels),
+                                            group.funcs,
+                                            /*buffered=*/false});
+  }
+}
+
 OperatorPtr PlanRefiner::CloseGroup(OperatorPtr group_top, OpenGroup group,
                                     RefinementReport* report) {
   // The cardinality rule (§6, §7.3): buffering only pays off when the group
@@ -38,11 +46,7 @@ OperatorPtr PlanRefiner::CloseGroup(OperatorPtr group_top, OpenGroup group,
   }
   bool profitable = group.output_rows < 0 || group.output_rows >= threshold;
   if (!profitable) {
-    if (report != nullptr) {
-      report->groups.push_back(ExecutionGroup{std::move(group.op_labels),
-                                              group.funcs,
-                                              /*buffered=*/false});
-    }
+    LeaveUnbuffered(std::move(group), report);
     return group_top;
   }
   auto buffer = std::make_unique<BufferOperator>(std::move(group_top),
@@ -69,9 +73,13 @@ PlanRefiner::RecResult PlanRefiner::RefineRec(OperatorPtr op,
 
   if (!Eligible(*op)) {
     // This operator is a group boundary: close every open child group by
-    // inserting a buffer above it.
+    // inserting a buffer above it, except above an input the operator
+    // drains like a plan root (an Exchange's fragments; see Refine).
     for (size_t i = 0; i < n; ++i) {
-      if (child_open[i].has_value()) {
+      if (!child_open[i].has_value()) continue;
+      if (op->DrainsInputAsRoot(i)) {
+        LeaveUnbuffered(std::move(*child_open[i]), report);
+      } else {
         op->SetChild(i, CloseGroup(op->TakeChild(i),
                                    std::move(*child_open[i]), report));
       }
@@ -135,11 +143,7 @@ OperatorPtr PlanRefiner::Refine(OperatorPtr root, RefinementReport* report) {
   // The top group's output is sent to the client directly; no buffer above
   // it (§5: "There is no need to put another buffer operator above the top
   // operator").
-  if (r.open.has_value() && report != nullptr) {
-    report->groups.push_back(ExecutionGroup{std::move(r.open->op_labels),
-                                            r.open->funcs,
-                                            /*buffered=*/false});
-  }
+  if (r.open.has_value()) LeaveUnbuffered(std::move(*r.open), report);
   return std::move(r.op);
 }
 

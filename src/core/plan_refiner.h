@@ -55,9 +55,10 @@ struct RefinementReport {
 /// a buffer operator's footprint fits in the L1 instruction cache, counting
 /// functions shared between operators only once. A Buffer operator is then
 /// inserted above every group except the plan root (whose output goes to the
-/// client) — blocking parents do not suppress buffering of the pipeline
-/// below them (compare Fig. 16, where the scan feeding the hash build is
-/// buffered).
+/// client) and an input its parent drains like a root (an Exchange's
+/// fragments, Operator::DrainsInputAsRoot) — blocking parents do not
+/// suppress buffering of the pipeline below them (compare Fig. 16, where the
+/// scan feeding the hash build is buffered).
 ///
 /// Operators never placed in a group: pipeline breakers (Sort, Materialize —
 /// they already buffer execution below them) and operators explicitly
@@ -91,6 +92,8 @@ class PlanRefiner {
   RecResult RefineRec(OperatorPtr op, RefinementReport* report);
   OperatorPtr CloseGroup(OperatorPtr group_top, OpenGroup group,
                          RefinementReport* report);
+  /// Reports `group` as a group with no Buffer above it.
+  void LeaveUnbuffered(OpenGroup group, RefinementReport* report);
   bool Eligible(const Operator& op) const;
 
   RefinementOptions options_;

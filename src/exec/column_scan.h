@@ -54,6 +54,7 @@ class ColumnScanOperator final : public Operator {
   }
   std::string label() const override;
 
+  Table* table() const { return table_; }
   /// Non-null when the predicate compiled (dictionary-aware; string
   /// equality/LIKE-prefix compile here even though they never do for
   /// SeqScan).

@@ -10,10 +10,9 @@ namespace bufferdb {
 
 namespace {
 
-// Group-key bytes: per key a type byte, a NULL byte and, unless NULL, the
-// payload (8 bytes for numerics, a 4-byte length plus the bytes for
-// strings). The appenders below produce the same bytes for a key whether it
-// is read from a boxed Value or straight from a packed row.
+// Group-key bytes (see AppendGroupKey). The appenders below produce the
+// same bytes for a key whether it is read from a boxed Value or straight
+// from a packed row.
 void AppendKeyHeader(DataType type, bool is_null, std::string* out) {
   out->push_back(static_cast<char>(type));
   out->push_back(is_null ? 1 : 0);
@@ -43,8 +42,19 @@ void AppendValueKey(const Value& v, std::string* out) {
   }
 }
 
-void AppendColumnKey(const TupleView& view, int col, std::string* out) {
-  const size_t c = static_cast<size_t>(col);
+// FNV-1a over the serialized key bytes.
+uint64_t HashKey(const std::string& key) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : key) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+}  // namespace
+
+void AppendGroupKey(const TupleView& view, size_t c, std::string* out) {
   const DataType type = view.schema().column(c).type;
   const bool is_null = view.IsNull(c);
   AppendKeyHeader(type, is_null, out);
@@ -61,18 +71,6 @@ void AppendColumnKey(const TupleView& view, int col, std::string* out) {
     AppendKeyWord(&i, out);
   }
 }
-
-// FNV-1a over the serialized key bytes.
-uint64_t HashKey(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 HashAggregationOperator::HashAggregationOperator(OperatorPtr child,
                                                  std::vector<GroupKeyExpr> groups,
@@ -144,7 +142,7 @@ void HashAggregationOperator::SerializeKey(const TupleView& view, size_t lane,
   out->clear();
   for (size_t k = 0; k < groups_.size(); ++k) {
     if (key_cols_[k] >= 0) {
-      AppendColumnKey(view, key_cols_[k], out);
+      AppendGroupKey(view, static_cast<size_t>(key_cols_[k]), out);
     } else if (key_vecs_[k] != nullptr) {
       AppendValueKey(LaneValue(*key_vecs_[k], lane), out);
     } else {

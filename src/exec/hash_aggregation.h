@@ -18,6 +18,13 @@ struct GroupKeyExpr {
   std::string output_name;
 };
 
+/// Appends the group-key bytes of column `c` of `view` to *out: a type
+/// byte, a NULL byte and, unless NULL, the payload (8 bytes for numerics, a
+/// 4-byte length plus the bytes for strings). Keys are equal exactly when
+/// their bytes are, so no two distinct doubles share a group; the parallel
+/// merge groups partial rows with the same bytes.
+void AppendGroupKey(const TupleView& view, size_t c, std::string* out);
+
 /// GROUP BY aggregation over an in-memory hash table. Like scalar
 /// aggregation it interleaves with its input per tuple (the hash table is
 /// its own, separate data structure), so it participates in execution

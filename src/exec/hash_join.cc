@@ -1,8 +1,11 @@
 #include "exec/hash_join.h"
 
+#include <exception>
+#include <string>
+
 #include "common/prefetch.h"
-#include "common/rng.h"
 #include "expr/evaluator.h"
+#include "parallel/shared_join_build.h"
 #include "storage/tuple.h"
 
 namespace bufferdb {
@@ -22,6 +25,23 @@ std::unique_ptr<CompiledExpr> CompileKey(const Expression& key,
 }
 
 }  // namespace
+
+void JoinHashTable::Link(const std::vector<std::vector<Entry>>& runs) {
+  size_t n = 0;
+  for (const std::vector<Entry>& run : runs) n += run.size();
+  size_t capacity = 1024;
+  while (capacity < 2 * n) capacity <<= 1;
+  buckets.assign(capacity, -1);
+  nodes.clear();
+  nodes.reserve(n);
+  for (const std::vector<Entry>& run : runs) {
+    for (const Entry& e : run) {
+      int32_t& head = buckets[Slot(e.key)];
+      nodes.push_back(Node{e.key, e.row, head});
+      head = static_cast<int32_t>(nodes.size() - 1);
+    }
+  }
+}
 
 HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
                                    ExprPtr probe_key, ExprPtr build_key,
@@ -57,27 +77,79 @@ HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
   }
 }
 
-int32_t* HashJoinOperator::BucketFor(int64_t key) {
-  uint64_t h = SplitMix64(static_cast<uint64_t>(key));
-  return &buckets_[h & (buckets_.size() - 1)];
-}
-
 void HashJoinOperator::InsertBuildRow(int64_t key, const uint8_t* row) {
-  if (nodes_.size() + 1 > buckets_.size() / 2) {
+  JoinHashTable& t = own_table_;
+  if (t.nodes.size() + 1 > t.buckets.size() / 2) {
     // Rehash into a table twice the size.
-    std::vector<int32_t> old = std::move(buckets_);
-    buckets_.assign(old.size() * 2, -1);
-    for (int32_t i = 0; i < static_cast<int32_t>(nodes_.size()); ++i) {
-      int32_t* bucket = BucketFor(nodes_[i].key);
-      nodes_[i].next = *bucket;
+    std::vector<int32_t> old = std::move(t.buckets);
+    t.buckets.assign(old.size() * 2, -1);
+    for (int32_t i = 0; i < static_cast<int32_t>(t.nodes.size()); ++i) {
+      int32_t* bucket = &t.buckets[t.Slot(t.nodes[i].key)];
+      t.nodes[i].next = *bucket;
       *bucket = i;
     }
   }
-  int32_t* bucket = BucketFor(key);
-  nodes_.push_back(Node{key, row, *bucket});
-  *bucket = static_cast<int32_t>(nodes_.size() - 1);
+  int32_t* bucket = &t.buckets[t.Slot(key)];
+  t.nodes.push_back(Node{key, row, *bucket});
+  *bucket = static_cast<int32_t>(t.nodes.size() - 1);
   ctx_->Touch(bucket, sizeof(int32_t));
-  ctx_->Touch(&nodes_.back(), sizeof(Node));
+  ctx_->Touch(&t.nodes.back(), sizeof(Node));
+}
+
+// Whole batches with the compiled key program on the batch path; row at a
+// time through the interpreter otherwise.
+template <typename Sink>
+void HashJoinOperator::DrainBuild(Sink sink) {
+  const Schema& build_schema = child(1)->output_schema();
+  if (probe_batch_size_ > 1 && build_compiled_ != nullptr &&
+      vectorized_eval_) {
+    build_rows_.resize(kDefaultBatchSize);
+    for (;;) {
+      size_t n = child(1)->NextBatch(build_rows_.data(), build_rows_.size());
+      if (n == 0) break;
+      RowBatchDecoder::DecodeMissing(build_rows_.data(), n, build_schema,
+                                     build_compiled_->input_columns(),
+                                     child(1)->BatchColumns(), &build_vbatch_);
+      const ColumnVector& keys = build_compiled_->Run(build_vbatch_);
+      for (size_t i = 0; i < n; ++i) {
+        ctx_->ExecModule(sim::ModuleId::kHashJoinBuild, build_batch_funcs_);
+        if (keys.null_data()[i] != 0) continue;  // NULL keys never match.
+        sink(keys.i64_data()[i], build_rows_[i]);
+      }
+    }
+  } else {
+    while (const uint8_t* row = child(1)->Next()) {
+      ctx_->ExecModule(sim::ModuleId::kHashJoinBuild, build_funcs_);
+      TupleView view(row, &build_schema);
+      Value key = build_key_->Evaluate(view);
+      if (key.is_null()) continue;  // NULL keys never match.
+      sink(key.int64_value(), row);
+    }
+  }
+}
+
+// Registered builders drain their morsels into a private run and hand it
+// in, errors and exceptions included, so no waiter is left stranded. A
+// clone that starts after the table is complete skips straight to it.
+Status HashJoinOperator::BuildShared() {
+  if (shared_->Register()) {
+    std::vector<JoinHashTable::Entry> run;
+    Status status = Status::OK();
+    try {
+      DrainBuild([&run](int64_t key, const uint8_t* row) {
+        run.push_back(JoinHashTable::Entry{key, row});
+      });
+      // A build input that hit an error ended its stream early.
+      status = ctx_->error;
+    } catch (const std::exception& e) {
+      status = Status::Internal(std::string("hash join build threw: ") +
+                                e.what());
+    } catch (...) {
+      status = Status::Internal("hash join build threw");
+    }
+    shared_->HandIn(std::move(run), std::move(status));
+  }
+  return shared_->Wait();
 }
 
 Status HashJoinOperator::Open(ExecContext* ctx) {
@@ -97,8 +169,11 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
     probe_valid_.resize(probe_batch_size_);
   }
 
+  if (shared_ != nullptr) {
+    table_ = &shared_->table();
+    return BuildShared();
+  }
   if (!built_) {
-    const Schema& build_schema = child(1)->output_schema();
     // Size the table to a power of two >= 2x the build cardinality when
     // known; grow-by-rehash otherwise.
     size_t capacity = 1024;
@@ -106,35 +181,9 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
     if (est > 0) {
       while (capacity < 2 * static_cast<size_t>(est)) capacity <<= 1;
     }
-    buckets_.assign(capacity, -1);
-    if (probe_batch_size_ > 1 && build_compiled_ != nullptr &&
-        vectorized_eval_) {
-      // Batched build: pull whole batches, evaluate all keys with the
-      // compiled program, then insert row-at-a-time.
-      build_rows_.resize(kDefaultBatchSize);
-      for (;;) {
-        size_t n = child(1)->NextBatch(build_rows_.data(), build_rows_.size());
-        if (n == 0) break;
-        RowBatchDecoder::DecodeMissing(build_rows_.data(), n, build_schema,
-                                       build_compiled_->input_columns(),
-                                       child(1)->BatchColumns(),
-                                       &build_vbatch_);
-        const ColumnVector& keys = build_compiled_->Run(build_vbatch_);
-        for (size_t i = 0; i < n; ++i) {
-          ctx_->ExecModule(sim::ModuleId::kHashJoinBuild, build_batch_funcs_);
-          if (keys.null_data()[i] != 0) continue;  // NULL keys never match.
-          InsertBuildRow(keys.i64_data()[i], build_rows_[i]);
-        }
-      }
-    } else {
-      while (const uint8_t* row = child(1)->Next()) {
-        ctx_->ExecModule(sim::ModuleId::kHashJoinBuild, build_funcs_);
-        TupleView view(row, &build_schema);
-        Value key = build_key_->Evaluate(view);
-        if (key.is_null()) continue;  // NULL keys never match.
-        InsertBuildRow(key.int64_value(), row);
-      }
-    }
+    own_table_.buckets.assign(capacity, -1);
+    DrainBuild(
+        [this](int64_t key, const uint8_t* row) { InsertBuildRow(key, row); });
     built_ = true;
   }
   return Status::OK();
@@ -154,7 +203,8 @@ void HashJoinOperator::FetchProbeBatch() {
     probe_eof_ = true;
     return;
   }
-  const uint64_t mask = buckets_.size() - 1;
+  const std::vector<int32_t>& buckets = table_->buckets;
+  const uint64_t mask = buckets.size() - 1;
   if (probe_compiled_ != nullptr && vectorized_eval_) {
     // Column-at-a-time key evaluation for the whole batch, then the same
     // hash + bucket-prefetch pass over the key vector.
@@ -170,7 +220,7 @@ void HashJoinOperator::FetchProbeBatch() {
       probe_keys_[i] = keys.i64_data()[i];
       uint64_t b = SplitMix64(static_cast<uint64_t>(probe_keys_[i])) & mask;
       probe_buckets_[i] = b;
-      PrefetchRead(&buckets_[b]);
+      PrefetchRead(&buckets[b]);
     }
   } else {
     for (size_t i = 0; i < probe_count_; ++i) {
@@ -182,7 +232,7 @@ void HashJoinOperator::FetchProbeBatch() {
       probe_keys_[i] = key.int64_value();
       uint64_t b = SplitMix64(static_cast<uint64_t>(probe_keys_[i])) & mask;
       probe_buckets_[i] = b;
-      PrefetchRead(&buckets_[b]);
+      PrefetchRead(&buckets[b]);
     }
   }
   for (size_t i = 0; i < probe_count_; ++i) {
@@ -190,9 +240,9 @@ void HashJoinOperator::FetchProbeBatch() {
       probe_chains_[i] = -1;
       continue;
     }
-    int32_t head = buckets_[probe_buckets_[i]];
-    ctx_->Touch(&buckets_[probe_buckets_[i]], sizeof(int32_t));
-    if (head >= 0) PrefetchRead(&nodes_[head]);
+    int32_t head = buckets[probe_buckets_[i]];
+    ctx_->Touch(&buckets[probe_buckets_[i]], sizeof(int32_t));
+    if (head >= 0) PrefetchRead(&table_->nodes[head]);
     probe_chains_[i] = head;
   }
 }
@@ -203,15 +253,14 @@ const uint8_t* HashJoinOperator::Next() {
   while (true) {
     // Walk the current chain for further matches.
     while (chain_ >= 0) {
-      const Node& node = nodes_[chain_];
+      const Node& node = table_->nodes[chain_];
       ctx_->Touch(&node, sizeof(Node));
-      int32_t current = chain_;
       chain_ = node.next;
-      if (nodes_[current].key != probe_key_value_) continue;
+      if (node.key != probe_key_value_) continue;
       ctx_->ExecModule(module_id(), hot_funcs_);
       const uint8_t* combined = TupleBuilder::ConcatRows(
-          output_schema_, probe_schema, probe_row_, build_schema,
-          nodes_[current].row, &ctx_->arena, columns_);
+          output_schema_, probe_schema, probe_row_, build_schema, node.row,
+          &ctx_->arena, columns_);
       TupleView view(combined, &output_schema_);
       ctx_->Touch(combined, view.size_bytes());
       if (residual_predicate_ == nullptr ||
@@ -243,15 +292,16 @@ const uint8_t* HashJoinOperator::Next() {
     Value key = probe_key_->Evaluate(view);
     if (key.is_null()) continue;
     probe_key_value_ = key.int64_value();
-    int32_t* bucket = BucketFor(probe_key_value_);
+    const int32_t* bucket = &table_->buckets[table_->Slot(probe_key_value_)];
     ctx_->Touch(bucket, sizeof(int32_t));
     chain_ = *bucket;
   }
 }
 
 void HashJoinOperator::Close() {
-  buckets_.clear();
-  nodes_.clear();
+  // A shared table stays intact for the other clones; its Exchange resets
+  // it before the next run.
+  own_table_.Clear();
   built_ = false;
   chain_ = -1;
   child(0)->Close();

@@ -149,6 +149,15 @@ class Operator {
     return false;
   }
 
+  /// True if this operator drains input `i` the way a client drains the
+  /// plan root: on its own, in batches at least as large as a Buffer's (an
+  /// Exchange worker draining its fragment). The refiner puts no Buffer
+  /// above such an input, as it puts none above the root (§5).
+  virtual bool DrainsInputAsRoot(size_t i) const {
+    (void)i;
+    return false;
+  }
+
   /// True for operators the refiner must never include in an execution
   /// group nor buffer above (e.g. the inner index scan of a foreign-key
   /// index nested-loop join, §6).

@@ -43,6 +43,7 @@ class SeqScanOperator final : public Operator {
   }
   std::string label() const override;
 
+  Table* table() const { return table_; }
   const Expression* predicate() const { return predicate_.get(); }
 
   /// Switches to morsel mode. `cursor` must range over this table's rows

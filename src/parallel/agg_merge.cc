@@ -1,5 +1,6 @@
 #include "parallel/agg_merge.h"
 
+#include "exec/hash_aggregation.h"
 #include "storage/tuple.h"
 
 namespace bufferdb::parallel {
@@ -46,12 +47,15 @@ std::vector<AggSpec> MakePartialAggSpecs(const std::vector<AggSpec>& specs) {
 }
 
 AggregateMergeOperator::AggregateMergeOperator(OperatorPtr child,
+                                               size_t num_keys,
                                                std::vector<AggSpec> specs)
-    : specs_(std::move(specs)) {
+    : num_keys_(num_keys), specs_(std::move(specs)) {
   AddChild(std::move(child));
   InitHotFuncs(module_id());
+  const Schema& in_schema = this->child(0)->output_schema();
   std::vector<Column> cols;
-  size_t col = 0;
+  for (size_t k = 0; k < num_keys_; ++k) cols.push_back(in_schema.column(k));
+  size_t col = num_keys_;
   for (const AggSpec& spec : specs_) {
     AppendAggFuncs(spec.func, &hot_funcs_);
     first_col_.push_back(col);
@@ -64,23 +68,45 @@ AggregateMergeOperator::AggregateMergeOperator(OperatorPtr child,
   output_schema_ = Schema(std::move(cols));
 }
 
+void AggregateMergeOperator::Reset() {
+  groups_.clear();
+  key_values_.clear();
+  states_.clear();
+  emit_pos_ = 0;
+  loaded_ = false;
+}
+
 Status AggregateMergeOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  done_ = false;
+  Reset();
   return child(0)->Open(ctx);
 }
 
-const uint8_t* AggregateMergeOperator::Next() {
-  if (done_) {
-    ctx_->ExecModule(module_id(), hot_funcs_);
-    return nullptr;
-  }
-  std::vector<AggAccumulator> states(specs_.size());
+void AggregateMergeOperator::Load() {
   const Schema& in_schema = child(0)->output_schema();
+  const size_t stride = specs_.size();
+  // Without group keys every row folds into the one group, which exists
+  // even when no row arrives.
+  if (num_keys_ == 0) {
+    groups_.emplace(std::string(), 0);
+    states_.resize(stride);
+  }
+  std::string key;
   while (const uint8_t* row = child(0)->Next()) {
     ctx_->ExecModule(module_id(), hot_funcs_);
     TupleView view(row, &in_schema);
-    for (size_t i = 0; i < specs_.size(); ++i) {
+    key.clear();
+    for (size_t k = 0; k < num_keys_; ++k) AppendGroupKey(view, k, &key);
+    auto [group, inserted] =
+        groups_.try_emplace(key, static_cast<uint32_t>(groups_.size()));
+    if (inserted) {
+      for (size_t k = 0; k < num_keys_; ++k) {
+        key_values_.push_back(view.GetValue(k));
+      }
+      states_.resize(states_.size() + stride);
+    }
+    AggAccumulator* states = states_.data() + group->second * stride;
+    for (size_t i = 0; i < stride; ++i) {
       // Rebuild the fragment's state from its partial columns: the value
       // column folds in as one input, the count column restores the count.
       const size_t col = first_col_[i];
@@ -92,23 +118,45 @@ const uint8_t* AggregateMergeOperator::Next() {
       states[i].Merge(specs_[i].func, partial);
     }
   }
-  ctx_->ExecModule(module_id(), hot_funcs_);
+}
 
+const uint8_t* AggregateMergeOperator::Next() {
+  if (!loaded_) {
+    Load();
+    loaded_ = true;
+  }
+  ctx_->ExecModule(module_id(), hot_funcs_);
+  if (emit_pos_ >= groups_.size()) return nullptr;
+  const size_t g = emit_pos_++;
   TupleBuilder builder(&output_schema_);
+  for (size_t k = 0; k < num_keys_; ++k) {
+    builder.Set(k, key_values_[g * num_keys_ + k]);
+  }
   for (size_t i = 0; i < specs_.size(); ++i) {
-    builder.Set(i, states[i].Final(specs_[i].func,
-                                   output_schema_.column(i).type));
+    const size_t col = num_keys_ + i;
+    builder.Set(col, states_[g * specs_.size() + i].Final(
+                         specs_[i].func, output_schema_.column(col).type));
   }
   const uint8_t* out = builder.Finish(&ctx_->arena);
   ctx_->Touch(out, TupleView(out, &output_schema_).size_bytes());
-  done_ = true;
   return out;
 }
 
-void AggregateMergeOperator::Close() { child(0)->Close(); }
+void AggregateMergeOperator::Close() {
+  Reset();
+  child(0)->Close();
+}
 
 std::string AggregateMergeOperator::label() const {
   std::string out = "AggMerge(";
+  if (num_keys_ > 0) {
+    out += "by ";
+    for (size_t k = 0; k < num_keys_; ++k) {
+      if (k > 0) out += ",";
+      out += output_schema_.column(k).name;
+    }
+    out += "; ";
+  }
   for (size_t i = 0; i < specs_.size(); ++i) {
     if (i > 0) out += ", ";
     out += AggFuncName(specs_[i].func);

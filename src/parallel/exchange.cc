@@ -4,11 +4,12 @@
 
 namespace bufferdb::parallel {
 
-ExchangeOperator::ExchangeOperator(std::vector<OperatorPtr> fragments,
-                                   std::unique_ptr<MorselCursor> cursor,
-                                   ThreadPool* pool, size_t batch_rows,
-                                   size_t queue_batches)
+ExchangeOperator::ExchangeOperator(
+    std::vector<OperatorPtr> fragments, std::unique_ptr<MorselCursor> cursor,
+    std::vector<std::unique_ptr<SharedJoinBuild>> builds, ThreadPool* pool,
+    size_t batch_rows, size_t queue_batches)
     : cursor_(std::move(cursor)),
+      builds_(std::move(builds)),
       pool_(pool != nullptr ? pool : &ThreadPool::Global()),
       batch_rows_(batch_rows == 0 ? kDefaultBatchRows : batch_rows),
       queue_batches_(queue_batches == 0 ? kDefaultQueueBatches
@@ -46,6 +47,7 @@ Status ExchangeOperator::Open(ExecContext* ctx) {
   current_.clear();
   current_pos_ = 0;
   if (cursor_ != nullptr) cursor_->Reset();
+  for (std::unique_ptr<SharedJoinBuild>& build : builds_) build->Reset();
   queue_ = std::make_unique<TupleQueue>(queue_batches_);
 
   size_t n = num_children();
@@ -95,6 +97,10 @@ void ExchangeOperator::RunFragment(size_t index) {
         if (filled == 0) break;
         batch.resize(filled);
         if (!queue->Push(std::move(batch))) break;  // Consumer went away.
+      }
+      // An operator that could not return its error ended the stream early.
+      if (!fragment_ctxs_[index]->error.ok()) {
+        RecordError(fragment_ctxs_[index]->error);
       }
     }
   } catch (const std::exception& e) {

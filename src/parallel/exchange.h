@@ -7,6 +7,7 @@
 
 #include "exec/operator.h"
 #include "parallel/morsel.h"
+#include "parallel/shared_join_build.h"
 #include "parallel/thread_pool.h"
 #include "parallel/tuple_queue.h"
 
@@ -15,25 +16,32 @@ namespace bufferdb::parallel {
 /// Intra-query parallelism behind the open-next-close interface.
 ///
 /// The Exchange owns N structurally identical child pipeline *fragments*
-/// (its children in the plan tree). Each fragment's driving SeqScan is bound
-/// to one shared MorselCursor, so the base table is partitioned dynamically
-/// at morsel granularity. Open launches one pool task per fragment; every
-/// task runs its fragment to completion with a **private ExecContext**
-/// (own arena, and no SimCpu unless EnableFragmentSimulation was called —
-/// the simulator is not thread-safe, see exec/operator.h), draining it
-/// through NextBatch, and pushes the produced row pointers, in batches, into
-/// a bounded MPSC TupleQueue.
+/// (its children in the plan tree) that divide one pipeline's work. Each
+/// fragment's driving scan is bound to one shared MorselCursor, so the base
+/// table is partitioned dynamically at morsel granularity, and each hash
+/// join's clones share one SharedJoinBuild: its own build-side cursor and
+/// the one table every clone probes. Open launches one pool task per
+/// fragment; every task runs its fragment to completion with a **private
+/// ExecContext** (own arena, and no SimCpu unless EnableFragmentSimulation
+/// was called — the simulator is not thread-safe, see exec/operator.h),
+/// draining it through NextBatch, and pushes the produced row pointers, in
+/// batches, into a bounded MPSC TupleQueue.
 /// Next() merges the batches in arrival order; parents above the Exchange
 /// are ordinary single-threaded operators and need no changes.
+///
+/// The Exchange owns all shared per-run state (the driving cursor and the
+/// joins' builds) and resets it in Open, before any worker starts.
 ///
 /// Buffering composes per worker: the plan refiner treats the Exchange as a
 /// group boundary (it is constructed excluded-from-buffering) and inserts
 /// BufferOperators *inside* each fragment, so every core gets the paper's
-/// PCC...CPP...P instruction locality independently.
+/// PCC...CPP...P instruction locality independently. A fragment root gets
+/// no Buffer (DrainsInputAsRoot): its worker already drains it in batches.
 ///
 /// Row lifetime: fragment arenas are kept alive until the next Open (or
 /// destruction), not released in Close, because callers read row pointers
-/// after draining the plan (see ExecutePlanRows).
+/// after draining the plan (see ExecutePlanRows), and a shared hash table
+/// points into the arenas of the fragments that built it.
 ///
 /// Output order is nondeterministic across runs; the Exchange must only be
 /// placed where parents are order-insensitive (the planner puts it below
@@ -44,10 +52,12 @@ class ExchangeOperator final : public Operator {
   static constexpr size_t kDefaultQueueBatches = 64;
 
   /// `cursor` may be null when the fragments partition work by other means;
-  /// when set it is Reset on every Open. `pool` defaults to
+  /// when set it is Reset on every Open, and so is every one of `builds`
+  /// (the fragments' shared hash-join builds). `pool` defaults to
   /// ThreadPool::Global().
   ExchangeOperator(std::vector<OperatorPtr> fragments,
                    std::unique_ptr<MorselCursor> cursor,
+                   std::vector<std::unique_ptr<SharedJoinBuild>> builds = {},
                    ThreadPool* pool = nullptr,
                    size_t batch_rows = kDefaultBatchRows,
                    size_t queue_batches = kDefaultQueueBatches);
@@ -67,11 +77,15 @@ class ExchangeOperator final : public Operator {
   }
   sim::ModuleId module_id() const override { return sim::ModuleId::kBuffer; }
   std::string label() const override;
+  /// A worker drains its fragment in batches of `batch_rows`, as a Buffer
+  /// would.
+  bool DrainsInputAsRoot(size_t) const override { return true; }
 
-  /// First error raised by a worker fragment (fragment Open failure or an
-  /// exception). Next() ends the stream early on error; at the end of the
-  /// stream the Exchange also records it into its consumer's ExecContext
-  /// (ExecContext::error), which ExecutePlan* return.
+  /// First error raised by a worker fragment (fragment Open failure, an
+  /// error its stream ended on, or an exception). Next() ends the stream
+  /// early on error; at the end of the stream the Exchange also records it
+  /// into its consumer's ExecContext (ExecContext::error), which
+  /// ExecutePlan* return.
   [[nodiscard]] Status error() const;
 
   /// Gives every fragment its own SimCpu (instead of none) so the simulated
@@ -84,6 +98,9 @@ class ExchangeOperator final : public Operator {
 
   size_t degree() const { return num_children(); }
   const MorselCursor* cursor() const { return cursor_.get(); }
+  const std::vector<std::unique_ptr<SharedJoinBuild>>& builds() const {
+    return builds_;
+  }
 
  private:
   void RunFragment(size_t index);
@@ -94,6 +111,7 @@ class ExchangeOperator final : public Operator {
   void JoinWorkers();
 
   std::unique_ptr<MorselCursor> cursor_;
+  std::vector<std::unique_ptr<SharedJoinBuild>> builds_;
   ThreadPool* pool_;
   size_t batch_rows_;
   size_t queue_batches_;

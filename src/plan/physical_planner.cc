@@ -21,6 +21,7 @@
 #include "parallel/agg_merge.h"
 #include "parallel/exchange.h"
 #include "parallel/morsel.h"
+#include "parallel/shared_join_build.h"
 #include "plan/cardinality.h"
 
 namespace bufferdb {
@@ -88,6 +89,97 @@ std::vector<bool> ColumnsReadAboveScans(const LogicalQuery& query,
 ExprPtr Rebind(const ExprPtr& expr, const std::vector<int>& pos,
                const Schema& schema) {
   return expr != nullptr ? RemapColumns(*expr, pos, schema) : nullptr;
+}
+
+// The select list of an aggregate query, rebound to a plan whose row holds
+// input column c at column pos[c] of `schema`: the group keys (the plain
+// items) and the aggregates, each in select-list order.
+void SplitSelectList(const LogicalQuery& query, const std::vector<int>& pos,
+                     const Schema& schema, std::vector<GroupKeyExpr>* groups,
+                     std::vector<AggSpec>* specs) {
+  for (const OutputItem& item : query.items) {
+    ExprPtr expr = Rebind(item.expr, pos, schema);
+    if (item.is_aggregate) {
+      specs->push_back(AggSpec{item.agg, std::move(expr), item.name});
+    } else {
+      groups->push_back(GroupKeyExpr{std::move(expr), item.name});
+    }
+  }
+}
+
+// Crude distinct-groups estimate of a grouped aggregation.
+double GroupRows(double input_rows) {
+  return std::max(1.0, std::min(input_rows / 10.0, 10000.0));
+}
+
+// Scalar aggregation without group keys, hash aggregation with them.
+OperatorPtr MakeAggregation(OperatorPtr input, std::vector<GroupKeyExpr> groups,
+                            std::vector<AggSpec> specs, size_t batch_size) {
+  const double input_rows = input->estimated_rows();
+  if (groups.empty()) {
+    auto agg = std::make_unique<AggregationOperator>(std::move(input),
+                                                     std::move(specs));
+    agg->set_batch_size(batch_size);
+    agg->set_estimated_rows(1.0);
+    return agg;
+  }
+  auto hash_agg = std::make_unique<HashAggregationOperator>(
+      std::move(input), std::move(groups), std::move(specs));
+  hash_agg->set_batch_size(batch_size);
+  hash_agg->set_estimated_rows(GroupRows(input_rows));
+  return hash_agg;
+}
+
+// The select list of a query without aggregates, over `input` as in
+// SplitSelectList.
+OperatorPtr MakeProjection(const LogicalQuery& query, OperatorPtr input,
+                           const std::vector<int>& pos) {
+  const double input_rows = input->estimated_rows();
+  std::vector<ProjectItem> items;
+  for (const OutputItem& item : query.items) {
+    items.push_back(ProjectItem{
+        Rebind(item.expr, pos, input->output_schema()), item.name});
+  }
+  auto proj =
+      std::make_unique<ProjectOperator>(std::move(input), std::move(items));
+  proj->set_estimated_rows(input_rows);
+  return proj;
+}
+
+// Switches the table scan at the leftmost leaf of each of `clones` (alike
+// subtrees of the fragments: their driving scans, or one hash join's build
+// scans) to morsel mode over one new cursor, which it returns.
+Result<std::unique_ptr<parallel::MorselCursor>> PartitionScans(
+    const std::vector<Operator*>& clones, size_t morsel_rows) {
+  std::unique_ptr<parallel::MorselCursor> cursor;
+  for (Operator* op : clones) {
+    while (op->num_children() > 0) op = op->child(0);
+    auto* scan = dynamic_cast<SeqScanOperator*>(op);
+    auto* cscan = dynamic_cast<ColumnScanOperator*>(op);
+    if (scan == nullptr && cscan == nullptr) {
+      return Status::Internal(
+          "parallel plan: partitioned operator is not a table scan");
+    }
+    if (cursor == nullptr) {
+      const Table* table = scan != nullptr ? scan->table() : cscan->table();
+      cursor = std::make_unique<parallel::MorselCursor>(table->num_rows(),
+                                                        morsel_rows);
+    }
+    if (scan != nullptr) {
+      scan->BindMorselCursor(cursor.get());
+    } else {
+      cscan->BindMorselCursor(cursor.get());
+    }
+  }
+  return cursor;
+}
+
+// The hash joins of `op`'s subtree, in pre-order.
+void CollectHashJoins(Operator* op, std::vector<HashJoinOperator*>* out) {
+  if (auto* join = dynamic_cast<HashJoinOperator*>(op)) out->push_back(join);
+  for (size_t i = 0; i < op->num_children(); ++i) {
+    CollectHashJoins(op->child(i), out);
+  }
 }
 
 }  // namespace
@@ -338,90 +430,76 @@ Result<OperatorPtr> PhysicalPlanner::BuildInput(const LogicalQuery& query,
   return PlanJoins(query, pos);
 }
 
-Result<PhysicalPlanner::ParallelInput> PhysicalPlanner::BuildParallelInput(
-    const LogicalQuery& query) {
-  size_t degree = options_.parallel_degree;
-  // Scalar aggregation (no group keys) is computed per fragment and merged;
-  // pure projections run per fragment too. Grouped aggregation stays above
-  // the Exchange, consuming the merged input stream.
-  bool scalar_agg = query.has_aggregates;
-  for (const OutputItem& item : query.items) {
-    if (!item.is_aggregate) scalar_agg = false;
-  }
-
-  ParallelInput out;
+Result<OperatorPtr> PhysicalPlanner::PlanParallel(const LogicalQuery& query) {
+  const size_t degree = options_.parallel_degree;
+  const size_t morsel_rows = options_.morsel_rows != 0
+                                 ? options_.morsel_rows
+                                 : parallel::MorselCursor::kDefaultMorselRows;
   std::vector<OperatorPtr> fragments;
-  fragments.reserve(degree);
+  std::vector<int> pos;  // As BuildInput's; the fragments are alike.
   for (size_t w = 0; w < degree; ++w) {
-    BUFFERDB_ASSIGN_OR_RETURN(frag, BuildInput(query, &out.pos));
-    if (w == 0) out.input_rows = frag->estimated_rows();
+    BUFFERDB_ASSIGN_OR_RETURN(frag, BuildInput(query, &pos));
     fragments.push_back(std::move(frag));
   }
-  // The fragments are alike: one position map serves them all.
-  std::vector<AggSpec> final_specs;
-  if (scalar_agg) {
-    for (const OutputItem& item : query.items) {
-      final_specs.push_back(AggSpec{
-          item.agg, Rebind(item.expr, out.pos, fragments[0]->output_schema()),
-          item.name});
-    }
+  const double input_rows = fragments[0]->estimated_rows();
+
+  // The fragments divide the work through state the Exchange owns: one
+  // cursor partitions the driving (leftmost) scan, and each hash join gets
+  // one build, whose cursor partitions its clones' build scans and whose
+  // one table all of them probe.
+  std::vector<Operator*> clones;
+  for (OperatorPtr& frag : fragments) clones.push_back(frag.get());
+  BUFFERDB_ASSIGN_OR_RETURN(cursor, PartitionScans(clones, morsel_rows));
+  std::vector<std::vector<HashJoinOperator*>> joins(degree);
+  for (size_t w = 0; w < degree; ++w) {
+    CollectHashJoins(fragments[w].get(), &joins[w]);
   }
-  for (OperatorPtr& frag : fragments) {
-    if (scalar_agg) {
-      auto agg = std::make_unique<AggregationOperator>(
-          std::move(frag), parallel::MakePartialAggSpecs(final_specs));
-      agg->set_batch_size(options_.batch_size);
-      agg->set_estimated_rows(1.0);
-      frag = std::move(agg);
-    } else if (!query.has_aggregates) {
-      std::vector<ProjectItem> items;
-      for (const OutputItem& item : query.items) {
-        items.push_back(ProjectItem{
-            Rebind(item.expr, out.pos, frag->output_schema()), item.name});
-      }
-      auto proj = std::make_unique<ProjectOperator>(std::move(frag),
-                                                    std::move(items));
-      proj->set_estimated_rows(out.input_rows);
-      frag = std::move(proj);
+  std::vector<std::unique_ptr<parallel::SharedJoinBuild>> builds;
+  for (size_t j = 0; j < joins[0].size(); ++j) {
+    clones.clear();
+    for (size_t w = 0; w < degree; ++w) clones.push_back(joins[w][j]->child(1));
+    BUFFERDB_ASSIGN_OR_RETURN(build_cursor,
+                              PartitionScans(clones, morsel_rows));
+    builds.push_back(
+        std::make_unique<parallel::SharedJoinBuild>(std::move(build_cursor)));
+    for (size_t w = 0; w < degree; ++w) {
+      joins[w][j]->ShareBuild(builds.back().get());
     }
-    SetVectorizedEval(frag.get(), options_.vectorize_expressions);
   }
 
-  // All fragments share one morsel cursor over the driving (leftmost) table
-  // scan; everything else in a fragment (hash builds, index lookups, inner
-  // scans) runs privately per worker.
-  auto cursor = std::make_unique<parallel::MorselCursor>(
-      query.tables[0]->num_rows(),
-      options_.morsel_rows != 0 ? options_.morsel_rows
-                                : parallel::MorselCursor::kDefaultMorselRows);
-  for (OperatorPtr& frag : fragments) {
-    Operator* op = frag.get();
-    while (op->num_children() > 0) op = op->child(0);
-    if (auto* scan = dynamic_cast<SeqScanOperator*>(op)) {
-      scan->BindMorselCursor(cursor.get());
-    } else if (auto* cscan = dynamic_cast<ColumnScanOperator*>(op)) {
-      cscan->BindMorselCursor(cursor.get());
-    } else {
-      return Status::Internal(
-          "parallel plan: driving operator is not a table scan");
+  // The select list runs in the fragments: the projection, or partial
+  // aggregates (grouped or not) that a merge above the Exchange combines.
+  std::vector<AggSpec> final_specs;
+  size_t num_keys = 0;
+  for (size_t w = 0; w < degree; ++w) {
+    OperatorPtr& frag = fragments[w];
+    if (!query.has_aggregates) {
+      frag = MakeProjection(query, std::move(frag), pos);
+      continue;
     }
+    std::vector<GroupKeyExpr> groups;
+    std::vector<AggSpec> specs;
+    SplitSelectList(query, pos, frag->output_schema(), &groups, &specs);
+    num_keys = groups.size();
+    std::vector<AggSpec> partial = parallel::MakePartialAggSpecs(specs);
+    if (w == 0) final_specs = std::move(specs);
+    frag = MakeAggregation(std::move(frag), std::move(groups),
+                           std::move(partial), options_.batch_size);
   }
 
   auto exchange = std::make_unique<parallel::ExchangeOperator>(
-      std::move(fragments), std::move(cursor), options_.thread_pool);
-  if (scalar_agg) {
-    exchange->set_estimated_rows(static_cast<double>(degree));
-    auto merge = std::make_unique<parallel::AggregateMergeOperator>(
-        std::move(exchange), std::move(final_specs));
-    merge->set_estimated_rows(1.0);
-    out.plan = std::move(merge);
-    out.aggregation_done = true;
-  } else {
-    exchange->set_estimated_rows(out.input_rows);
-    out.plan = std::move(exchange);
-    out.projection_done = !query.has_aggregates;
+      std::move(fragments), std::move(cursor), std::move(builds),
+      options_.thread_pool);
+  if (!query.has_aggregates) {
+    exchange->set_estimated_rows(input_rows);
+    return OperatorPtr(std::move(exchange));
   }
-  return out;
+  const double rows = num_keys == 0 ? 1.0 : GroupRows(input_rows);
+  exchange->set_estimated_rows(rows * static_cast<double>(degree));
+  auto merge = std::make_unique<parallel::AggregateMergeOperator>(
+      std::move(exchange), num_keys, std::move(final_specs));
+  merge->set_estimated_rows(rows);
+  return OperatorPtr(std::move(merge));
 }
 
 Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
@@ -430,63 +508,24 @@ Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
     return Status::InvalidArgument("query has no tables");
   }
 
+  // The select list over the input: in parallel plans inside the fragments.
   OperatorPtr plan;
-  std::vector<int> pos;
-  double input_rows;
-  bool aggregation_done = false;
-  bool projection_done = false;
   if (options_.parallel_degree > 1) {
-    BUFFERDB_ASSIGN_OR_RETURN(par, BuildParallelInput(query));
-    plan = std::move(par.plan);
-    pos = std::move(par.pos);
-    input_rows = par.input_rows;
-    aggregation_done = par.aggregation_done;
-    projection_done = par.projection_done;
+    BUFFERDB_ASSIGN_OR_RETURN(parallel_plan, PlanParallel(query));
+    plan = std::move(parallel_plan);
   } else {
+    std::vector<int> pos;
     BUFFERDB_ASSIGN_OR_RETURN(input, BuildInput(query, &pos));
-    plan = std::move(input);
-    input_rows = plan->estimated_rows();
-  }
-
-  // Aggregation or projection (unless already pushed into the fragments).
-  if (aggregation_done || projection_done) {
-    // Nothing to add on top.
-  } else if (query.has_aggregates) {
-    std::vector<GroupKeyExpr> groups;
-    std::vector<AggSpec> specs;
-    for (const OutputItem& item : query.items) {
-      // The select list is bound to input_schema, `plan` may be narrower.
-      ExprPtr expr = Rebind(item.expr, pos, plan->output_schema());
-      if (item.is_aggregate) {
-        specs.push_back(AggSpec{item.agg, std::move(expr), item.name});
-      } else {
-        groups.push_back(GroupKeyExpr{std::move(expr), item.name});
-      }
-    }
-    if (groups.empty()) {
-      auto agg = std::make_unique<AggregationOperator>(std::move(plan),
-                                                       std::move(specs));
-      agg->set_batch_size(options_.batch_size);
-      plan = std::move(agg);
-      plan->set_estimated_rows(1.0);
+    if (query.has_aggregates) {
+      // The select list is bound to input_schema, `input` may be narrower.
+      std::vector<GroupKeyExpr> groups;
+      std::vector<AggSpec> specs;
+      SplitSelectList(query, pos, input->output_schema(), &groups, &specs);
+      plan = MakeAggregation(std::move(input), std::move(groups),
+                             std::move(specs), options_.batch_size);
     } else {
-      auto hash_agg = std::make_unique<HashAggregationOperator>(
-          std::move(plan), std::move(groups), std::move(specs));
-      hash_agg->set_batch_size(options_.batch_size);
-      plan = std::move(hash_agg);
-      // Crude distinct-groups estimate.
-      plan->set_estimated_rows(std::max(1.0, std::min(input_rows / 10.0,
-                                                      10000.0)));
+      plan = MakeProjection(query, std::move(input), pos);
     }
-  } else {
-    std::vector<ProjectItem> items;
-    for (const OutputItem& item : query.items) {
-      items.push_back(ProjectItem{
-          Rebind(item.expr, pos, plan->output_schema()), item.name});
-    }
-    plan = std::make_unique<ProjectOperator>(std::move(plan),
-                                             std::move(items));
-    plan->set_estimated_rows(input_rows);
   }
 
   // HAVING over the aggregate output.

@@ -34,8 +34,10 @@ struct PlannerOptions {
   RefinementOptions refinement;
   /// Intra-query parallelism: number of cloned pipeline fragments run under
   /// an Exchange operator by pool workers. 1 (the default) plans serially.
-  /// The driving table scan is partitioned at morsel granularity; scalar
-  /// aggregates are computed per fragment and combined by an AggregateMerge
+  /// The fragments divide the work: the driving table scan is partitioned
+  /// at morsel granularity, each hash join builds one table from morsels of
+  /// its build scan that every fragment probes, and aggregates (grouped or
+  /// not) are pre-aggregated per fragment and combined by an AggregateMerge
   /// above the Exchange.
   size_t parallel_degree = 1;
   /// Rows per morsel of the partitioned driving scan; 0 = library default.
@@ -103,17 +105,11 @@ class PhysicalPlanner {
                                    size_t k, int outer_key_col,
                                    int inner_key_col, std::vector<int> columns);
 
-  /// The parallel_degree > 1 path: builds N input fragments sharing one
-  /// morsel cursor, merges them under an Exchange, and (for scalar
-  /// aggregates / pure projections) pushes that work into the fragments.
-  struct ParallelInput {
-    OperatorPtr plan;
-    std::vector<int> pos;  // As BuildInput's, for every fragment.
-    double input_rows = 0;
-    bool aggregation_done = false;
-    bool projection_done = false;
-  };
-  Result<ParallelInput> BuildParallelInput(const LogicalQuery& query);
+  /// The parallel_degree > 1 plan below HAVING: N input fragments, each
+  /// ending in the select list (the projection or partial aggregates),
+  /// under an Exchange that owns their shared morsel cursors and hash-join
+  /// builds, and for aggregate queries an AggregateMerge above it.
+  Result<OperatorPtr> PlanParallel(const LogicalQuery& query);
 
   const Catalog* catalog_;
   PlannerOptions options_;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "common/date.h"
+#include "exec/hash_aggregation.h"
+#include "exec/hash_join.h"
+#include "parallel/agg_merge.h"
+#include "parallel/exchange.h"
 #include "plan/cardinality.h"
 #include "plan/physical_planner.h"
 #include "plan/plan_printer.h"
@@ -484,6 +488,52 @@ TEST_F(MultiJoinTest, TpchQ3RunsEndToEnd) {
   ASSERT_LE(rows.size(), 10u);
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_GE(rows[i - 1][1].double_value(), rows[i][1].double_value());
+  }
+}
+
+// The operators of type T in `op`'s subtree, in pre-order.
+template <typename T>
+void Collect(Operator* op, std::vector<T*>* out) {
+  if (auto* t = dynamic_cast<T*>(op)) out->push_back(t);
+  for (size_t i = 0; i < op->num_children(); ++i) Collect(op->child(i), out);
+}
+
+TEST_F(MultiJoinTest, ParallelPlanPreAggregatesAndSharesOneTablePerJoin) {
+  sql::Binder binder(catalog_);
+  auto q = binder.BindSql(kQ3);
+  ASSERT_TRUE(q.ok()) << q.status();
+  PlannerOptions options;
+  options.join_strategy = JoinStrategy::kHashJoin;
+  options.parallel_degree = 4;
+  auto plan = PhysicalPlanner(catalog_, options).CreatePlan(*q);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  // One AggMerge, directly above the Exchange, merging by the group key.
+  std::vector<parallel::AggregateMergeOperator*> merges;
+  Collect(plan->get(), &merges);
+  ASSERT_EQ(merges.size(), 1u) << PrintPlan(**plan);
+  EXPECT_EQ(merges[0]->num_keys(), 1u);
+  auto* exchange = dynamic_cast<parallel::ExchangeOperator*>(merges[0]->child(0));
+  ASSERT_NE(exchange, nullptr) << PrintPlan(**plan);
+  ASSERT_EQ(exchange->degree(), 4u);
+
+  // A HashAgg in each fragment and none elsewhere.
+  std::vector<HashAggregationOperator*> hash_aggs;
+  Collect(plan->get(), &hash_aggs);
+  EXPECT_EQ(hash_aggs.size(), 4u);
+
+  // One build per join, shared by that join's clone in every fragment.
+  ASSERT_EQ(exchange->builds().size(), 2u);
+  for (size_t w = 0; w < exchange->degree(); ++w) {
+    ASSERT_NE(dynamic_cast<HashAggregationOperator*>(exchange->child(w)),
+              nullptr);
+    std::vector<HashJoinOperator*> joins;
+    Collect(exchange->child(w), &joins);
+    ASSERT_EQ(joins.size(), 2u);
+    for (size_t j = 0; j < joins.size(); ++j) {
+      EXPECT_EQ(joins[j]->shared_build(), exchange->builds()[j].get())
+          << "fragment " << w << " join " << j;
+    }
   }
 }
 
