@@ -144,29 +144,12 @@ void ExtractZoneConjuncts(const Expression& e, const DictView& dict,
     out->push_back(lt);
     return;
   }
-  if (!IsComparison(b.op())) return;
-  const Expression* col_side = &b.left();
-  const Expression* lit_side = &b.right();
-  BinaryOp op = b.op();
-  if (col_side->kind() != ExprKind::kColumnRef &&
-      lit_side->kind() == ExprKind::kColumnRef) {
-    std::swap(col_side, lit_side);
-    switch (op) {
-      case BinaryOp::kLt: op = BinaryOp::kGt; break;
-      case BinaryOp::kLe: op = BinaryOp::kGe; break;
-      case BinaryOp::kGt: op = BinaryOp::kLt; break;
-      case BinaryOp::kGe: op = BinaryOp::kLe; break;
-      default: break;
-    }
-  }
-  if (col_side->kind() != ExprKind::kColumnRef ||
-      lit_side->kind() != ExprKind::kLiteral) {
-    return;
-  }
+  const ColumnRefExpr* column = nullptr;
+  const Value* literal = nullptr;
+  BinaryOp op = BinaryOp::kEq;
   ZoneConjunct c;
-  if (MakeConjunct(static_cast<const ColumnRefExpr&>(*col_side), op,
-                   static_cast<const LiteralExpr&>(*lit_side).value(), dict,
-                   &c)) {
+  if (MatchColumnComparison(b, &column, &literal, &op) &&
+      MakeConjunct(*column, op, *literal, dict, &c)) {
     out->push_back(c);
   }
 }

@@ -1,5 +1,8 @@
 #include "exec/index_scan.h"
 
+#include <limits>
+
+#include "exec/row_batch_decoder.h"
 #include "expr/evaluator.h"
 
 namespace bufferdb {
@@ -21,6 +24,9 @@ IndexScanOperator::IndexScanOperator(const IndexInfo* index,
   if (residual_predicate_ != nullptr) {
     AddHotFunc(sim::FuncId::kExprCmp);
     AddHotFunc(sim::FuncId::kExprArith);
+    compiled_ =
+        CompiledExpr::Compile(*residual_predicate_, index_->table->schema());
+    if (compiled_ != nullptr) SetVectorBatchFuncs();
   }
 }
 
@@ -43,6 +49,7 @@ void IndexScanOperator::Position() {
 
 Status IndexScanOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
+  seek_key_.reset();
   Position();
   return Status::OK();
 }
@@ -65,6 +72,79 @@ const uint8_t* IndexScanOperator::Next() {
   }
   ctx_->ExecModule(module_id(), hot_funcs_);
   return nullptr;
+}
+
+void IndexScanOperator::SeekEqual(int64_t key) {
+  equal_key_ = key;
+  if (seek_key_ == key) {
+    it_ = seek_start_;
+    return;
+  }
+  Position();
+  seek_key_ = key;
+  seek_start_ = it_;
+}
+
+size_t IndexScanOperator::NextRun(const uint8_t** out, size_t max) {
+  const Schema& schema = index_->table->schema();
+  constexpr int64_t kNoBound = std::numeric_limits<int64_t>::max();
+  const int64_t hi = equal_key_.value_or(hi_key_.value_or(kNoBound));
+  size_t n = 0;
+  while (n < max && it_.Valid()) {
+    // One leaf per run: the node is charged once, each row it yields once.
+    const void* leaf = it_.node_address();
+    const size_t run = it_.NextRun(hi, out + n, max - n);
+    if (run == 0) break;
+    ctx_->Touch(leaf, kNodeTouchBytes);
+    for (size_t i = n; i < n + run; ++i) {
+      ctx_->ExecModule(module_id(), hot_funcs_batched());
+      ctx_->Touch(out[i], TupleView(out[i], &schema).size_bytes());
+    }
+    n += run;
+  }
+  return n;
+}
+
+size_t IndexScanOperator::SelectResidual(const uint8_t* const* rows, size_t n,
+                                         SelectionVector* sel) {
+  if (compiled_ != nullptr && vectorized_eval_) {
+    // LINT: allow-row-decode(leaf: rows the scan gathered, no batch source)
+    RowBatchDecoder::Decode(rows, n, index_->table->schema(),
+                            compiled_->input_columns(), &vbatch_);
+    compiled_->RunFilter(vbatch_, sel);
+    return sel->count;
+  }
+  const Schema& schema = index_->table->schema();
+  // LINT: allow-alloc(one-time staging growth; no-op once capacity == n)
+  if (sel->idx.size() < n) sel->idx.resize(n);
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    sel->idx[kept] = static_cast<uint32_t>(i);
+    // LINT: allow-scalar-eval(fallback: the residual did not compile)
+    const bool keep = residual_predicate_ == nullptr ||
+                      EvaluatePredicate(*residual_predicate_,
+                                        TupleView(rows[i], &schema));
+    kept += keep ? 1 : 0;
+  }
+  sel->count = kept;
+  return kept;
+}
+
+size_t IndexScanOperator::NextBatch(const uint8_t** out, size_t max) {
+  for (;;) {
+    const size_t n = NextRun(out, max);
+    if (n == 0) {
+      ctx_->ExecModule(module_id(), hot_funcs_batched());  // End-of-stream.
+      return 0;
+    }
+    if (residual_predicate_ == nullptr) return n;
+    // sel_.idx is ascending, so the in-place compaction never overwrites a
+    // row it has yet to move.
+    const size_t kept = SelectResidual(out, n, &sel_);
+    for (size_t k = 0; k < kept; ++k) out[k] = out[sel_.idx[k]];
+    if (kept > 0) return kept;
+    // The residual rejected the whole run; 0 would mean end of stream.
+  }
 }
 
 void IndexScanOperator::Close() {}

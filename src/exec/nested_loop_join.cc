@@ -1,5 +1,8 @@
 #include "exec/nested_loop_join.h"
 
+#include <algorithm>
+
+#include "exec/row_batch_decoder.h"
 #include "expr/evaluator.h"
 #include "storage/tuple.h"
 
@@ -72,12 +75,21 @@ IndexNestLoopJoinOperator::IndexNestLoopJoinOperator(
   AddChild(std::move(outer));
   AddChild(std::move(inner));
   InitHotFuncs(module_id());
+  // Keys flow through int64 payloads, as in Next()'s int64_value().
+  key_compiled_ =
+      CompiledExpr::Compile(*outer_key_expr_, child(0)->output_schema());
+  if (key_compiled_ != nullptr &&
+      key_compiled_->result_type() == DataType::kDouble) {
+    key_compiled_.reset();
+  }
 }
 
 Status IndexNestLoopJoinOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
   need_outer_ = true;
   outer_row_ = nullptr;
+  outer_pos_ = 0;
+  outer_n_ = 0;
   BUFFERDB_RETURN_IF_ERROR(child(0)->Open(ctx));
   return child(1)->Open(ctx);
 }
@@ -88,7 +100,9 @@ const uint8_t* IndexNestLoopJoinOperator::Next() {
   while (true) {
     if (need_outer_) {
       ctx_->ExecModule(module_id(), hot_funcs_);
-      outer_row_ = child(0)->Next();
+      // Outer rows a NextBatch call pulled but did not probe come first.
+      outer_row_ = outer_pos_ < outer_n_ ? outer_rows_[outer_pos_++]
+                                         : child(0)->Next();
       if (outer_row_ == nullptr) return nullptr;
       TupleView outer_view(outer_row_, &outer_schema);
       Value key = outer_key_expr_->Evaluate(outer_view);
@@ -113,6 +127,77 @@ const uint8_t* IndexNestLoopJoinOperator::Next() {
                                  columns_);
     ctx_->Touch(combined, TupleView(combined, &output_schema_).size_bytes());
     return combined;
+  }
+}
+
+bool IndexNestLoopJoinOperator::FetchOuterBatch() {
+  const Schema& outer_schema = child(0)->output_schema();
+  outer_pos_ = 0;
+  outer_n_ = child(0)->NextBatch(outer_rows_.data(), outer_rows_.size());
+  if (outer_n_ == 0) return false;
+  if (key_compiled_ != nullptr && vectorized_eval_) {
+    // Columns the child published (a ColumnScan's segments) are aliased.
+    RowBatchDecoder::DecodeMissing(outer_rows_.data(), outer_n_, outer_schema,
+                                   key_compiled_->input_columns(),
+                                   child(0)->BatchColumns(), &key_vbatch_);
+    const ColumnVector& keys = key_compiled_->Run(key_vbatch_);
+    for (size_t i = 0; i < outer_n_; ++i) {
+      outer_valid_[i] = keys.null_data()[i] == 0 ? 1 : 0;
+      outer_keys_[i] = keys.i64_data()[i];
+    }
+    return true;
+  }
+  for (size_t i = 0; i < outer_n_; ++i) {
+    // LINT: allow-scalar-eval(fallback: the key did not compile)
+    Value key = outer_key_expr_->Evaluate(
+        TupleView(outer_rows_[i], &outer_schema));
+    outer_valid_[i] = key.is_null() ? 0 : 1;
+    outer_keys_[i] = key.is_null() ? 0 : key.int64_value();
+  }
+  return true;
+}
+
+size_t IndexNestLoopJoinOperator::NextBatch(const uint8_t** out, size_t max) {
+  const Schema& outer_schema = child(0)->output_schema();
+  const Schema& inner_schema = inner_scan_->output_schema();
+  max = std::min(max, match_inner_.size());
+  for (;;) {
+    // Candidate matches, until `max` of them or the end of the outer stream.
+    size_t n = 0;
+    while (n < max) {
+      if (!need_outer_) {
+        // The current key's matches; Next() may have started them.
+        const size_t run = inner_scan_->NextRun(&match_inner_[n], max - n);
+        std::fill_n(&match_outer_[n], run, outer_row_);
+        n += run;
+        if (n < max) need_outer_ = true;  // The key is drained.
+        continue;
+      }
+      if (outer_pos_ == outer_n_ && !FetchOuterBatch()) break;
+      const size_t i = outer_pos_++;
+      if (outer_valid_[i] == 0) continue;  // NULL keys never join.
+      outer_row_ = outer_rows_[i];
+      inner_scan_->SeekEqual(outer_keys_[i]);
+      need_outer_ = false;
+    }
+    if (n == 0) {
+      ctx_->ExecModule(module_id(), hot_funcs_batched());  // End-of-stream.
+      return 0;
+    }
+    // The inner residual, once over every candidate of the batch.
+    const size_t kept =
+        inner_scan_->SelectResidual(match_inner_.data(), n, &sel_);
+    for (size_t k = 0; k < kept; ++k) {
+      const size_t i = sel_.idx[k];
+      ctx_->ExecModule(module_id(), hot_funcs_batched());
+      const uint8_t* combined = TupleBuilder::ConcatRows(
+          output_schema_, outer_schema, match_outer_[i], inner_schema,
+          match_inner_[i], &ctx_->arena, columns_);
+      ctx_->Touch(combined, TupleView(combined, &output_schema_).size_bytes());
+      out[k] = combined;
+    }
+    if (kept > 0) return kept;
+    // The residual rejected every candidate; 0 would mean end of stream.
   }
 }
 

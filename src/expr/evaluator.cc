@@ -1,6 +1,7 @@
 #include "expr/evaluator.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace bufferdb {
 
@@ -105,6 +106,56 @@ ExprPtr FoldConstants(ExprPtr expr) {
     }
   }
   return expr;
+}
+
+void CollectConjuncts(const Expression& expr,
+                      std::vector<const Expression*>* out) {
+  if (expr.kind() == ExprKind::kBinary) {
+    const auto& b = static_cast<const BinaryExpr&>(expr);
+    if (b.op() == BinaryOp::kAnd) {
+      CollectConjuncts(b.left(), out);
+      CollectConjuncts(b.right(), out);
+      return;
+    }
+  }
+  out->push_back(&expr);
+}
+
+bool MatchColumnComparison(const Expression& expr,
+                           const ColumnRefExpr** column, const Value** literal,
+                           BinaryOp* op) {
+  if (expr.kind() != ExprKind::kBinary) return false;
+  const auto& b = static_cast<const BinaryExpr&>(expr);
+  if (!IsComparison(b.op())) return false;
+  const Expression* col_side = &b.left();
+  const Expression* lit_side = &b.right();
+  *op = b.op();
+  if (col_side->kind() != ExprKind::kColumnRef) {
+    std::swap(col_side, lit_side);
+    switch (*op) {
+      case BinaryOp::kLt:
+        *op = BinaryOp::kGt;
+        break;
+      case BinaryOp::kLe:
+        *op = BinaryOp::kGe;
+        break;
+      case BinaryOp::kGt:
+        *op = BinaryOp::kLt;
+        break;
+      case BinaryOp::kGe:
+        *op = BinaryOp::kLe;
+        break;
+      default:
+        break;
+    }
+  }
+  if (col_side->kind() != ExprKind::kColumnRef ||
+      lit_side->kind() != ExprKind::kLiteral) {
+    return false;
+  }
+  *column = static_cast<const ColumnRefExpr*>(col_side);
+  *literal = &static_cast<const LiteralExpr*>(lit_side)->value();
+  return true;
 }
 
 void CollectColumns(const Expression& expr, std::vector<int>* columns) {

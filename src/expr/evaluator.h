@@ -20,6 +20,18 @@ bool ExprBoundTo(const Expression& expr, size_t num_columns);
 /// Collects the distinct column indexes referenced by `expr`.
 void CollectColumns(const Expression& expr, std::vector<int>* columns);
 
+/// Appends the conjuncts of `expr`'s top-level AND chain, left to right
+/// (`expr` itself when it is no AND).
+void CollectConjuncts(const Expression& expr,
+                      std::vector<const Expression*>* out);
+
+/// Matches a comparison between a column reference and a literal, in
+/// either orientation, as `*column <*op> *literal`: the operator is
+/// mirrored when the column is on the right (`5 < x` is `x > 5`).
+bool MatchColumnComparison(const Expression& expr,
+                           const ColumnRefExpr** column, const Value** literal,
+                           BinaryOp* op);
+
 /// Clones `expr` with every column reference `c` rebound to column `pos[c]`
 /// of `schema` (type and name taken from there). Every referenced `c` must
 /// have `pos[c] >= 0`.

@@ -140,6 +140,21 @@ void BTree::Iterator::Next() {
   }
 }
 
+size_t BTree::Iterator::NextRun(int64_t hi, const uint8_t** out,
+                                size_t max) {
+  const Leaf* leaf = static_cast<const Leaf*>(leaf_);
+  size_t n = 0;
+  int pos = pos_;
+  while (n < max && pos < leaf->count && leaf->keys[pos] <= hi) {
+    out[n++] = leaf->rows[pos++];
+  }
+  if (n == 0) return 0;
+  // Resume through Next(), which moves on to the next non-empty leaf.
+  pos_ = pos - 1;
+  Next();
+  return n;
+}
+
 BTree::Iterator BTree::Begin() const {
   const Node* node = root_;
   while (!node->is_leaf) {

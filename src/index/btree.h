@@ -30,6 +30,12 @@ class BTree {
     /// Address of the current leaf node (for data-cache simulation).
     const void* node_address() const { return leaf_; }
     void Next();
+    /// Batch form of the key()/row()/Next() walk over the current leaf:
+    /// copies the rows of its entries from here on whose key is <= `hi`, at
+    /// most `max` of them, into `out` and advances past them, to the next
+    /// leaf when this one is used up. Returns the count; 0 means the entry
+    /// here is above `hi` (or `max` is 0).
+    size_t NextRun(int64_t hi, const uint8_t** out, size_t max);
 
    private:
     friend class BTree;

@@ -64,6 +64,12 @@ class ProfiledOperator final : public Operator {
     child(0)->Close();
   }
 
+  /// The wrapped operator's published columns, so a traced consumer
+  /// aliases what the untraced plan aliases instead of decoding it.
+  const VectorBatch* BatchColumns() const override {
+    return child(0)->BatchColumns();
+  }
+
   const Schema& output_schema() const override {
     return child(0)->output_schema();
   }

@@ -1,7 +1,9 @@
 #include "plan/physical_planner.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <optional>
 
 #include "exec/aggregation.h"
 #include "exec/column_scan.h"
@@ -23,6 +25,7 @@
 #include "parallel/morsel.h"
 #include "parallel/shared_join_build.h"
 #include "plan/cardinality.h"
+#include "storage/column_table.h"
 
 namespace bufferdb {
 
@@ -43,16 +46,113 @@ void SetVectorizedEval(Operator* op, bool v) {
   }
 }
 
-OperatorPtr MakeScan(Table* table, const ExprPtr& filter,
-                     const PlannerOptions& options) {
+// The closed interval [lo, hi] a scan filter's top-level AND puts on an
+// indexed INT64/DATE column, and the rows it is estimated to hold.
+struct KeyRange {
+  const IndexInfo* index = nullptr;
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+  bool has_lo = false;
+  bool has_hi = false;
+  double rows = 0;
+
+  // Narrows the range by `column <op> v` in exact integer arithmetic. A
+  // strict bound past the end of int64 leaves nothing (`x > INT64_MAX`),
+  // so it narrows to lo > hi instead of overflowing.
+  void Narrow(BinaryOp op, int64_t v) {
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    if ((op == BinaryOp::kGt && v == kMax) ||
+        (op == BinaryOp::kLt && v == kMin)) {
+      Narrow(BinaryOp::kGe, kMax);
+      Narrow(BinaryOp::kLe, kMin);
+      return;
+    }
+    if (op == BinaryOp::kGt) Narrow(BinaryOp::kGe, v + 1);
+    if (op == BinaryOp::kLt) Narrow(BinaryOp::kLe, v - 1);
+    if (op == BinaryOp::kEq || op == BinaryOp::kGe) {
+      lo = std::max(lo, v);
+      has_lo = true;
+    }
+    if (op == BinaryOp::kEq || op == BinaryOp::kLe) {
+      hi = std::min(hi, v);
+      has_hi = true;
+    }
+  }
+};
+
+// The key range an index scan could take over `filter`: among the indexed
+// INT64/DATE columns the filter's top-level AND bounds on both sides (=,
+// <, <=, >, >= against literals of the column's type), the one estimated
+// to hold the fewest rows. nullopt when there is none.
+std::optional<KeyRange> IndexedKeyRange(const Catalog& catalog, Table* table,
+                                        const Expression& filter) {
+  std::vector<const Expression*> conjuncts;
+  CollectConjuncts(filter, &conjuncts);
+  std::vector<KeyRange> ranges;  // One per indexed column met.
+  for (const Expression* conjunct : conjuncts) {
+    const ColumnRefExpr* column = nullptr;
+    const Value* literal = nullptr;
+    BinaryOp op = BinaryOp::kEq;
+    if (!MatchColumnComparison(*conjunct, &column, &literal, &op) ||
+        op == BinaryOp::kNe || literal->is_null() ||
+        literal->type() != column->result_type() ||
+        (literal->type() != DataType::kInt64 &&
+         literal->type() != DataType::kDate)) {
+      continue;
+    }
+    const IndexInfo* index = catalog.FindIndex(table, column->column());
+    if (index == nullptr) continue;
+    auto it = std::find_if(ranges.begin(), ranges.end(),
+                           [&](const KeyRange& r) { return r.index == index; });
+    if (it == ranges.end()) {
+      ranges.push_back(KeyRange{index});
+      it = ranges.end() - 1;
+    }
+    it->Narrow(op, literal->int64_value());
+  }
+  std::optional<KeyRange> best;
+  for (KeyRange& r : ranges) {
+    if (!r.has_lo || !r.has_hi) continue;
+    r.rows = EstimateIntervalSelectivity(table, r.index->column,
+                                         static_cast<double>(r.lo),
+                                         static_cast<double>(r.hi)) *
+             static_cast<double>(table->num_rows());
+    if (!best.has_value() || r.rows < best->rows) best = r;
+  }
+  return best;
+}
+
+// The scan of `table` under `filter` (nullable, bound to the table).
+//
+// Batched serial plans read a selective key range through the index: when
+// the filter bounds an indexed key on both sides and the range is
+// estimated below one zone block, the scan is an IndexScan over the range
+// with the whole filter as its residual. A ColumnScan reads at least one
+// zone block, so that is where the two cross over. Tuple-at-a-time plans
+// keep their table scans, so the reference execution checks each range
+// answer through another access path; parallel plans keep them because
+// PartitionScans morsel-partitions a table scan at every partitioned leaf.
+OperatorPtr MakeScan(const Catalog& catalog, Table* table,
+                     const ExprPtr& filter, const PlannerOptions& options) {
   ExprPtr predicate = filter != nullptr ? filter->Clone() : nullptr;
   double selectivity =
       filter != nullptr ? EstimateSelectivity(*filter, table) : 1.0;
   OperatorPtr scan;
-  // The columnar fast path is batch-native: substitute it only for batched
-  // plans over tables that carry a columnar image.
-  if (options.columnar_scan && options.batch_size > 1 &&
-      table->columnar() != nullptr) {
+  const bool batched = options.batch_size > 1;
+  std::optional<KeyRange> range;
+  if (batched && options.parallel_degree == 1 && predicate != nullptr) {
+    predicate = FoldConstants(std::move(predicate));
+    range = IndexedKeyRange(catalog, table, *predicate);
+  }
+  if (range.has_value() &&
+      range->rows < static_cast<double>(kZoneBlockRows)) {
+    scan = std::make_unique<IndexScanOperator>(range->index, range->lo,
+                                               range->hi, std::move(predicate));
+  } else if (options.columnar_scan && batched &&
+             table->columnar() != nullptr) {
+    // The columnar fast path is batch-native: substitute it only for
+    // batched plans over tables that carry a columnar image.
     scan = std::make_unique<ColumnScanOperator>(table, std::move(predicate));
   } else {
     scan = std::make_unique<SeqScanOperator>(table, std::move(predicate));
@@ -257,7 +357,8 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
       break;
     }
     case JoinStrategy::kHashJoin: {
-      OperatorPtr build = MakeScan(inner_table, inner_filter, options_);
+      OperatorPtr build =
+          MakeScan(*catalog_, inner_table, inner_filter, options_);
       auto hash_join = std::make_unique<HashJoinOperator>(
           std::move(plan), std::move(build),
           ColRef(outer_schema, outer_key_col),
@@ -284,7 +385,8 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
         index_scan->set_estimated_rows(inner_filtered_rows);
         right = std::move(index_scan);
       } else {
-        OperatorPtr scan = MakeScan(inner_table, inner_filter, options_);
+        OperatorPtr scan =
+            MakeScan(*catalog_, inner_table, inner_filter, options_);
         std::vector<SortKey> right_keys;
         right_keys.push_back(
             SortKey{ColRef(inner_schema, inner_key_col), false});
@@ -326,7 +428,8 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoins(const LogicalQuery& query,
                                      ? ColumnsReadAboveScans(query, offsets)
                                      : std::vector<bool>(width, true);
 
-  OperatorPtr plan = MakeScan(query.tables[0], query.filters[0], options_);
+  OperatorPtr plan =
+      MakeScan(*catalog_, query.tables[0], query.filters[0], options_);
   // The driving scan emits table 0's whole row.
   pos->assign(width, -1);
   std::iota(pos->begin(),
@@ -425,7 +528,8 @@ Result<OperatorPtr> PhysicalPlanner::BuildInput(const LogicalQuery& query,
     }
     pos->resize(query.input_schema.num_columns());
     std::iota(pos->begin(), pos->end(), 0);
-    return MakeScan(query.tables[0], query.filters[0], options_);
+    return MakeScan(*catalog_, query.tables[0], query.filters[0],
+                    options_);
   }
   return PlanJoins(query, pos);
 }

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -156,6 +157,56 @@ std::vector<std::vector<Value>> RunPlanBatched(Operator* root, size_t batch) {
   if (!rows.ok()) return {};
   return Decode(*rows, root->output_schema());
 }
+
+// Drains `root` alternating one Next() and one NextBatch() call, as a
+// caller mixing the two interfaces on one stream does.
+std::vector<std::vector<Value>> RunPlanMixed(Operator* root, size_t batch) {
+  ExecContext ctx;
+  EXPECT_TRUE(root->Open(&ctx).ok());
+  std::vector<const uint8_t*> rows;
+  std::vector<const uint8_t*> slice(batch);
+  for (;;) {
+    const uint8_t* row = root->Next();
+    if (row == nullptr) break;
+    rows.push_back(row);
+    const size_t n = root->NextBatch(slice.data(), batch);
+    rows.insert(rows.end(), slice.begin(), slice.begin() + n);
+    if (n == 0) break;
+  }
+  auto out = Decode(rows, root->output_schema());
+  root->Close();
+  return out;
+}
+
+// An index over (k INT64, v DOUBLE): keys 0..199 three times each (v = k,
+// k + 200, k + 400), and key 77 another 300 times (v = 1000..1299), so its
+// 303 entries span several 64-entry leaves and outnumber a 256-row batch.
+struct DuplicateKeyIndex {
+  DuplicateKeyIndex() {
+    std::vector<std::pair<int64_t, double>> rows;
+    for (int64_t i = 0; i < 600; ++i) {
+      rows.emplace_back(i % 200, static_cast<double>(i));
+    }
+    for (int64_t i = 0; i < 300; ++i) {
+      rows.emplace_back(77, 1000.0 + static_cast<double>(i));
+    }
+    EXPECT_TRUE(catalog.AddTable(MakeKvTable("inner", rows)).ok());
+    EXPECT_TRUE(catalog.CreateIndex("inner_k", "inner", "k").ok());
+    index = catalog.GetIndex("inner_k");
+  }
+
+  // `v >= 1000 OR k < 10`: keeps key 77's extra entries and keys 0..9, and
+  // rejects every entry of keys 10..199 otherwise, whole batches of them.
+  ExprPtr Residual() const {
+    const Schema& s = index->table->schema();
+    return Bin(BinaryOp::kOr,
+               Bin(BinaryOp::kGe, Col(s, "v"), Lit(Value::Double(1000.0))),
+               Bin(BinaryOp::kLt, Col(s, "k"), Lit(Value::Int64(10))));
+  }
+
+  Catalog catalog;
+  const IndexInfo* index = nullptr;
+};
 
 void ExpectSameRows(const std::vector<std::vector<Value>>& expected,
                     const std::vector<std::vector<Value>>& actual) {
@@ -372,6 +423,75 @@ TEST_P(BatchEquivalenceTest, IndexNestLoopJoin) {
         std::move(inner), Col(outer->schema(), "ni"),
         std::vector<int>{0, 4, 7});
   });
+
+  // Outer keys 60..119 in runs of four equal keys, twice over, against
+  // DuplicateKeyIndex: key 77 has more matches than a batch holds, and its
+  // residual rejects every match of keys 78..119, whole batches of them.
+  DuplicateKeyIndex fixture;
+  std::vector<std::pair<int64_t, double>> runs;
+  for (int64_t i = 0; i < 480; ++i) {
+    runs.emplace_back((i / 4) % 60 + 60, static_cast<double>(i));
+  }
+  auto repeated = MakeKvTable("outer", runs);
+  for (bool residual : {false, true}) {
+    for (bool narrow : {false, true}) {
+      SCOPED_TRACE(std::string(residual ? "residual" : "no residual") +
+                   (narrow ? ", narrow row" : ", full row"));
+      auto make_join = [&] {
+        auto inner = std::make_unique<IndexScanOperator>(
+            fixture.index, std::nullopt, std::nullopt,
+            residual ? fixture.Residual() : nullptr);
+        return std::make_unique<IndexNestLoopJoinOperator>(
+            std::make_unique<SeqScanOperator>(repeated.get(), nullptr),
+            std::move(inner), Col(repeated->schema(), "k"),
+            narrow ? std::vector<int>{1, 3} : std::vector<int>{});
+      };
+      CheckEquivalent(make_join);
+      ExpectSameRows(
+          RunPlan(make_join().get()),
+          RunPlanMixed(testutil::ContractChecked(make_join()).get(), batch()));
+    }
+  }
+}
+
+TEST_P(BatchEquivalenceTest, IndexScan) {
+  DuplicateKeyIndex fixture;
+  struct Case {
+    const char* name;
+    std::optional<int64_t> lo, hi, equal;
+    bool residual;
+    bool interpreted;  // The residual on the interpreter fallback.
+  };
+  const Case kCases[] = {
+      {"whole index", std::nullopt, std::nullopt, std::nullopt, false, false},
+      {"whole index, residual", std::nullopt, std::nullopt, std::nullopt,
+       true, false},
+      {"whole index, interpreted residual", std::nullopt, std::nullopt,
+       std::nullopt, true, true},
+      {"range over a multi-leaf key", 70, 90, std::nullopt, false, false},
+      {"range, residual", 70, 90, std::nullopt, true, false},
+      {"empty range", 5, 4, std::nullopt, false, false},
+      {"bound multi-leaf key", std::nullopt, std::nullopt, 77, false, false},
+      {"bound key, residual", std::nullopt, std::nullopt, 77, true, false},
+      {"bound key, rejected by residual", std::nullopt, std::nullopt, 150,
+       true, false},
+      {"bound absent key", std::nullopt, std::nullopt, 500, false, false},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.name);
+    auto make_scan = [&] {
+      auto scan = std::make_unique<IndexScanOperator>(
+          fixture.index, c.lo, c.hi,
+          c.residual ? fixture.Residual() : nullptr);
+      if (c.equal.has_value()) scan->BindEqualKey(*c.equal);
+      scan->set_vectorized_eval(!c.interpreted);
+      return scan;
+    };
+    CheckEquivalent(make_scan);
+    ExpectSameRows(
+        RunPlan(make_scan().get()),
+        RunPlanMixed(testutil::ContractChecked(make_scan()).get(), batch()));
+  }
 }
 
 TEST_P(BatchEquivalenceTest, HashAggregationBatchedLoad) {
@@ -457,26 +577,8 @@ TEST_P(BatchEquivalenceTest, MixingNextAndNextBatchIsAllowed) {
     return std::make_unique<BufferOperator>(
         std::make_unique<SeqScanOperator>(table.get(), nullptr), 100);
   };
-  auto expected = RunPlan(make_buffer().get());
-
-  auto plan = make_buffer();
-  ExecContext ctx;
-  ASSERT_TRUE(plan->Open(&ctx).ok());
-  std::vector<const uint8_t*> rows;
-  std::vector<const uint8_t*> slice(batch());
-  bool done = false;
-  while (!done) {
-    // One tuple, then one batch, until exhausted.
-    const uint8_t* row = plan->Next();
-    if (row == nullptr) break;
-    rows.push_back(row);
-    size_t n = plan->NextBatch(slice.data(), batch());
-    if (n == 0) done = true;
-    rows.insert(rows.end(), slice.begin(), slice.begin() + n);
-  }
-  auto actual = Decode(rows, plan->output_schema());
-  plan->Close();
-  ExpectSameRows(expected, actual);
+  ExpectSameRows(RunPlan(make_buffer().get()),
+                 RunPlanMixed(make_buffer().get(), batch()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BatchEquivalenceTest,

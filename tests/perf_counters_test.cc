@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/column_scan.h"
 #include "exec/filter.h"
 #include "exec/hash_aggregation.h"
 #include "exec/seq_scan.h"
@@ -23,6 +24,7 @@
 #include "perf/perf_region.h"
 #include "perf/profiled_operator.h"
 #include "perf/query_profile.h"
+#include "storage/column_table.h"
 #include "test_util.h"
 
 namespace bufferdb {
@@ -128,6 +130,53 @@ TEST(PerfCountersTest, ProfiledPlanProducesIdenticalResults) {
   // The no-op backend's reason must survive into the profile.
   EXPECT_FALSE(profile.hw_available());
   EXPECT_FALSE(profile.unavailable_reason().empty());
+}
+
+// A traced plan hands each consumer the columns the untraced plan aliases:
+// the wrapper forwards its operator's published batch, so the profile
+// times the decode work the timed run does, and no more.
+TEST(PerfCountersTest, ProfiledOperatorForwardsPublishedColumns) {
+  auto table = SmallTable();
+  table->AttachColumnar(ColumnarTable::Build(*table));
+  const Schema& schema = table->schema();
+  perf::QueryProfile scan_profile;
+  OperatorPtr scan = perf::ProfilePlan(
+      std::make_unique<ColumnScanOperator>(table.get(), nullptr),
+      &scan_profile);
+  ExecContext ctx;
+  ASSERT_TRUE(scan->Open(&ctx).ok());
+  std::vector<const uint8_t*> batch(64);
+  const size_t n = scan->NextBatch(batch.data(), batch.size());
+  ASSERT_GT(n, 0u);
+  const VectorBatch* published = scan->child(0)->BatchColumns();
+  ASSERT_NE(published, nullptr);
+  EXPECT_EQ(scan->BatchColumns(), published);
+  EXPECT_EQ(published->rows(), n);
+  scan->Close();
+
+  // ColumnScan(k < 7) -> batched hash-agg(by k: SUM(v), COUNT), traced and
+  // not.
+  auto make_plan = [&] {
+    OperatorPtr input = std::make_unique<ColumnScanOperator>(
+        table.get(), testutil::Bin(BinaryOp::kLt, testutil::Col(schema, "k"),
+                                   testutil::Lit(Value::Int64(7))));
+    std::vector<GroupKeyExpr> groups;
+    groups.push_back(GroupKeyExpr{testutil::Col(schema, "k"), "k"});
+    std::vector<AggSpec> specs;
+    specs.push_back(
+        AggSpec{AggFunc::kSum, testutil::Col(schema, "v"), "sum_v"});
+    specs.push_back(AggSpec{AggFunc::kCountStar, nullptr, "cnt"});
+    auto agg = std::make_unique<HashAggregationOperator>(
+        std::move(input), std::move(groups), std::move(specs));
+    agg->set_batch_size(64);
+    return agg;
+  };
+  const auto expected = testutil::RunPlan(make_plan().get());
+  ASSERT_EQ(expected.size(), 7u);
+  perf::QueryProfile profile;
+  OperatorPtr profiled = perf::ProfilePlan(make_plan(), &profile);
+  EXPECT_EQ(testutil::Canonical(testutil::RunPlan(profiled.get())),
+            testutil::Canonical(expected));
 }
 
 TEST(PerfCountersTest, AttributionTelescopesOnSerialPlan) {

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include "common/date.h"
+#include "exec/column_scan.h"
 #include "exec/hash_aggregation.h"
 #include "exec/hash_join.h"
+#include "exec/index_scan.h"
+#include "exec/seq_scan.h"
 #include "parallel/agg_merge.h"
 #include "parallel/exchange.h"
 #include "plan/cardinality.h"
 #include "plan/physical_planner.h"
 #include "plan/plan_printer.h"
 #include "sql/binder.h"
+#include "storage/column_table.h"
 #include "test_util.h"
 #include "tpch/tpch_gen.h"
 
@@ -215,6 +219,64 @@ TEST_F(PlannerTest, SelectivityEstimateTracksDatePredicate) {
   // ~96% of shipdates fall before 1998-09-02.
   EXPECT_GT(selectivity, 0.85);
   EXPECT_LE(selectivity, 1.0);
+}
+
+// The range conjuncts an AND puts on one column are one interval:
+// `x >= a AND x < b` is P(a <= x < b), not P(x >= a) * P(x < b).
+TEST_F(PlannerTest, SelectivityEstimateIntersectsRangesOnOneColumn) {
+  Table* lineitem = catalog_->GetTable("lineitem");
+  const Schema& s = lineitem->schema();
+  auto date = [](int y, int m, int d) {
+    return testutil::Lit(Value::Date(MakeDate(y, m, d)));
+  };
+  auto cmp = [&](BinaryOp op, const char* col, ExprPtr lit) {
+    return testutil::Bin(op, testutil::Col(s, col), std::move(lit));
+  };
+  auto both = [](ExprPtr a, ExprPtr b) {
+    return testutil::Bin(BinaryOp::kAnd, std::move(a), std::move(b));
+  };
+  const ColumnStats& ship = lineitem->stats(s.FindColumn("l_shipdate"));
+  ASSERT_TRUE(ship.valid);
+
+  // Two-sided: one month of ship dates.
+  ExprPtr month = both(cmp(BinaryOp::kGe, "l_shipdate", date(1995, 9, 1)),
+                       cmp(BinaryOp::kLt, "l_shipdate", date(1995, 10, 1)));
+  EXPECT_DOUBLE_EQ(EstimateSelectivity(*month, lineitem),
+                   30.0 / (ship.max - ship.min));
+
+  // One-sided on each column: the plain product, bit for bit.
+  ExprPtr le = cmp(BinaryOp::kLe, "l_shipdate", date(1998, 9, 2));
+  ExprPtr lt = cmp(BinaryOp::kLt, "l_quantity", testutil::Lit(Value::Double(24)));
+  const double product =
+      EstimateSelectivity(*le, lineitem) * EstimateSelectivity(*lt, lineitem);
+  EXPECT_EQ(EstimateSelectivity(*both(le->Clone(), lt->Clone()), lineitem),
+            product);
+
+  // Contradictory bounds hold no row.
+  ExprPtr empty = both(cmp(BinaryOp::kGt, "l_shipdate", date(1996, 1, 1)),
+                       cmp(BinaryOp::kLt, "l_shipdate", date(1995, 1, 1)));
+  EXPECT_EQ(EstimateSelectivity(*empty, lineitem), 0.0);
+  ExprPtr open = both(cmp(BinaryOp::kGt, "l_shipdate", date(1996, 1, 1)),
+                      cmp(BinaryOp::kLt, "l_shipdate", date(1996, 1, 1)));
+  EXPECT_EQ(EstimateSelectivity(*open, lineitem), 0.0);
+
+  // Equality mixed with another column multiplies; with a bound on its own
+  // column it is the equality estimate inside the bound and 0 outside.
+  ExprPtr eq = cmp(BinaryOp::kEq, "l_orderkey", testutil::Lit(Value::Int64(5)));
+  const double eq_sel = EstimateSelectivity(*eq, lineitem);
+  EXPECT_GT(eq_sel, 0.0);
+  EXPECT_EQ(EstimateSelectivity(*both(eq->Clone(), le->Clone()), lineitem),
+            eq_sel * EstimateSelectivity(*le, lineitem));
+  EXPECT_EQ(EstimateSelectivity(
+                *both(eq->Clone(), cmp(BinaryOp::kLt, "l_orderkey",
+                                       testutil::Lit(Value::Int64(10)))),
+                lineitem),
+            eq_sel);
+  EXPECT_EQ(EstimateSelectivity(
+                *both(eq->Clone(), cmp(BinaryOp::kGt, "l_orderkey",
+                                       testutil::Lit(Value::Int64(10)))),
+                lineitem),
+            0.0);
 }
 
 TEST_F(PlannerTest, JoinCardinalityForPkFkJoin) {
@@ -614,6 +676,112 @@ TEST_F(MultiJoinTest, CrossPredicateAppliedAtTop) {
       "SELECT COUNT(*) AS c FROM orders, lineitem "
       "WHERE o_orderkey = l_orderkey");
   EXPECT_LT(rows[0][0].int64_value(), all[0][0].int64_value());
+}
+
+// Batched serial plans read a selective key range through the B+-tree;
+// tuple-at-a-time and parallel plans keep their table scans.
+
+PlannerOptions BatchedOptions(size_t degree = 1) {
+  PlannerOptions options;
+  options.batch_size = Operator::kDefaultBatchSize;
+  options.parallel_degree = degree;
+  return options;
+}
+
+// Drains `plan` through NextBatch; the rows as sorted strings.
+std::vector<std::string> RunBatchedCanonical(Operator* plan) {
+  ExecContext ctx;
+  auto rows = ExecutePlanBatched(plan, &ctx);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  if (!rows.ok()) return {};
+  const Schema& schema = plan->output_schema();
+  std::vector<std::vector<Value>> values;
+  for (const uint8_t* row : *rows) {
+    TupleView view(row, &schema);
+    values.emplace_back();
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      values.back().push_back(view.GetValue(c));
+    }
+  }
+  return testutil::Canonical(values);
+}
+
+TEST_F(PlannerTest, BatchedSerialKeyRangePlansIndexScan) {
+  const char kSql[] =
+      "SELECT o_orderkey, o_totalprice FROM orders "
+      "WHERE o_orderkey BETWEEN 100 AND 400 AND o_totalprice > 1000.0";
+  OperatorPtr batched = MustPlan(kSql, BatchedOptions());
+  std::vector<IndexScanOperator*> index_scans;
+  Collect(batched.get(), &index_scans);
+  ASSERT_EQ(index_scans.size(), 1u) << PrintPlan(*batched);
+  EXPECT_EQ(index_scans[0]->index()->name, "orders_pk");
+  EXPECT_EQ(index_scans[0]->lo_key(), 100);
+  EXPECT_EQ(index_scans[0]->hi_key(), 400);
+
+  // Tuple at a time, the same query keeps its table scan: the reference
+  // answer comes through another access path.
+  OperatorPtr tuple = MustPlan(kSql);
+  std::vector<SeqScanOperator*> seq_scans;
+  Collect(tuple.get(), &seq_scans);
+  EXPECT_EQ(seq_scans.size(), 1u) << PrintPlan(*tuple);
+  const auto expected = testutil::Canonical(testutil::RunPlan(tuple.get()));
+  EXPECT_FALSE(expected.empty());
+  EXPECT_LE(expected.size(), 301u);
+  EXPECT_EQ(RunBatchedCanonical(batched.get()), expected);
+
+  // In parallel it keeps the morsel-partitioned table scans.
+  OperatorPtr parallel = MustPlan(kSql, BatchedOptions(2));
+  index_scans.clear();
+  Collect(parallel.get(), &index_scans);
+  EXPECT_TRUE(index_scans.empty()) << PrintPlan(*parallel);
+  std::vector<ColumnScanOperator*> column_scans;
+  Collect(parallel.get(), &column_scans);
+  ASSERT_EQ(column_scans.size(), 2u) << PrintPlan(*parallel);
+  for (const ColumnScanOperator* scan : column_scans) {
+    EXPECT_TRUE(scan->morsel_mode());
+  }
+  EXPECT_EQ(RunBatchedCanonical(parallel.get()), expected);
+}
+
+TEST_F(PlannerTest, WideKeyRangeKeepsColumnScan) {
+  // Every lineitem row: far more than one zone block.
+  const char kSql[] =
+      "SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 0 AND 1000000";
+  OperatorPtr plan = MustPlan(kSql, BatchedOptions());
+  std::vector<ColumnScanOperator*> column_scans;
+  Collect(plan.get(), &column_scans);
+  ASSERT_EQ(column_scans.size(), 1u) << PrintPlan(*plan);
+  EXPECT_GE(column_scans[0]->estimated_rows(),
+            static_cast<double>(kZoneBlockRows));
+  EXPECT_EQ(RunBatchedCanonical(plan.get()),
+            testutil::Canonical(testutil::RunPlan(MustPlan(kSql).get())));
+}
+
+TEST_F(PlannerTest, EqualityOnUniqueKeyPlansIndexScan) {
+  const char kSql[] = "SELECT c_custkey, c_name FROM customer "
+                      "WHERE 7 = c_custkey";
+  OperatorPtr plan = MustPlan(kSql, BatchedOptions());
+  std::vector<IndexScanOperator*> index_scans;
+  Collect(plan.get(), &index_scans);
+  ASSERT_EQ(index_scans.size(), 1u) << PrintPlan(*plan);
+  EXPECT_EQ(index_scans[0]->lo_key(), 7);
+  EXPECT_EQ(index_scans[0]->hi_key(), 7);
+  const auto rows = RunBatchedCanonical(plan.get());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows, testutil::Canonical(testutil::RunPlan(MustPlan(kSql).get())));
+}
+
+TEST_F(PlannerTest, StrictBoundAtInt64MaxIsEmptyRange) {
+  // `x > INT64_MAX` converts to an empty key range, not to INT64_MAX + 1.
+  const char kSql[] =
+      "SELECT o_orderkey FROM orders WHERE o_orderkey > 9223372036854775807";
+  OperatorPtr plan = MustPlan(kSql, BatchedOptions());
+  std::vector<IndexScanOperator*> index_scans;
+  Collect(plan.get(), &index_scans);
+  ASSERT_EQ(index_scans.size(), 1u) << PrintPlan(*plan);
+  EXPECT_GT(index_scans[0]->lo_key(), index_scans[0]->hi_key());
+  EXPECT_TRUE(RunBatchedCanonical(plan.get()).empty());
+  EXPECT_TRUE(testutil::RunPlan(MustPlan(kSql).get()).empty());
 }
 
 }  // namespace
