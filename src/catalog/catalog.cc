@@ -41,6 +41,7 @@ Status Catalog::CreateIndex(const std::string& index_name,
   info->column = col;
   info->unique = unique;
   info->btree = std::make_unique<BTree>();
+  info->rows = table->num_rows();
   for (const uint8_t* row : table->rows()) {
     TupleView v(row, &table->schema());
     if (v.IsNull(col)) continue;
@@ -52,7 +53,10 @@ Status Catalog::CreateIndex(const std::string& index_name,
 
 const IndexInfo* Catalog::FindIndex(const Table* table, int column) const {
   for (const auto& [name, info] : indexes_) {
-    if (info->table == table && info->column == column) return info.get();
+    if (info->table == table && info->column == column &&
+        info->rows == table->num_rows()) {
+      return info.get();
+    }
   }
   return nullptr;
 }

@@ -18,6 +18,7 @@ struct IndexInfo {
   int column = -1;
   bool unique = false;  // Declared unique (e.g. primary key).
   std::unique_ptr<BTree> btree;
+  size_t rows = 0;  // Table rows when the B+-tree was built.
 };
 
 /// Name -> table/index registry for a database instance.
@@ -35,7 +36,8 @@ class Catalog {
                      const std::string& table_name,
                      const std::string& column_name, bool unique = false);
 
-  /// First index on (table, column), or nullptr.
+  /// First index on (table, column) that covers every row of the table, or
+  /// nullptr. An index stops covering its table once rows are appended.
   const IndexInfo* FindIndex(const Table* table, int column) const;
   const IndexInfo* GetIndex(const std::string& name) const;
 

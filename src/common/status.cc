@@ -14,8 +14,6 @@ const char* CodeName(StatusCode code) {
       return "NotFound";
     case StatusCode::kAlreadyExists:
       return "AlreadyExists";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kNotImplemented:

@@ -12,7 +12,6 @@ enum class StatusCode : uint8_t {
   kInvalidArgument,
   kNotFound,
   kAlreadyExists,
-  kOutOfRange,
   kInternal,
   kNotImplemented,
   kParseError,
@@ -36,9 +35,6 @@ class Status {
   }
   [[nodiscard]] static Status AlreadyExists(std::string msg) {
     return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  [[nodiscard]] static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   [[nodiscard]] static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -21,19 +21,6 @@ std::vector<sim::FuncId> FuncSet::ToVector() const {
   return out;
 }
 
-std::string FuncSet::ToString() const {
-  std::string out = "{";
-  bool first = true;
-  for (int i = 0; i < sim::kNumFuncIds; ++i) {
-    if (!bits_.test(i)) continue;
-    if (!first) out += ", ";
-    out += sim::FuncName(static_cast<sim::FuncId>(i));
-    first = false;
-  }
-  out += "}";
-  return out;
-}
-
 std::string ExecutionGroup::ToString() const {
   std::string out = "[";
   for (size_t i = 0; i < op_labels.size(); ++i) {

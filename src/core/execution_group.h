@@ -34,7 +34,6 @@ class FuncSet {
   uint64_t TotalBytes() const;
 
   std::vector<sim::FuncId> ToVector() const;
-  std::string ToString() const;
 
  private:
   std::bitset<sim::kNumFuncIds> bits_;

@@ -179,7 +179,6 @@ Status ColumnScanOperator::Open(ExecContext* ctx) {
   pos_ = 0;
   limit_ = morsels_ != nullptr ? 0 : table_->num_rows();
   blocks_pruned_ = 0;
-  rows_pruned_ = 0;
   stage_pos_ = 0;
   stage_n_ = 0;
   published_.set_rows(0);
@@ -209,7 +208,6 @@ bool ColumnScanOperator::ClaimRun(size_t max, size_t* run) {
     const size_t block_end = std::min(limit_, (block + 1) * kZoneBlockRows);
     if (BlockPruned(block)) {
       ++blocks_pruned_;
-      rows_pruned_ += block_end - pos_;
       pos_ = block_end;
       continue;
     }

@@ -60,9 +60,8 @@ class ColumnScanOperator final : public Operator {
   /// SeqScan).
   const CompiledExpr* compiled_predicate() const { return compiled_.get(); }
 
-  /// Zone-map statistics for the current execution (test/bench hooks).
+  /// Zone blocks skipped in the current execution (test hook).
   uint64_t blocks_pruned() const { return blocks_pruned_; }
-  uint64_t rows_pruned() const { return rows_pruned_; }
 
   /// Morsel mode, identical to SeqScanOperator::BindMorselCursor.
   void BindMorselCursor(parallel::MorselCursor* cursor) { morsels_ = cursor; }
@@ -100,7 +99,6 @@ class ColumnScanOperator final : public Operator {
   size_t pos_ = 0;
   size_t limit_ = 0;  // End of the current morsel (or of the table).
   uint64_t blocks_pruned_ = 0;
-  uint64_t rows_pruned_ = 0;
 };
 
 }  // namespace bufferdb

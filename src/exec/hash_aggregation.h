@@ -63,9 +63,6 @@ class HashAggregationOperator final : public Operator {
   /// Input batch width for the load phase; <= 1 selects the tuple-at-a-time
   /// load. Takes effect at the next Open.
   void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
-  size_t batch_size() const { return batch_size_; }
-
-  size_t num_groups() const { return entries_.size(); }
 
  private:
   struct Entry {

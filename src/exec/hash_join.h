@@ -102,18 +102,6 @@ class HashJoinOperator final : public Operator {
   /// Probe-side batch width; <= 1 selects the tuple-at-a-time probe.
   /// Takes effect at the next Open.
   void set_probe_batch_size(size_t n) { probe_batch_size_ = n == 0 ? 1 : n; }
-  size_t probe_batch_size() const { return probe_batch_size_; }
-
-  /// Non-null when the respective key expression compiled to a kernel
-  /// program (test hooks). Compiled keys are used on the batched probe path
-  /// and the batched build; the residual predicate always stays on the
-  /// interpreter (it runs per join match, not per input tuple).
-  const CompiledExpr* compiled_probe_key() const {
-    return probe_compiled_.get();
-  }
-  const CompiledExpr* compiled_build_key() const {
-    return build_compiled_.get();
-  }
 
  private:
   using Node = JoinHashTable::Node;

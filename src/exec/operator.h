@@ -129,7 +129,6 @@ class Operator {
   /// path (set by the planner from PlannerOptions::vectorize_expressions;
   /// defaults to on for hand-built plans).
   void set_vectorized_eval(bool v) { vectorized_eval_ = v; }
-  bool vectorized_eval() const { return vectorized_eval_; }
 
   // -- Plan-tree structure (used by the refiner and the printer). --
   size_t num_children() const { return children_.size(); }

@@ -1,14 +1,11 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/aggregation.h"
 #include "exec/hash_aggregation.h"
 #include "exec/operator.h"
-#include "exec/row_batch_decoder.h"
-#include "expr/vector_eval.h"
 
 namespace bufferdb {
 
@@ -18,10 +15,7 @@ namespace bufferdb {
 /// pipelined operator that participates in execution groups. Output columns
 /// are the group keys followed by the aggregates, in SELECT order.
 ///
-/// With `set_batch_size(n > 1)` and fully compiled key/argument
-/// expressions, input is consumed through NextBatch and the group keys and
-/// aggregate arguments of the whole batch are evaluated column-at-a-time;
-/// the group-change scan then walks the result vectors lane by lane.
+/// Tuple-at-a-time only: NextBatch is the base-class loop over Next.
 class StreamAggregationOperator final : public Operator {
  public:
   StreamAggregationOperator(OperatorPtr child, std::vector<GroupKeyExpr> groups,
@@ -37,19 +31,9 @@ class StreamAggregationOperator final : public Operator {
   }
   std::string label() const override;
 
-  /// Input batch width for the vectorized path; <= 1 selects the
-  /// tuple-at-a-time stream. Takes effect at the next Open.
-  void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
-  size_t batch_size() const { return batch_size_; }
-
-  /// True when every group key and aggregate argument compiled (test hook).
-  bool keys_compiled() const { return keys_compiled_; }
-
  private:
   /// Builds the output row for the finished group.
   const uint8_t* EmitGroup();
-  /// Batched drive loop over the kernel-program result vectors.
-  const uint8_t* NextVectorized();
 
   std::vector<GroupKeyExpr> groups_;
   std::vector<AggSpec> specs_;
@@ -59,20 +43,6 @@ class StreamAggregationOperator final : public Operator {
   std::vector<AggAccumulator> accs_;
   bool group_open_ = false;
   bool input_done_ = false;
-
-  // Vectorized-path state (active when batch_size_ > 1 and keys_compiled_).
-  size_t batch_size_ = 1;
-  std::vector<std::unique_ptr<CompiledExpr>> group_compiled_;
-  std::vector<std::unique_ptr<CompiledExpr>> arg_compiled_;
-  bool keys_compiled_ = false;
-  std::vector<int> decode_cols_;
-  std::vector<const uint8_t*> batch_rows_;
-  VectorBatch vbatch_;
-  std::vector<const ColumnVector*> gvecs_;
-  std::vector<const ColumnVector*> avecs_;
-  std::vector<Value> lane_keys_;
-  size_t pos_ = 0;    // Next lane of the current batch to absorb.
-  size_t count_ = 0;  // Lanes in the current batch.
 };
 
 }  // namespace bufferdb

@@ -238,12 +238,11 @@ uint16_t CompiledExpr::NewReg(DataType type) {
   return static_cast<uint16_t>(reg_types_.size() - 1);
 }
 
-uint16_t CompiledExpr::AddInputColumn(int col, DataType type) {
+uint16_t CompiledExpr::AddInputColumn(int col) {
   for (size_t i = 0; i < input_cols_.size(); ++i) {
     if (input_cols_[i] == col) return static_cast<uint16_t>(i);
   }
   input_cols_.push_back(col);
-  input_types_.push_back(type);
   return static_cast<uint16_t>(input_cols_.size() - 1);
 }
 
@@ -251,7 +250,7 @@ uint16_t CompiledExpr::AddDictCodeInput(int col) {
   // Codes are consumed as int64 lanes (ColumnScan widens the stored int32
   // array); a string column is only ever referenced as codes, so the dedup
   // in AddInputColumn can never mix representations of one column.
-  const uint16_t idx = AddInputColumn(col, DataType::kInt64);
+  const uint16_t idx = AddInputColumn(col);
   if (input_is_code_.size() < input_cols_.size()) {
     input_is_code_.resize(input_cols_.size(), 0);
   }
@@ -403,8 +402,7 @@ bool CompiledExpr::CompileNode(const Expression& expr, Operand* out) {
     case ExprKind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
       if (ref.result_type() == DataType::kString) return false;
-      const uint16_t idx =
-          AddInputColumn(ref.column(), ref.result_type());
+      const uint16_t idx = AddInputColumn(ref.column());
       *out = Operand{static_cast<uint16_t>(VecInsn::kInputRef | idx),
                      ref.result_type()};
       return true;

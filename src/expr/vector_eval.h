@@ -117,7 +117,6 @@ class CompiledExpr {
   }
 
   DataType result_type() const { return result_type_; }
-  size_t num_insns() const { return insns_.size(); }
 
   /// Evaluates the program over `batch` (all input_columns() decoded,
   /// batch.rows() lanes). The returned vector is owned by this CompiledExpr
@@ -142,7 +141,7 @@ class CompiledExpr {
   bool TryCompileDictBinary(const BinaryExpr& b, bool* handled, Operand* out);
   Operand EnsureF64(Operand o);
   uint16_t NewReg(DataType type);
-  uint16_t AddInputColumn(int col, DataType type);
+  uint16_t AddInputColumn(int col);
   uint16_t AddDictCodeInput(int col);
   uint16_t EmitConstI64(int64_t v);
   uint16_t EmitBoolBinary(VecOp op, uint16_t a, uint16_t b);
@@ -151,7 +150,6 @@ class CompiledExpr {
   const DictView* dict_ = nullptr;  // Compile-time only; not owned.
   std::vector<VecInsn> insns_;
   std::vector<int> input_cols_;
-  std::vector<DataType> input_types_;
   std::vector<uint8_t> input_is_code_;
   std::vector<ColumnVector> regs_;
   std::vector<DataType> reg_types_;

@@ -124,7 +124,6 @@ void QueryProfile::AttributeGroups(const RefinementReport& report) {
         size_t idx = static_cast<size_t>(node.id);
         if (consumed[idx] || node.label != label) continue;
         consumed[idx] = true;
-        stats.node_ids.push_back(node.id);
         stats.wall_ns += ExclusiveWallNs(node.id);
         stats.hw += ExclusiveHw(node.id);
         break;

@@ -47,7 +47,6 @@ struct OperatorStats {
 struct GroupStats {
   std::string name;
   bool buffered = false;
-  std::vector<int> node_ids;
   uint64_t wall_ns = 0;  // Sum of member exclusive wall time.
   HwCounters hw;         // Sum of member exclusive counters.
 };

@@ -52,8 +52,6 @@ struct LogicalQuery {
   bool distinct = false;
   std::vector<std::pair<std::string, bool>> order_by;  // (name, descending)
   std::optional<int64_t> limit;
-
-  std::string ToString() const;
 };
 
 }  // namespace bufferdb

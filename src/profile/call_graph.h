@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "core/execution_group.h"
 #include "sim/sim_cpu.h"
@@ -38,8 +37,6 @@ class CallGraphRecorder final : public sim::CallGraphSink {
   void Reset() {
     for (auto& e : modules_) e = Entry();
   }
-
-  std::string ToString() const;
 
  private:
   struct Entry {

@@ -103,12 +103,11 @@ void SetAssocCache::Flush() {
 
 FullyAssocLruCache::FullyAssocLruCache(uint64_t capacity_bytes,
                                        uint64_t line_bytes)
-    : capacity_lines_(capacity_bytes / line_bytes),
-      line_bytes_(line_bytes),
-      line_shift_(Log2Floor(line_bytes)) {
-  if (capacity_lines_ == 0) capacity_lines_ = 1;
-  nodes_.resize(capacity_lines_);
-  map_.reserve(2 * capacity_lines_);
+    : line_bytes_(line_bytes), line_shift_(Log2Floor(line_bytes)) {
+  uint64_t capacity_lines = capacity_bytes / line_bytes;
+  if (capacity_lines == 0) capacity_lines = 1;
+  nodes_.resize(capacity_lines);
+  map_.reserve(2 * capacity_lines);
   Flush();
 }
 

@@ -90,7 +90,6 @@ class FullyAssocLruCache {
 
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats(); }
-  uint64_t capacity_lines() const { return capacity_lines_; }
   uint64_t line_bytes() const { return line_bytes_; }
 
  private:
@@ -105,7 +104,6 @@ class FullyAssocLruCache {
   void PushFront(int32_t i);
   int32_t InsertLine(uint64_t line, bool prefetched);
 
-  uint64_t capacity_lines_;
   uint64_t line_bytes_;
   uint64_t line_shift_;
   CacheStats stats_;

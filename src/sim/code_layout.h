@@ -114,7 +114,6 @@ class CodeLayout {
   const FuncInfo& info(FuncId id) const {
     return funcs_[static_cast<int>(id)];
   }
-  uint64_t code_base() const { return kCodeBase; }
   uint64_t total_code_bytes() const { return total_code_bytes_; }
 
   /// Address of the k-th instruction line of `func`.

@@ -16,7 +16,6 @@ void BuildZones(ColumnSegment* seg, size_t num_rows) {
   seg->zones.clear();
   for (size_t begin = 0; begin < num_rows; begin += kZoneBlockRows) {
     ZoneMap z;
-    z.row_begin = begin;
     z.rows = std::min(kZoneBlockRows, num_rows - begin);
     bool seen = false;
     for (size_t i = begin; i < begin + z.rows; ++i) {

@@ -22,7 +22,6 @@ constexpr size_t kZoneBlockRows = 4096;
 /// is sorted, so code order is string order and the same pruning rules
 /// apply.
 struct ZoneMap {
-  size_t row_begin = 0;
   size_t rows = 0;
   uint64_t null_count = 0;
   bool has_nan = false;  // kDouble only: block holds a NaN, min/max unusable.

@@ -21,8 +21,15 @@ const uint8_t* Table::AppendRow(const std::vector<Value>& values) {
   assert(values.size() == schema_.num_columns());
   TupleBuilder builder(&schema_);
   for (size_t i = 0; i < values.size(); ++i) builder.Set(i, values[i]);
-  stats_computed_ = false;
   return Append(builder);
+}
+
+const uint8_t* Table::Append(const TupleBuilder& builder) {
+  const uint8_t* row = builder.Finish(&arena_);
+  rows_.push_back(row);
+  stats_computed_ = false;
+  columnar_.reset();
+  return row;
 }
 
 const ColumnStats& Table::stats(size_t col) {

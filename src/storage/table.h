@@ -41,12 +41,9 @@ class Table {
   /// Appends a row of boxed values. Returns the stored row pointer.
   const uint8_t* AppendRow(const std::vector<Value>& values);
 
-  /// Appends an already-staged builder row.
-  const uint8_t* Append(const TupleBuilder& builder) {
-    const uint8_t* row = builder.Finish(&arena_);
-    rows_.push_back(row);
-    return row;
-  }
+  /// Appends an already-staged builder row. Marks the cached stats stale
+  /// and drops the columnar image, which no longer covers every row.
+  const uint8_t* Append(const TupleBuilder& builder);
 
   size_t num_rows() const { return rows_.size(); }
   const uint8_t* row(size_t i) const { return rows_[i]; }
@@ -60,6 +57,7 @@ class Table {
   /// Attaches a columnar image of this table (storage/column_table.h),
   /// row-aligned with rows(). Loaders call this once after the last append;
   /// the planner substitutes ColumnScan for SeqScan when an image exists.
+  /// A later Append drops the image, so plan after the last append.
   void AttachColumnar(std::unique_ptr<ColumnarTable> columnar);
   const ColumnarTable* columnar() const { return columnar_.get(); }
 

@@ -242,30 +242,26 @@ Status LoadTpch(const TpchConfig& config, Catalog* catalog) {
     BUFFERDB_RETURN_IF_ERROR(catalog->AddTable(std::move(lineitem)));
   }
 
-  if (config.build_indexes) {
-    BUFFERDB_RETURN_IF_ERROR(
-        catalog->CreateIndex("orders_pk", "orders", "o_orderkey", true));
-    BUFFERDB_RETURN_IF_ERROR(
-        catalog->CreateIndex("customer_pk", "customer", "c_custkey", true));
-    BUFFERDB_RETURN_IF_ERROR(
-        catalog->CreateIndex("part_pk", "part", "p_partkey", true));
-    BUFFERDB_RETURN_IF_ERROR(
-        catalog->CreateIndex("supplier_pk", "supplier", "s_suppkey", true));
-    BUFFERDB_RETURN_IF_ERROR(catalog->CreateIndex(
-        "lineitem_orderkey", "lineitem", "l_orderkey", false));
-  }
+  BUFFERDB_RETURN_IF_ERROR(
+      catalog->CreateIndex("orders_pk", "orders", "o_orderkey", true));
+  BUFFERDB_RETURN_IF_ERROR(
+      catalog->CreateIndex("customer_pk", "customer", "c_custkey", true));
+  BUFFERDB_RETURN_IF_ERROR(
+      catalog->CreateIndex("part_pk", "part", "p_partkey", true));
+  BUFFERDB_RETURN_IF_ERROR(
+      catalog->CreateIndex("supplier_pk", "supplier", "s_suppkey", true));
+  BUFFERDB_RETURN_IF_ERROR(catalog->CreateIndex(
+      "lineitem_orderkey", "lineitem", "l_orderkey", false));
 
-  if (config.build_columnar) {
-    static const char* kTables[] = {"nation",   "region", "supplier",
-                                    "customer", "part",   "partsupp",
-                                    "orders",   "lineitem"};
-    for (const char* name : kTables) {
-      Table* table = catalog->GetTable(name);
-      if (table == nullptr) {
-        return Status::Internal(std::string("missing table: ") + name);
-      }
-      table->AttachColumnar(ColumnarTable::Build(*table));
+  static const char* kTables[] = {"nation",   "region", "supplier",
+                                  "customer", "part",   "partsupp",
+                                  "orders",   "lineitem"};
+  for (const char* name : kTables) {
+    Table* table = catalog->GetTable(name);
+    if (table == nullptr) {
+      return Status::Internal(std::string("missing table: ") + name);
     }
+    table->AttachColumnar(ColumnarTable::Build(*table));
   }
   return Status::OK();
 }

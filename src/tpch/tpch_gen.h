@@ -17,16 +17,12 @@ namespace bufferdb::tpch {
 struct TpchConfig {
   double scale_factor = 0.02;
   uint64_t seed = 19940613;
-  /// Builds the indexes the paper's plans use: primary keys on orders /
-  /// customer / part / supplier, plus lineitem(l_orderkey).
-  bool build_indexes = true;
-  /// Builds a columnar image (storage/column_table.h) for every table so
-  /// batched plans can use ColumnScan: typed segments, zone maps, and
-  /// dictionary-encoded string columns.
-  bool build_columnar = true;
 };
 
-/// Generates all 8 tables (and indexes) into `catalog`.
+/// Generates all 8 tables into `catalog`, with the indexes the paper's
+/// plans use (primary keys on orders / customer / part / supplier, plus
+/// lineitem(l_orderkey)) and a columnar image (storage/column_table.h) of
+/// every table, so batched plans can use ColumnScan.
 [[nodiscard]] Status LoadTpch(const TpchConfig& config, Catalog* catalog);
 
 /// Number of orders at a scale factor (lineitem is ~4x this).

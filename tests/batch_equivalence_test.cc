@@ -28,6 +28,7 @@
 #include "exec/project.h"
 #include "exec/seq_scan.h"
 #include "exec/sort.h"
+#include "exec/stream_aggregation.h"
 #include "plan/physical_planner.h"
 #include "sql/binder.h"
 #include "test_util.h"
@@ -333,6 +334,27 @@ TEST_P(BatchEquivalenceTest, SortDefaultNextBatch) {
     return std::make_unique<SortOperator>(
         std::make_unique<SeqScanOperator>(table.get(), nullptr),
         std::move(keys));
+  });
+}
+
+TEST_P(BatchEquivalenceTest, StreamAggregationDefaultNextBatch) {
+  // StreamAggregation is tuple-at-a-time: its NextBatch is the base-class
+  // loop over Next. Two-column key with NULLs in both columns (NULL keys
+  // sort last and form their own groups).
+  auto table = MakeNullableTable();
+  const Schema& s = table->schema();
+  CheckEquivalent([&] {
+    std::vector<SortKey> keys;
+    keys.push_back(SortKey{Col(s, "s"), false});
+    keys.push_back(SortKey{Col(s, "ni"), false});
+    std::vector<GroupKeyExpr> groups;
+    groups.push_back(GroupKeyExpr{Col(s, "s"), "s"});
+    groups.push_back(GroupKeyExpr{Col(s, "ni"), "ni"});
+    return std::make_unique<StreamAggregationOperator>(
+        std::make_unique<SortOperator>(
+            std::make_unique<SeqScanOperator>(table.get(), nullptr),
+            std::move(keys)),
+        std::move(groups), AllAggregates(s));
   });
 }
 

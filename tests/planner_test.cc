@@ -784,5 +784,79 @@ TEST_F(PlannerTest, StrictBoundAtInt64MaxIsEmptyRange) {
   EXPECT_TRUE(testutil::RunPlan(MustPlan(kSql).get()).empty());
 }
 
+// Rows appended after a table's columnar image or an index was built are
+// read by every plan: the append drops the image, and the planner skips an
+// index that no longer covers its table.
+
+Result<OperatorPtr> PlanSql(Catalog* catalog, const std::string& sql,
+                            PlannerOptions options = {}) {
+  sql::Binder binder(catalog);
+  auto query = binder.BindSql(sql);
+  if (!query.ok()) return query.status();
+  return PhysicalPlanner(catalog, options).CreatePlan(*query);
+}
+
+// (k, 1.0) for k in [begin, end).
+void AppendKeys(Table* table, int64_t begin, int64_t end) {
+  for (int64_t k = begin; k < end; ++k) {
+    table->AppendRow({Value::Int64(k), Value::Double(1.0)});
+  }
+}
+
+TEST(AppendAfterLoadTest, BatchedPlanReadsRowsAppendedAfterColumnarImage) {
+  Catalog catalog;
+  auto owned = testutil::MakeKvTable("t", {});
+  Table* table = owned.get();
+  ASSERT_TRUE(catalog.AddTable(std::move(owned)).ok());
+  AppendKeys(table, 0, 100);
+  table->AttachColumnar(ColumnarTable::Build(*table));
+  AppendKeys(table, 100, 5000);
+
+  const char kSql[] = "SELECT COUNT(*), SUM(v) FROM t WHERE k >= 0";
+  auto tuple = PlanSql(&catalog, kSql);
+  auto batched = PlanSql(&catalog, kSql, BatchedOptions());
+  ASSERT_TRUE(tuple.ok()) << tuple.status();
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  const auto rows = testutil::RunPlan(tuple->get());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value::Int64(5000));
+  EXPECT_EQ(RunBatchedCanonical(batched->get()), testutil::Canonical(rows));
+}
+
+TEST(AppendAfterLoadTest, PlansSkipIndexBuiltBeforeAppend) {
+  Catalog catalog;
+  auto owned = testutil::MakeKvTable("t", {});
+  Table* table = owned.get();
+  ASSERT_TRUE(catalog.AddTable(std::move(owned)).ok());
+  AppendKeys(table, 0, 10000);
+  ASSERT_TRUE(catalog.CreateIndex("t_k", "t", "k", /*unique=*/true).ok());
+  AppendKeys(table, 10000, 10100);
+  EXPECT_EQ(catalog.FindIndex(table, 0), nullptr);
+
+  const char kSql[] = "SELECT COUNT(*) FROM t WHERE k BETWEEN 10000 AND 10050";
+  auto tuple = PlanSql(&catalog, kSql);
+  auto batched = PlanSql(&catalog, kSql, BatchedOptions());
+  ASSERT_TRUE(tuple.ok()) << tuple.status();
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  const auto rows = testutil::RunPlan(tuple->get());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value::Int64(51));
+  EXPECT_EQ(RunBatchedCanonical(batched->get()), testutil::Canonical(rows));
+
+  // A join on the appended key: the planner picks a hash join, and a
+  // forced index join fails instead of probing the stale B+-tree.
+  auto outer = std::make_unique<Table>("o", Schema({{"ok", DataType::kInt64}}));
+  outer->AppendRow({Value::Int64(10020)});
+  ASSERT_TRUE(catalog.AddTable(std::move(outer)).ok());
+  const char kJoin[] = "SELECT COUNT(*) FROM o, t WHERE ok = k";
+  auto join = PlanSql(&catalog, kJoin, BatchedOptions());
+  ASSERT_TRUE(join.ok()) << join.status();
+  EXPECT_EQ(RunBatchedCanonical(join->get()),
+            testutil::Canonical({{Value::Int64(1)}}));
+  PlannerOptions index_join;
+  index_join.join_strategy = JoinStrategy::kIndexNestLoop;
+  EXPECT_FALSE(PlanSql(&catalog, kJoin, index_join).ok());
+}
+
 }  // namespace
 }  // namespace bufferdb

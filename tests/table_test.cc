@@ -68,6 +68,11 @@ TEST(TableTest, StatsRecomputedAfterAppend) {
   EXPECT_DOUBLE_EQ(t.stats(0).max, 1);
   t.AppendRow({Value::Int64(99), Value::Double(1)});
   EXPECT_DOUBLE_EQ(t.stats(0).max, 99);
+  TupleBuilder builder(&t.schema());
+  builder.Set(0, Value::Int64(500));
+  builder.Set(1, Value::Double(1));
+  t.Append(builder);
+  EXPECT_DOUBLE_EQ(t.stats(0).max, 500);
 }
 
 TEST(TableTest, StatsEmptyTable) {
