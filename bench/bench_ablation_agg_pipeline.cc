@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
   };
   auto stream_plan = [&] {
     std::vector<SortKey> keys;
-    keys.push_back(SortKey{Col(s, "l_returnflag"), false});
-    keys.push_back(SortKey{Col(s, "l_linestatus"), false});
+    keys.push_back(SortKey{s.FindColumn("l_returnflag"), false});
+    keys.push_back(SortKey{s.FindColumn("l_linestatus"), false});
     auto scan = Scan(lineitem);
     double rows = scan->estimated_rows();
     auto sort =

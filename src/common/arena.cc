@@ -9,7 +9,7 @@ uint8_t* Arena::Allocate(size_t bytes) {
   size_t aligned = (bytes + 7) & ~size_t{7};
   if (offset_ + aligned > current_capacity_) {
     size_t cap = std::max(chunk_bytes_, aligned);
-    chunks_.push_back(std::make_unique<uint8_t[]>(cap));
+    chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(cap));
     current_ = chunks_.back().get();
     current_capacity_ = cap;
     offset_ = 0;

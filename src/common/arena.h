@@ -23,7 +23,9 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Allocates `bytes` with 8-byte alignment. Never returns nullptr.
+  /// Allocates `bytes` with 8-byte alignment. Never returns nullptr. The
+  /// bytes are not initialized: chunks are not zeroed, and the caller
+  /// writes every byte it later reads.
   uint8_t* Allocate(size_t bytes);
 
   /// Total bytes handed out (excluding per-chunk slack).

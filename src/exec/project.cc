@@ -19,10 +19,23 @@ ProjectOperator::ProjectOperator(OperatorPtr child,
   }
   output_schema_ = Schema(std::move(cols));
 
+  // When every item is a bare column reference of the input column's
+  // type, output rows are slot copies (CopyRow); the interpreter never runs.
+  const Schema& in_schema = this->child(0)->output_schema();
+  for (const ProjectItem& item : items_) {
+    const int col = item.expr->kind() == ExprKind::kColumnRef
+                        ? static_cast<const ColumnRefExpr&>(*item.expr).column()
+                        : -1;
+    if (col < 0 || in_schema.column(col).type != item.expr->result_type()) {
+      copy_columns_.clear();
+      break;
+    }
+    copy_columns_.push_back(col);
+  }
+
   // Vectorize all-or-nothing: one uncompilable item (e.g. a string column)
   // keeps the whole operator on the interpreter, so a batch never mixes the
   // two materialization paths.
-  const Schema& in_schema = this->child(0)->output_schema();
   std::vector<std::unique_ptr<CompiledExpr>> programs;
   for (const ProjectItem& item : items_) {
     auto p = CompiledExpr::Compile(*item.expr, in_schema);
@@ -63,10 +76,19 @@ void ProjectOperator::PublishResults(size_t n) {
   }
 }
 
+const uint8_t* ProjectOperator::CopyRow(const uint8_t* row) {
+  const uint8_t* out =
+      TupleBuilder::CopyColumns(output_schema_, child(0)->output_schema(), row,
+                                &ctx_->arena, copy_columns_);
+  ctx_->Touch(out, TupleView(out, &output_schema_).size_bytes());
+  return out;
+}
+
 const uint8_t* ProjectOperator::Next() {
   ctx_->ExecModule(module_id(), hot_funcs_);
   const uint8_t* row = child(0)->Next();
   if (row == nullptr) return nullptr;
+  if (!copy_columns_.empty()) return CopyRow(row);
   const Schema& in_schema = child(0)->output_schema();
   TupleView view(row, &in_schema);
   TupleBuilder builder(&output_schema_);
@@ -123,6 +145,13 @@ size_t ProjectOperator::NextBatch(const uint8_t** out, size_t max) {
       out[i] = row;
     }
     PublishResults(in_n);
+    return in_n;
+  }
+  if (!copy_columns_.empty()) {
+    for (size_t i = 0; i < in_n; ++i) {
+      ctx_->ExecModule(module_id(), hot_funcs_);
+      out[i] = CopyRow(in_batch_[i]);
+    }
     return in_n;
   }
   TupleBuilder builder(&output_schema_);

@@ -17,7 +17,9 @@ struct ProjectItem {
 };
 
 /// Computes a list of expressions per input tuple, materializing the result
-/// row into the query arena.
+/// row into the query arena. When every item is a bare column reference the
+/// row is a slot copy (TupleBuilder::CopyColumns) and the interpreter never
+/// runs.
 class ProjectOperator final : public Operator {
  public:
   ProjectOperator(OperatorPtr child, std::vector<ProjectItem> items);
@@ -30,8 +32,9 @@ class ProjectOperator final : public Operator {
   /// is decoded once (union of all programs' input columns), each program
   /// runs column-at-a-time, and the output rows are materialized from the
   /// result vectors into one arena block — no TupleBuilder, no Value
-  /// boxing. Otherwise the per-tuple interpreter runs with the schema
-  /// lookup and TupleBuilder hoisted out of the loop.
+  /// boxing. Otherwise a bare-column projection copies each row's slots,
+  /// and any other runs the per-tuple interpreter with the schema lookup
+  /// and TupleBuilder hoisted out of the loop.
   size_t NextBatch(const uint8_t** out, size_t max) override;
 
   const Schema& output_schema() const override { return output_schema_; }
@@ -47,8 +50,14 @@ class ProjectOperator final : public Operator {
   /// Aliases results_ into published_ for the `n` rows just produced.
   void PublishResults(size_t n);
 
+  /// The output row of `row` for a bare-column projection.
+  const uint8_t* CopyRow(const uint8_t* row);
+
   std::vector<ProjectItem> items_;
   Schema output_schema_;
+  // The input column of each item when every item is a bare column
+  // reference; empty otherwise.
+  std::vector<int> copy_columns_;
   // One program per item when ALL items compiled; empty otherwise
   // (all-or-nothing, so a batch is either fully vectorized or fully
   // interpreted).

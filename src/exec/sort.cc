@@ -1,11 +1,47 @@
 #include "exec/sort.h"
 
 #include <algorithm>
+#include <string_view>
+
+#include "storage/tuple.h"
 
 namespace bufferdb {
 
+RowOrder::RowOrder(const Schema& schema, const std::vector<SortKey>& keys) {
+  keys_.reserve(keys.size());
+  for (const SortKey& k : keys) {
+    keys_.push_back(Key{k.column, schema.column(k.column).type, k.descending});
+  }
+}
+
+bool RowOrder::Before(const uint8_t* a, const uint8_t* b) const {
+  // The accessors used here read only the row, never the schema.
+  const TupleView x(a, nullptr);
+  const TupleView y(b, nullptr);
+  for (const Key& k : keys_) {
+    const bool x_null = x.IsNull(k.column);
+    const bool y_null = y.IsNull(k.column);
+    if (x_null != y_null) return y_null;  // NULLs last.
+    if (x_null) continue;
+    int c = 0;
+    if (k.type == DataType::kString) {
+      c = x.GetString(k.column).compare(y.GetString(k.column));
+    } else if (k.type == DataType::kDouble) {
+      const double u = x.GetDouble(k.column);
+      const double v = y.GetDouble(k.column);
+      c = u < v ? -1 : (u > v ? 1 : 0);
+    } else {
+      const int64_t u = x.GetInt64(k.column);
+      const int64_t v = y.GetInt64(k.column);
+      c = u < v ? -1 : (u > v ? 1 : 0);
+    }
+    if (c != 0) return k.descending ? c > 0 : c < 0;
+  }
+  return false;
+}
+
 SortOperator::SortOperator(OperatorPtr child, std::vector<SortKey> keys)
-    : keys_(std::move(keys)) {
+    : order_(child->output_schema(), keys) {
   AddChild(std::move(child));
   InitHotFuncs(module_id());
 }
@@ -17,29 +53,15 @@ Status SortOperator::Open(ExecContext* ctx) {
   pos_ = 0;
 
   const Schema& schema = child(0)->output_schema();
-  while (const uint8_t* row = child(0)->Next()) {
+  DrainInput(child(0), batch_size_, &batch_rows_, [&](const uint8_t* row) {
     ctx_->ExecModule(module_id(), hot_funcs_);
-    TupleView view(row, &schema);
-    std::vector<Value> key_values;
-    key_values.reserve(keys_.size());
-    for (const SortKey& k : keys_) key_values.push_back(k.expr->Evaluate(view));
-    ctx_->Touch(row, view.size_bytes());
-    sorted_.emplace_back(std::move(key_values), row);
-  }
-
-  std::stable_sort(
-      sorted_.begin(), sorted_.end(), [this](const auto& a, const auto& b) {
-        for (size_t i = 0; i < keys_.size(); ++i) {
-          const Value& x = a.first[i];
-          const Value& y = b.first[i];
-          // NULLs sort last in either direction.
-          if (x.is_null() != y.is_null()) return y.is_null();
-          if (x.is_null()) continue;
-          int c = Value::Compare(x, y);
-          if (c != 0) return keys_[i].descending ? c > 0 : c < 0;
-        }
-        return false;
-      });
+    ctx_->Touch(row, TupleView(row, &schema).size_bytes());
+    sorted_.push_back(row);
+  });
+  std::stable_sort(sorted_.begin(), sorted_.end(),
+                   [this](const uint8_t* a, const uint8_t* b) {
+                     return order_.Before(a, b);
+                   });
   loaded_ = true;
   return Status::OK();
 }
@@ -47,7 +69,7 @@ Status SortOperator::Open(ExecContext* ctx) {
 const uint8_t* SortOperator::Next() {
   ctx_->ExecModule(module_id(), hot_funcs_);
   if (pos_ >= sorted_.size()) return nullptr;
-  const uint8_t* row = sorted_[pos_++].second;
+  const uint8_t* row = sorted_[pos_++];
   ctx_->Touch(row, 64);
   return row;
 }

@@ -2,65 +2,40 @@
 
 #include <algorithm>
 
-#include "storage/tuple.h"
-
 namespace bufferdb {
 
 TopNOperator::TopNOperator(OperatorPtr child, std::vector<SortKey> keys,
                            size_t limit)
-    : keys_(std::move(keys)), limit_(limit) {
+    : order_(child->output_schema(), keys), limit_(limit) {
   AddChild(std::move(child));
   InitHotFuncs(module_id());
 }
 
-bool TopNOperator::Before(const Entry& a, const Entry& b) const {
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    const Value& x = a.first[i];
-    const Value& y = b.first[i];
-    if (x.is_null() != y.is_null()) return y.is_null();  // NULLs last.
-    if (x.is_null()) continue;
-    int c = Value::Compare(x, y);
-    if (c != 0) return keys_[i].descending ? c > 0 : c < 0;
-  }
-  return false;
-}
-
 Status TopNOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  heap_.clear();
   sorted_.clear();
   pos_ = 0;
-  loaded_ = false;
   BUFFERDB_RETURN_IF_ERROR(child(0)->Open(ctx));
-  if (limit_ == 0) {
-    loaded_ = true;
-    return Status::OK();
-  }
+  if (limit_ == 0) return Status::OK();
 
-  auto worse = [this](const Entry& a, const Entry& b) { return Before(a, b); };
-  const Schema& schema = child(0)->output_schema();
-  while (const uint8_t* row = child(0)->Next()) {
+  auto before = [this](const uint8_t* a, const uint8_t* b) {
+    return order_.Before(a, b);
+  };
+  DrainInput(child(0), batch_size_, &batch_rows_, [&](const uint8_t* row) {
     ctx_->ExecModule(module_id(), hot_funcs_);
-    TupleView view(row, &schema);
-    Entry entry;
-    entry.second = row;
-    entry.first.reserve(keys_.size());
-    for (const SortKey& k : keys_) entry.first.push_back(k.expr->Evaluate(view));
-    if (heap_.size() < limit_) {
-      heap_.push_back(std::move(entry));
-      std::push_heap(heap_.begin(), heap_.end(), worse);
-    } else if (Before(entry, heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), worse);
-      heap_.back() = std::move(entry);
-      std::push_heap(heap_.begin(), heap_.end(), worse);
+    if (sorted_.size() < limit_) {
+      sorted_.push_back(row);
+      std::push_heap(sorted_.begin(), sorted_.end(), before);
+    } else if (before(row, sorted_.front())) {
+      // A row equal to the worst kept row is not taken.
+      std::pop_heap(sorted_.begin(), sorted_.end(), before);
+      sorted_.back() = row;
+      std::push_heap(sorted_.begin(), sorted_.end(), before);
     }
-    ctx_->Touch(heap_.data(), sizeof(Entry) * std::min(heap_.size(), size_t{8}));
-  }
-  std::sort_heap(heap_.begin(), heap_.end(), worse);
-  sorted_.reserve(heap_.size());
-  for (const Entry& e : heap_) sorted_.push_back(e.second);
-  heap_.clear();
-  loaded_ = true;
+    ctx_->Touch(sorted_.data(),
+                sizeof(const uint8_t*) * std::min(sorted_.size(), size_t{8}));
+  });
+  std::sort_heap(sorted_.begin(), sorted_.end(), before);
   return Status::OK();
 }
 
@@ -73,9 +48,7 @@ const uint8_t* TopNOperator::Next() {
 }
 
 void TopNOperator::Close() {
-  heap_.clear();
   sorted_.clear();
-  loaded_ = false;
   pos_ = 0;
   child(0)->Close();
 }

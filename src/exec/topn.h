@@ -20,6 +20,10 @@ class TopNOperator final : public Operator {
   const uint8_t* Next() override;
   void Close() override;
 
+  /// With `n > 1`, Open drains the child through NextBatch in slices of
+  /// `n` rows; otherwise through Next().
+  void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
+
   const Schema& output_schema() const override {
     return child(0)->output_schema();
   }
@@ -28,18 +32,14 @@ class TopNOperator final : public Operator {
   std::string label() const override;
 
  private:
-  using Entry = std::pair<std::vector<Value>, const uint8_t*>;
-
-  /// True if a precedes b in the requested order.
-  bool Before(const Entry& a, const Entry& b) const;
-
-  std::vector<SortKey> keys_;
+  RowOrder order_;
   size_t limit_;
-  std::vector<Entry> heap_;  // Max-heap on Before: top = worst kept row.
+  size_t batch_size_ = 1;
+  std::vector<const uint8_t*> batch_rows_;  // NextBatch staging.
+  // While loading, a max-heap on RowOrder::Before (top = worst kept row);
+  // then the kept rows in order.
   std::vector<const uint8_t*> sorted_;
   size_t pos_ = 0;
-  bool loaded_ = false;
 };
 
 }  // namespace bufferdb
-

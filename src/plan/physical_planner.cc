@@ -371,11 +371,9 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
       // Left side: sort the accumulated plan. Right side: an index on the
       // join column provides sorted order without a sort (Fig. 17);
       // otherwise sort a scan.
-      std::vector<SortKey> left_keys;
-      left_keys.push_back(
-          SortKey{ColRef(outer_schema, outer_key_col), false});
-      OperatorPtr sorted_left = std::make_unique<SortOperator>(
-          std::move(plan), std::move(left_keys));
+      auto sorted_left = std::make_unique<SortOperator>(
+          std::move(plan), std::vector<SortKey>{{outer_key_col, false}});
+      sorted_left->set_batch_size(options_.batch_size);
       sorted_left->set_estimated_rows(outer_rows);
 
       OperatorPtr right;
@@ -387,12 +385,11 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
       } else {
         OperatorPtr scan =
             MakeScan(*catalog_, inner_table, inner_filter, options_);
-        std::vector<SortKey> right_keys;
-        right_keys.push_back(
-            SortKey{ColRef(inner_schema, inner_key_col), false});
-        right = std::make_unique<SortOperator>(std::move(scan),
-                                               std::move(right_keys));
-        right->set_estimated_rows(inner_filtered_rows);
+        auto sorted_right = std::make_unique<SortOperator>(
+            std::move(scan), std::vector<SortKey>{{inner_key_col, false}});
+        sorted_right->set_batch_size(options_.batch_size);
+        sorted_right->set_estimated_rows(inner_filtered_rows);
+        right = std::move(sorted_right);
       }
       join_op = std::make_unique<MergeJoinOperator>(
           std::move(sorted_left), std::move(right),
@@ -657,17 +654,22 @@ Result<OperatorPtr> PhysicalPlanner::CreatePlan(const LogicalQuery& query,
       if (col < 0) {
         return Status::NotFound("ORDER BY column not in output: " + name);
       }
-      keys.push_back(SortKey{ColRef(out_schema, col), desc});
+      keys.push_back(SortKey{col, desc});
     }
     if (query.limit.has_value()) {
-      plan = std::make_unique<TopNOperator>(
+      auto topn = std::make_unique<TopNOperator>(
           std::move(plan), std::move(keys),
           static_cast<size_t>(*query.limit));
-      plan->set_estimated_rows(
+      topn->set_batch_size(options_.batch_size);
+      topn->set_estimated_rows(
           std::min(rows, static_cast<double>(*query.limit)));
+      plan = std::move(topn);
     } else {
-      plan = std::make_unique<SortOperator>(std::move(plan), std::move(keys));
-      plan->set_estimated_rows(rows);
+      auto sort =
+          std::make_unique<SortOperator>(std::move(plan), std::move(keys));
+      sort->set_batch_size(options_.batch_size);
+      sort->set_estimated_rows(rows);
+      plan = std::move(sort);
     }
   } else if (query.limit.has_value()) {
     double rows = plan->estimated_rows();

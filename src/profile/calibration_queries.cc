@@ -132,11 +132,7 @@ FootprintTable CalibrateFootprints() {
   // 4. Sort.
   run(std::make_unique<SortOperator>(
       std::make_unique<SeqScanOperator>(items, nullptr),
-      [&] {
-        std::vector<SortKey> keys;
-        keys.push_back(SortKey{Col(item_schema, "key"), false});
-        return keys;
-      }()));
+      std::vector<SortKey>{{item_schema.FindColumn("key"), false}}));
 
   // 5. Index nested-loop join (covers NestLoopJoin + IndexScan lookup).
   run(std::make_unique<IndexNestLoopJoinOperator>(
@@ -161,17 +157,14 @@ FootprintTable CalibrateFootprints() {
       Col(item_schema, "key"), Col(group_schema, "key")));
 
   // 8. Merge join over sorted inputs.
-  {
-    std::vector<SortKey> k1, k2;
-    k1.push_back(SortKey{Col(item_schema, "key"), false});
-    k2.push_back(SortKey{Col(group_schema, "key"), false});
-    run(std::make_unique<MergeJoinOperator>(
-        std::make_unique<SortOperator>(
-            std::make_unique<SeqScanOperator>(items, nullptr), std::move(k1)),
-        std::make_unique<SortOperator>(
-            std::make_unique<SeqScanOperator>(groups, nullptr), std::move(k2)),
-        Col(item_schema, "key"), Col(group_schema, "key")));
-  }
+  run(std::make_unique<MergeJoinOperator>(
+      std::make_unique<SortOperator>(
+          std::make_unique<SeqScanOperator>(items, nullptr),
+          std::vector<SortKey>{{item_schema.FindColumn("key"), false}}),
+      std::make_unique<SortOperator>(
+          std::make_unique<SeqScanOperator>(groups, nullptr),
+          std::vector<SortKey>{{group_schema.FindColumn("key"), false}}),
+      Col(item_schema, "key"), Col(group_schema, "key")));
 
   // 9. Scalar aggregation (COUNT covers the base aggregation path; the
   // other aggregate functions are separate code whose sizes are read from

@@ -113,6 +113,14 @@ class TupleBuilder {
                                    const uint8_t* right, Arena* arena,
                                    std::span<const int> columns = {});
 
+  /// ConcatRows' column-list copy over one row (a projection of bare
+  /// columns): output column i is column `columns[i]` of `row`, which
+  /// follows `in_schema`. Byte-identical to Finish() over the same values.
+  static const uint8_t* CopyColumns(const Schema& out_schema,
+                                    const Schema& in_schema,
+                                    const uint8_t* row, Arena* arena,
+                                    std::span<const int> columns);
+
  private:
   const Schema* schema_;
   std::vector<Value> values_;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "exec/seq_scan.h"
 #include "exec/sort.h"
 #include "exec/stream_aggregation.h"
+#include "exec/topn.h"
 #include "plan/physical_planner.h"
 #include "sql/binder.h"
 #include "test_util.h"
@@ -297,6 +299,32 @@ TEST_P(BatchEquivalenceTest, ProjectAboveScan) {
         std::make_unique<SeqScanOperator>(table.get(), nullptr),
         std::move(items));
   });
+
+  // Bare columns only, one of them a string (which does not compile): both
+  // drains copy slots, and the rows hold the scanned values, NULLs too.
+  auto nullable = MakeNullableTable();
+  const Schema& ns = nullable->schema();
+  const std::vector<std::string> names = {"s", "ni", "k", "s", "nd"};
+  auto make_project = [&] {
+    std::vector<ProjectItem> items;
+    for (const std::string& name : names) {
+      items.push_back(ProjectItem{Col(ns, name), name});
+    }
+    return std::make_unique<ProjectOperator>(
+        std::make_unique<SeqScanOperator>(nullable.get(), nullptr),
+        std::move(items));
+  };
+  CheckEquivalent(make_project);
+  SeqScanOperator scan(nullable.get(), nullptr);
+  std::vector<std::vector<Value>> expected;
+  for (const std::vector<Value>& row : RunPlan(&scan)) {
+    std::vector<Value> picked;
+    for (const std::string& name : names) {
+      picked.push_back(row[ns.FindColumn(name)]);
+    }
+    expected.push_back(std::move(picked));
+  }
+  ExpectSameRows(expected, RunPlanBatched(make_project().get(), batch()));
 }
 
 TEST_P(BatchEquivalenceTest, BufferAboveScan) {
@@ -324,13 +352,15 @@ TEST_P(BatchEquivalenceTest, StackedBuffersWithFilter) {
 }
 
 TEST_P(BatchEquivalenceTest, SortDefaultNextBatch) {
-  // Sort has no NextBatch override: covers the base-class fallback loop.
+  // Sort has no NextBatch override: the base-class loop over Next() hands
+  // out its output. (How Sort pulls its input is
+  // SortAndTopNPullOnlyThroughNextBatch's subject.)
   auto table = MakeKvTable("t", TestRows());
   const Schema& s = table->schema();
   CheckEquivalent([&] {
     std::vector<SortKey> keys;
-    keys.push_back(SortKey{Col(s, "k"), false});
-    keys.push_back(SortKey{Col(s, "v"), true});
+    keys.push_back(SortKey{s.FindColumn("k"), false});
+    keys.push_back(SortKey{s.FindColumn("v"), true});
     return std::make_unique<SortOperator>(
         std::make_unique<SeqScanOperator>(table.get(), nullptr),
         std::move(keys));
@@ -345,8 +375,8 @@ TEST_P(BatchEquivalenceTest, StreamAggregationDefaultNextBatch) {
   const Schema& s = table->schema();
   CheckEquivalent([&] {
     std::vector<SortKey> keys;
-    keys.push_back(SortKey{Col(s, "s"), false});
-    keys.push_back(SortKey{Col(s, "ni"), false});
+    keys.push_back(SortKey{s.FindColumn("s"), false});
+    keys.push_back(SortKey{s.FindColumn("ni"), false});
     std::vector<GroupKeyExpr> groups;
     groups.push_back(GroupKeyExpr{Col(s, "s"), "s"});
     groups.push_back(GroupKeyExpr{Col(s, "ni"), "ni"});
@@ -590,6 +620,91 @@ TEST_P(BatchEquivalenceTest, BatchedAggregationPullsOnlyThroughNextBatch) {
       EXPECT_GT(probe->batch_calls, 0u);
     }
   }
+}
+
+TEST_P(BatchEquivalenceTest, SortAndTopNPullOnlyThroughNextBatch) {
+  // Given a batch width, Sort and TopN drain their input through NextBatch
+  // alone, also through a Buffer refilled for them; at width 1 through
+  // Next() alone. Either way the answer is the width-1 plan's, row for row.
+  auto table = MakeNullableTable();
+  const Schema& s = table->schema();
+  const int k = s.FindColumn("k");
+  const int nd = s.FindColumn("nd");
+  const int str = s.FindColumn("s");
+  struct Case {
+    const char* name;
+    std::vector<SortKey> keys;
+    std::optional<size_t> limit;  // TopN when set, Sort otherwise.
+  };
+  // `s` holds five names and a NULL on every 11th row; `k` 37 keys of
+  // about 27 rows each, so a limit of 50 cuts through a run of ties.
+  const Case kCases[] = {
+      {"int64 ascending", {{k, false}}, std::nullopt},
+      {"double descending", {{nd, true}}, std::nullopt},
+      {"string ascending", {{str, false}}, std::nullopt},
+      {"topn limit 0", {{k, false}}, 0},
+      {"topn limit above the input", {{str, false}, {nd, true}}, 5000},
+      {"topn ties at the cut", {{k, false}}, 50},
+  };
+  for (const Case& c : kCases) {
+    for (bool buffered : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (buffered ? ", buffered" : ""));
+      CountingOperator* probe = nullptr;
+      auto make = [&](size_t width) {
+        auto counting = std::make_unique<CountingOperator>(
+            std::make_unique<SeqScanOperator>(table.get(), nullptr));
+        probe = counting.get();
+        OperatorPtr input = std::move(counting);
+        if (buffered) {
+          input = std::make_unique<BufferOperator>(std::move(input), 100);
+        }
+        input = testutil::ContractChecked(std::move(input));
+        OperatorPtr root;
+        if (c.limit.has_value()) {
+          auto topn = std::make_unique<TopNOperator>(std::move(input), c.keys,
+                                                     *c.limit);
+          topn->set_batch_size(width);
+          root = std::move(topn);
+        } else {
+          auto sort = std::make_unique<SortOperator>(std::move(input), c.keys);
+          sort->set_batch_size(width);
+          root = std::move(sort);
+        }
+        return testutil::ContractChecked(std::move(root));
+      };
+      auto expected = RunPlan(make(1).get());
+      OperatorPtr plan = make(batch());
+      ExpectSameRows(expected, RunPlanBatched(plan.get(), batch()));
+      if (batch() > 1) {
+        EXPECT_EQ(probe->next_calls, 0u);
+      } else {
+        EXPECT_EQ(probe->batch_calls, 0u);
+      }
+      if (c.limit == 0u) {
+        EXPECT_TRUE(expected.empty());
+      } else {
+        EXPECT_GT(probe->next_calls + probe->batch_calls, 0u);
+      }
+    }
+  }
+
+  // Sort is stable: rows with equal names, and the NULLs after them, keep
+  // their scan order.
+  SeqScanOperator scan(table.get(), nullptr);
+  auto expected = RunPlan(&scan);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [str](const std::vector<Value>& a,
+                         const std::vector<Value>& b) {
+                     const Value& x = a[str];
+                     const Value& y = b[str];
+                     if (x.is_null() != y.is_null()) return y.is_null();
+                     return !x.is_null() && Value::Compare(x, y) < 0;
+                   });
+  auto sort = std::make_unique<SortOperator>(
+      std::make_unique<SeqScanOperator>(table.get(), nullptr),
+      std::vector<SortKey>{{str, false}});
+  sort->set_batch_size(batch());
+  ExpectSameRows(expected, RunPlanBatched(sort.get(), batch()));
 }
 
 TEST_P(BatchEquivalenceTest, MixingNextAndNextBatchIsAllowed) {

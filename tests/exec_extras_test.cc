@@ -50,7 +50,7 @@ TEST(FilterTest, LabelShowsPredicate) {
 
 std::unique_ptr<SortOperator> SortByK(Table* table) {
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(table->schema(), "k"), false});
+  keys.push_back(SortKey{table->schema().FindColumn("k"), false});
   return std::make_unique<SortOperator>(
       std::make_unique<SeqScanOperator>(table, nullptr), std::move(keys));
 }
@@ -166,7 +166,7 @@ TEST(DistinctTest, StringsDistinguishedByContent) {
 TEST(TopNTest, KeepsSmallestN) {
   auto table = MakeKvTable("t", {{5, 0}, {1, 0}, {4, 0}, {2, 0}, {3, 0}});
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(table->schema(), "k"), false});
+  keys.push_back(SortKey{table->schema().FindColumn("k"), false});
   TopNOperator topn(std::make_unique<SeqScanOperator>(table.get(), nullptr),
                     std::move(keys), 3);
   auto rows = RunPlan(&topn);
@@ -179,7 +179,7 @@ TEST(TopNTest, KeepsSmallestN) {
 TEST(TopNTest, DescendingKeepsLargest) {
   auto table = MakeKvTable("t", {{5, 0}, {1, 0}, {4, 0}, {2, 0}, {3, 0}});
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(table->schema(), "k"), true});
+  keys.push_back(SortKey{table->schema().FindColumn("k"), true});
   TopNOperator topn(std::make_unique<SeqScanOperator>(table.get(), nullptr),
                     std::move(keys), 2);
   auto rows = RunPlan(&topn);
@@ -191,7 +191,7 @@ TEST(TopNTest, DescendingKeepsLargest) {
 TEST(TopNTest, LimitLargerThanInput) {
   auto table = MakeKvTable("t", {{2, 0}, {1, 0}});
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(table->schema(), "k"), false});
+  keys.push_back(SortKey{table->schema().FindColumn("k"), false});
   TopNOperator topn(std::make_unique<SeqScanOperator>(table.get(), nullptr),
                     std::move(keys), 100);
   EXPECT_EQ(RunPlan(&topn).size(), 2u);
@@ -200,7 +200,7 @@ TEST(TopNTest, LimitLargerThanInput) {
 TEST(TopNTest, LimitZero) {
   auto table = MakeKvTable("t", {{1, 0}});
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(table->schema(), "k"), false});
+  keys.push_back(SortKey{table->schema().FindColumn("k"), false});
   TopNOperator topn(std::make_unique<SeqScanOperator>(table.get(), nullptr),
                     std::move(keys), 0);
   EXPECT_TRUE(RunPlan(&topn).empty());
@@ -216,8 +216,8 @@ TEST(TopNTest, MatchesSortPlusLimitOnRandomInput) {
   auto table = MakeKvTable("t", data);
   auto make_keys = [&table]() {
     std::vector<SortKey> keys;
-    keys.push_back(SortKey{Col(table->schema(), "k"), false});
-    keys.push_back(SortKey{Col(table->schema(), "v"), true});
+    keys.push_back(SortKey{table->schema().FindColumn("k"), false});
+    keys.push_back(SortKey{table->schema().FindColumn("v"), true});
     return keys;
   };
   TopNOperator topn(std::make_unique<SeqScanOperator>(table.get(), nullptr),

@@ -48,7 +48,7 @@ std::vector<std::string> ViaHash(Table* left, Table* right) {
 std::vector<std::string> ViaMerge(Table* left, Table* right) {
   auto sort = [](Table* t) {
     std::vector<SortKey> keys;
-    keys.push_back(SortKey{Col(t->schema(), "k"), false});
+    keys.push_back(SortKey{t->schema().FindColumn("k"), false});
     return std::make_unique<SortOperator>(
         std::make_unique<SeqScanOperator>(t, nullptr), std::move(keys));
   };

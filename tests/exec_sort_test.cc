@@ -7,14 +7,13 @@
 namespace bufferdb {
 namespace {
 
-using testutil::Col;
 using testutil::MakeKvTable;
 using testutil::RunPlan;
 
 std::unique_ptr<SortOperator> SortBy(Table* table, const std::string& column,
                                      bool descending) {
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(table->schema(), column), descending});
+  keys.push_back(SortKey{table->schema().FindColumn(column), descending});
   return std::make_unique<SortOperator>(
       std::make_unique<SeqScanOperator>(table, nullptr), std::move(keys));
 }
@@ -58,7 +57,7 @@ TEST(SortTest, NullsSortLast) {
   table.AppendRow({Value::Int64(1)});
 
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(schema, "k"), false});
+  keys.push_back(SortKey{schema.FindColumn("k"), false});
   SortOperator sort(std::make_unique<SeqScanOperator>(&table, nullptr),
                     std::move(keys));
   auto rows = RunPlan(&sort);
@@ -72,8 +71,8 @@ TEST(SortTest, NullsSortLast) {
 TEST(SortTest, MultiKeySort) {
   auto table = MakeKvTable("t", {{2, 1}, {1, 9}, {2, 0}, {1, 3}});
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(table->schema(), "k"), false});
-  keys.push_back(SortKey{Col(table->schema(), "v"), true});
+  keys.push_back(SortKey{table->schema().FindColumn("k"), false});
+  keys.push_back(SortKey{table->schema().FindColumn("v"), true});
   SortOperator sort(
       std::make_unique<SeqScanOperator>(table.get(), nullptr),
       std::move(keys));

@@ -116,7 +116,7 @@ TEST(PlanRefinerTest, SortIsNeverInAGroupButItsInputIsBuffered) {
       table.get(), Bin(BinaryOp::kGe, Col(s, "k"), Lit(Value::Int64(0))));
   scan->set_estimated_rows(1e6);
   std::vector<SortKey> keys;
-  keys.push_back(SortKey{Col(s, "k"), false});
+  keys.push_back(SortKey{s.FindColumn("k"), false});
   auto sort = std::make_unique<SortOperator>(std::move(scan), std::move(keys));
   sort->set_estimated_rows(1e6);
 

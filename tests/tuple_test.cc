@@ -223,6 +223,44 @@ TEST(TupleTest, ConcatRowsWithColumnsIsByteIdenticalToFinish) {
   }
 }
 
+// A bare-column projection's copy: byte for byte the row Finish() builds
+// from the same values, and both write the header's reserved bytes 4-7 as
+// zero, since arena chunks are not zeroed.
+TEST(TupleTest, CopyColumnsIsByteIdenticalToFinish) {
+  Schema in = TestSchema();
+  Arena arena;
+  TupleBuilder b(&in);
+  b.SetInt64(0, 42);
+  b.SetNull(1);
+  b.SetBool(2, true);
+  b.SetString(3, "copied");
+  b.SetDate(4, 10592);
+  const uint8_t* row = b.Finish(&arena);
+
+  // Reordered, with a NULL, and the string column twice.
+  const std::vector<int> columns = {3, 1, 4, 3, 0};
+  std::vector<Column> out_cols;
+  for (int c : columns) out_cols.push_back(in.column(c));
+  Schema out(out_cols);
+  TupleBuilder expected(&out);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    expected.Set(i, TupleView(row, &in).GetValue(columns[i]));
+  }
+  const uint8_t* direct = expected.Finish(&arena);
+  const uint8_t* copy =
+      TupleBuilder::CopyColumns(out, in, row, &arena, columns);
+
+  const uint32_t size = TupleView(direct, &out).size_bytes();
+  ASSERT_EQ(TupleView(copy, &out).size_bytes(), size);
+  EXPECT_EQ(std::memcmp(copy, direct, size), 0)
+      << TupleView(copy, &out).ToString() << " vs "
+      << TupleView(direct, &out).ToString();
+  const uint8_t kZero[4] = {0, 0, 0, 0};
+  EXPECT_EQ(std::memcmp(row + 4, kZero, 4), 0);
+  EXPECT_EQ(std::memcmp(direct + 4, kZero, 4), 0);
+  EXPECT_EQ(std::memcmp(copy + 4, kZero, 4), 0);
+}
+
 }  // namespace
 }  // namespace bufferdb
 
