@@ -49,7 +49,9 @@ Result<int64_t> ParseDate(const std::string& text) {
   if (std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) != 3) {
     return Status::ParseError("bad date literal: " + text);
   }
-  if (m < 1 || m > 12 || d < 1 || d > 31) {
+  // Four-digit years only: MakeDate's arithmetic overflows int near its
+  // ends.
+  if (y < 0 || y > 9999 || m < 1 || m > 12 || d < 1 || d > 31) {
     return Status::ParseError("date out of range: " + text);
   }
   return MakeDate(y, m, d);

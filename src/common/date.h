@@ -17,7 +17,7 @@ void DateToYmd(int64_t days, int* year, int* month, int* day);
 /// Formats as "YYYY-MM-DD".
 std::string DateToString(int64_t days);
 
-/// Parses "YYYY-MM-DD".
+/// Parses "YYYY-MM-DD"; the year must lie in 0..9999.
 Result<int64_t> ParseDate(const std::string& text);
 
 }  // namespace bufferdb

@@ -62,6 +62,8 @@ class IndexScanOperator final : public Operator {
   const IndexInfo* index() const { return index_; }
   std::optional<int64_t> lo_key() const { return lo_key_; }
   std::optional<int64_t> hi_key() const { return hi_key_; }
+  /// The predicate applied to the rows of the key range; null when none.
+  const Expression* residual() const { return residual_predicate_.get(); }
 
  private:
   void Position();

@@ -70,39 +70,37 @@ ExprPtr FoldConstants(ExprPtr expr) {
       return expr;
     case ExprKind::kBinary: {
       auto& b = static_cast<BinaryExpr&>(*expr);
-      BinaryOp op = b.op();
-      ExprPtr left = FoldConstants(b.left().Clone());
-      ExprPtr right = FoldConstants(b.right().Clone());
-      // Boolean short-circuits with one constant side.
-      if (op == BinaryOp::kAnd) {
-        if (IsLiteralBool(*left, false) || IsLiteralBool(*right, false)) {
-          return MakeLiteral(Value::Bool(false));
-        }
-        if (IsLiteralBool(*left, true)) return right;
-        if (IsLiteralBool(*right, true)) return left;
+      ExprPtr& left = b.mutable_left();
+      ExprPtr& right = b.mutable_right();
+      left = FoldConstants(std::move(left));
+      right = FoldConstants(std::move(right));
+      // Boolean short-circuits with one constant side hand out the child
+      // that decides: the constant, or the other side.
+      if (b.op() == BinaryOp::kAnd) {
+        if (IsLiteralBool(*left, false)) return std::move(left);
+        if (IsLiteralBool(*right, false)) return std::move(right);
+        if (IsLiteralBool(*left, true)) return std::move(right);
+        if (IsLiteralBool(*right, true)) return std::move(left);
       }
-      if (op == BinaryOp::kOr) {
-        if (IsLiteralBool(*left, true) || IsLiteralBool(*right, true)) {
-          return MakeLiteral(Value::Bool(true));
-        }
-        if (IsLiteralBool(*left, false)) return right;
-        if (IsLiteralBool(*right, false)) return left;
+      if (b.op() == BinaryOp::kOr) {
+        if (IsLiteralBool(*left, true)) return std::move(left);
+        if (IsLiteralBool(*right, true)) return std::move(right);
+        if (IsLiteralBool(*left, false)) return std::move(right);
+        if (IsLiteralBool(*right, false)) return std::move(left);
       }
-      bool both_constant = left->kind() == ExprKind::kLiteral &&
-                           right->kind() == ExprKind::kLiteral;
-      auto rebuilt = MakeBinary(op, std::move(left), std::move(right));
-      if (!rebuilt.ok()) return expr;  // Shouldn't happen; keep original.
-      if (both_constant) return MakeLiteral(EvaluateConstant(**rebuilt));
-      return std::move(*rebuilt);
+      if (left->kind() == ExprKind::kLiteral &&
+          right->kind() == ExprKind::kLiteral) {
+        return MakeLiteral(EvaluateConstant(*expr));
+      }
+      return expr;
     }
     case ExprKind::kUnary: {
-      auto& u = static_cast<UnaryExpr&>(*expr);
-      ExprPtr operand = FoldConstants(u.operand().Clone());
-      bool constant = operand->kind() == ExprKind::kLiteral;
-      auto rebuilt = MakeUnary(u.op(), std::move(operand));
-      if (!rebuilt.ok()) return expr;
-      if (constant) return MakeLiteral(EvaluateConstant(**rebuilt));
-      return std::move(*rebuilt);
+      ExprPtr& operand = static_cast<UnaryExpr&>(*expr).mutable_operand();
+      operand = FoldConstants(std::move(operand));
+      if (operand->kind() == ExprKind::kLiteral) {
+        return MakeLiteral(EvaluateConstant(*expr));
+      }
+      return expr;
     }
   }
   return expr;
@@ -204,6 +202,32 @@ ExprPtr RemapColumns(const Expression& expr, std::span<const int> pos,
     }
   }
   return nullptr;
+}
+
+ExprPtr RemapColumns(ExprPtr expr, std::span<const int> pos,
+                     const Schema& schema) {
+  switch (expr->kind()) {
+    case ExprKind::kLiteral:
+      return expr;
+    case ExprKind::kColumnRef: {
+      int col = pos[static_cast<const ColumnRefExpr&>(*expr).column()];
+      return MakeColumnRefUnchecked(col, schema.column(col).type,
+                                    schema.column(col).name);
+    }
+    case ExprKind::kBinary: {
+      auto& b = static_cast<BinaryExpr&>(*expr);
+      b.mutable_left() = RemapColumns(std::move(b.mutable_left()), pos, schema);
+      b.mutable_right() =
+          RemapColumns(std::move(b.mutable_right()), pos, schema);
+      return expr;
+    }
+    case ExprKind::kUnary: {
+      ExprPtr& operand = static_cast<UnaryExpr&>(*expr).mutable_operand();
+      operand = RemapColumns(std::move(operand), pos, schema);
+      return expr;
+    }
+  }
+  return expr;
 }
 
 }  // namespace bufferdb

@@ -111,11 +111,11 @@ Value EvalArithmetic(BinaryOp op, const Value& l, const Value& r,
     int64_t a = l.int64_value(), b = r.int64_value();
     switch (op) {
       case BinaryOp::kAdd:
-        return Value::Int64(a + b);
+        return Value::Int64(WrappingAdd(a, b));
       case BinaryOp::kSub:
-        return Value::Int64(a - b);
+        return Value::Int64(WrappingSub(a, b));
       case BinaryOp::kMul:
-        return Value::Int64(a * b);
+        return Value::Int64(WrappingMul(a, b));
       case BinaryOp::kDiv:
         if (b == 0) return Value::Null(DataType::kInt64);
         // INT64_MIN / -1 overflows (hardware trap on x86); define it as
@@ -204,7 +204,7 @@ Value UnaryExpr::Evaluate(const TupleView& row) const {
     case UnaryOp::kNegate:
       if (v.is_null()) return Value::Null(result_type());
       if (result_type() == DataType::kDouble) return Value::Double(-v.AsDouble());
-      return Value::Int64(-v.int64_value());
+      return Value::Int64(WrappingNeg(v.int64_value()));
     case UnaryOp::kIsNull:
       return Value::Bool(v.is_null());
     case UnaryOp::kIsNotNull:

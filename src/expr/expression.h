@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +41,25 @@ enum class UnaryOp : uint8_t {
   kIsNull,
   kIsNotNull,
 };
+
+/// INT64 arithmetic wraps around in two's complement, in the interpreter
+/// and the vector kernels alike: an overflowing constant such as
+/// `9223372036854775807 + 1` folds to a value, not to undefined behaviour.
+inline int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingNeg(int64_t a) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(a));
+}
 
 const char* BinaryOpName(BinaryOp op);
 bool IsComparison(BinaryOp op);
@@ -123,6 +143,11 @@ class BinaryExpr final : public Expression {
   BinaryOp op() const { return op_; }
   const Expression& left() const { return *left_; }
   const Expression& right() const { return *right_; }
+  /// The owned children, for rewrites that replace a child in place. The
+  /// node keeps its result type, so a replacement must leave it what
+  /// MakeBinary would give the new children.
+  ExprPtr& mutable_left() { return left_; }
+  ExprPtr& mutable_right() { return right_; }
 
   Value Evaluate(const TupleView& row) const override;
   std::string ToString() const override;
@@ -146,6 +171,8 @@ class UnaryExpr final : public Expression {
 
   UnaryOp op() const { return op_; }
   const Expression& operand() const { return *operand_; }
+  /// The owned operand, under BinaryExpr::mutable_left's rule (MakeUnary).
+  ExprPtr& mutable_operand() { return operand_; }
 
   Value Evaluate(const TupleView& row) const override;
   std::string ToString() const override;

@@ -29,21 +29,21 @@ void ArithI64(VecOp op, const int64_t* a, const uint8_t* an, const int64_t* b,
     case VecOp::kAddI64:
       NullUnion(an, bn, n, dn);
       for (size_t i = 0; i < n; ++i) {
-        const int64_t v = a[i] + b[i];
+        const int64_t v = WrappingAdd(a[i], b[i]);
         d[i] = dn[i] != 0 ? 0 : v;
       }
       return;
     case VecOp::kSubI64:
       NullUnion(an, bn, n, dn);
       for (size_t i = 0; i < n; ++i) {
-        const int64_t v = a[i] - b[i];
+        const int64_t v = WrappingSub(a[i], b[i]);
         d[i] = dn[i] != 0 ? 0 : v;
       }
       return;
     case VecOp::kMulI64:
       NullUnion(an, bn, n, dn);
       for (size_t i = 0; i < n; ++i) {
-        const int64_t v = a[i] * b[i];
+        const int64_t v = WrappingMul(a[i], b[i]);
         d[i] = dn[i] != 0 ? 0 : v;
       }
       return;
@@ -670,7 +670,7 @@ const ColumnVector& CompiledExpr::Run(const VectorBatch& batch) {
         int64_t* d = dst.i64.data();
         // NULL lanes carry payload 0, and -0 == 0, so no select is needed.
         for (size_t i = 0; i < n; ++i) {
-          d[i] = -av[i];
+          d[i] = WrappingNeg(av[i]);
           dn[i] = an[i];
         }
         break;

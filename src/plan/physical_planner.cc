@@ -47,13 +47,15 @@ void SetVectorizedEval(Operator* op, bool v) {
 }
 
 // The closed interval [lo, hi] a scan filter's top-level AND puts on an
-// indexed INT64/DATE column, and the rows it is estimated to hold.
+// indexed INT64/DATE column, the conjuncts that put it there, and the rows
+// it is estimated to hold.
 struct KeyRange {
   const IndexInfo* index = nullptr;
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
   bool has_lo = false;
   bool has_hi = false;
+  std::vector<const Expression*> conjuncts = {};  // Narrowed the range.
   double rows = 0;
 
   // Narrows the range by `column <op> v` in exact integer arithmetic. A
@@ -110,6 +112,7 @@ std::optional<KeyRange> IndexedKeyRange(const Catalog& catalog, Table* table,
       it = ranges.end() - 1;
     }
     it->Narrow(op, literal->int64_value());
+    it->conjuncts.push_back(conjunct);
   }
   std::optional<KeyRange> best;
   for (KeyRange& r : ranges) {
@@ -123,16 +126,40 @@ std::optional<KeyRange> IndexedKeyRange(const Catalog& catalog, Table* table,
   return best;
 }
 
+// The top-level conjuncts of `filter` that `range` does not enforce, cloned
+// in their order and AND-combined; null when the range enforces them all.
+// The B+-tree holds no NULL key and Narrow converts every bound exactly,
+// so [lo, hi] holds exactly the rows that pass the range's conjuncts.
+ExprPtr IndexResidual(const Expression& filter, const KeyRange& range) {
+  std::vector<const Expression*> conjuncts;
+  CollectConjuncts(filter, &conjuncts);
+  ExprPtr residual;
+  for (const Expression* conjunct : conjuncts) {
+    if (std::find(range.conjuncts.begin(), range.conjuncts.end(),
+                  conjunct) != range.conjuncts.end()) {
+      continue;
+    }
+    if (residual == nullptr) {
+      residual = conjunct->Clone();
+    } else {
+      residual = std::move(*MakeBinary(BinaryOp::kAnd, std::move(residual),
+                                       conjunct->Clone()));
+    }
+  }
+  return residual;
+}
+
 // The scan of `table` under `filter` (nullable, bound to the table).
 //
 // Batched serial plans read a selective key range through the index: when
 // the filter bounds an indexed key on both sides and the range is
-// estimated below one zone block, the scan is an IndexScan over the range
-// with the whole filter as its residual. A ColumnScan reads at least one
-// zone block, so that is where the two cross over. Tuple-at-a-time plans
-// keep their table scans, so the reference execution checks each range
-// answer through another access path; parallel plans keep them because
-// PartitionScans morsel-partitions a table scan at every partitioned leaf.
+// estimated below one zone block, the scan is an IndexScan over the range,
+// and its residual is what is left of the filter (IndexResidual). A
+// ColumnScan reads at least one zone block, so that is where the two cross
+// over. Tuple-at-a-time plans keep their table scans, so the reference
+// execution checks each range answer through another access path and the
+// whole filter; parallel plans keep them because PartitionScans
+// morsel-partitions a table scan at every partitioned leaf.
 OperatorPtr MakeScan(const Catalog& catalog, Table* table,
                      const ExprPtr& filter, const PlannerOptions& options) {
   ExprPtr predicate = filter != nullptr ? filter->Clone() : nullptr;
@@ -147,8 +174,9 @@ OperatorPtr MakeScan(const Catalog& catalog, Table* table,
   }
   if (range.has_value() &&
       range->rows < static_cast<double>(kZoneBlockRows)) {
-    scan = std::make_unique<IndexScanOperator>(range->index, range->lo,
-                                               range->hi, std::move(predicate));
+    scan = std::make_unique<IndexScanOperator>(
+        range->index, range->lo, range->hi,
+        IndexResidual(*predicate, *range));
   } else if (options.columnar_scan && batched &&
              table->columnar() != nullptr) {
     // The columnar fast path is batch-native: substitute it only for
@@ -509,7 +537,8 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoins(const LogicalQuery& query,
   }
   if (leftover != nullptr) {
     double rows = plan->estimated_rows();
-    ExprPtr predicate = RemapColumns(*leftover, *pos, plan->output_schema());
+    ExprPtr predicate =
+        RemapColumns(std::move(leftover), *pos, plan->output_schema());
     plan = std::make_unique<FilterOperator>(std::move(plan),
                                             std::move(predicate));
     plan->set_estimated_rows(rows / 3.0);

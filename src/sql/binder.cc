@@ -162,13 +162,17 @@ Result<LogicalQuery> Binder::Bind(const SelectStatement& stmt) {
       if (mask == 0) single = 0;  // Constant predicate: attach to t0.
       if (single >= 0) {
         // Push the conjunct down to its table's scan: combined-schema
-        // column c is column c - offset of that table.
-        std::vector<int> pos(query.input_schema.num_columns());
-        std::iota(pos.begin(), pos.end(),
-                  -static_cast<int>(scope.offsets[single]));
-        query.filters[single] = AndCombine(
-            std::move(query.filters[single]),
-            RemapColumns(*bound, pos, query.tables[single]->schema()));
+        // column c is column c - offset of that table, so the first
+        // table's columns are already where its scan has them.
+        if (scope.offsets[single] != 0) {
+          std::vector<int> pos(query.input_schema.num_columns());
+          std::iota(pos.begin(), pos.end(),
+                    -static_cast<int>(scope.offsets[single]));
+          bound = RemapColumns(std::move(bound), pos,
+                               query.tables[single]->schema());
+        }
+        query.filters[single] =
+            AndCombine(std::move(query.filters[single]), std::move(bound));
         continue;
       }
       // Cross-table: an equality between single columns of two tables is a

@@ -1,12 +1,16 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 namespace bufferdb::sql {
 
-Result<std::vector<Token>> Tokenize(const std::string& sql) {
+Result<std::vector<Token>> Tokenize(std::string_view sql) {
   std::vector<Token> tokens;
+  tokens.reserve(sql.size() / 2 + 2);
   size_t i = 0;
   const size_t n = sql.size();
   while (i < n) {
@@ -25,9 +29,6 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       }
       token.type = TokenType::kIdentifier;
       token.text = sql.substr(start, i - start);
-      for (char& ch : token.text) {
-        ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-      }
     } else if (std::isdigit(static_cast<unsigned char>(c))) {
       size_t start = i;
       bool is_float = false;
@@ -37,12 +38,23 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         ++i;
       }
       token.text = sql.substr(start, i - start);
+      const char* first = token.text.data();
+      const char* last = first + token.text.size();
       if (is_float) {
         token.type = TokenType::kFloat;
-        token.float_value = std::strtod(token.text.c_str(), nullptr);
+        // Past the range of double, strtod's inf or denormal is the value.
+        if (std::from_chars(first, last, token.float_value).ec !=
+            std::errc()) {
+          token.float_value =
+              std::strtod(std::string(token.text).c_str(), nullptr);
+        }
       } else {
         token.type = TokenType::kInteger;
-        token.int_value = std::strtoll(token.text.c_str(), nullptr, 10);
+        // The digits carry no sign, so the only failure is overflow, which
+        // saturates as strtoll does.
+        if (std::from_chars(first, last, token.int_value).ec != std::errc()) {
+          token.int_value = std::numeric_limits<int64_t>::max();
+        }
       }
     } else if (c == '\'') {
       ++i;
@@ -56,23 +68,21 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       ++i;  // Closing quote.
     } else {
       // Two-character operators first.
-      if (i + 1 < n) {
-        std::string two = sql.substr(i, 2);
-        if (two == "<=" || two == ">=" || two == "<>" || two == "!=") {
-          token.type = TokenType::kSymbol;
-          token.text = two == "!=" ? "<>" : two;
-          tokens.push_back(token);
-          i += 2;
-          continue;
-        }
+      std::string_view two = sql.substr(i, 2);
+      if (two == "<=" || two == ">=" || two == "<>" || two == "!=") {
+        token.type = TokenType::kSymbol;
+        token.text = two == "!=" ? std::string_view("<>") : two;
+        tokens.push_back(token);
+        i += 2;
+        continue;
       }
-      static const std::string kSingles = "(),*+-/=<>.;";
-      if (kSingles.find(c) == std::string::npos) {
+      constexpr std::string_view kSingles = "(),*+-/=<>.;";
+      if (kSingles.find(c) == std::string_view::npos) {
         return Status::ParseError(std::string("unexpected character '") + c +
                                   "' at offset " + std::to_string(i));
       }
       token.type = TokenType::kSymbol;
-      token.text = std::string(1, c);
+      token.text = sql.substr(i, 1);
       ++i;
     }
     tokens.push_back(token);

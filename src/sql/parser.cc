@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <algorithm>
+#include <cctype>
+
 #include "common/date.h"
 
 namespace bufferdb::sql {
@@ -16,6 +19,29 @@ ParseExprPtr CloneParseExpr(const ParseExpr& e) {
   if (e.left != nullptr) out->left = CloneParseExpr(*e.left);
   if (e.right != nullptr) out->right = CloneParseExpr(*e.right);
   return out;
+}
+
+// True when `token` is the identifier `kw` (lowercase) in any case.
+bool IsKeyword(const Token& token, std::string_view kw) {
+  return token.type == TokenType::kIdentifier &&
+         token.text.size() == kw.size() &&
+         std::equal(kw.begin(), kw.end(), token.text.begin(),
+                    [](char k, char c) {
+                      return std::tolower(static_cast<unsigned char>(c)) == k;
+                    });
+}
+
+// Appends `token`'s text to a name; identifiers are case-insensitive and
+// stored lowercase.
+void AppendName(const Token& token, std::string* out) {
+  if (token.type != TokenType::kIdentifier) {
+    out->append(token.text);
+    return;
+  }
+  for (char c : token.text) {
+    out->push_back(
+        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  }
 }
 
 ParseExprPtr MakeParseBinary(BinaryOp op, ParseExprPtr l, ParseExprPtr r) {
@@ -93,24 +119,24 @@ class Parser {
   void Advance() {
     if (pos_ + 1 < tokens_.size()) ++pos_;
   }
-  bool MatchKeyword(const std::string& kw) {
-    if (Peek().type == TokenType::kIdentifier && Peek().text == kw) {
+  bool MatchKeyword(std::string_view kw) {
+    if (PeekKeyword(kw)) {
       Advance();
       return true;
     }
     return false;
   }
-  bool PeekKeyword(const std::string& kw) const {
-    return Peek().type == TokenType::kIdentifier && Peek().text == kw;
+  bool PeekKeyword(std::string_view kw, size_t ahead = 0) const {
+    return IsKeyword(Peek(ahead), kw);
   }
-  bool MatchSymbol(const std::string& s) {
-    if (Peek().type == TokenType::kSymbol && Peek().text == s) {
+  bool MatchSymbol(std::string_view s) {
+    if (PeekSymbol(s)) {
       Advance();
       return true;
     }
     return false;
   }
-  bool PeekSymbol(const std::string& s, size_t ahead = 0) const {
+  bool PeekSymbol(std::string_view s, size_t ahead = 0) const {
     return Peek(ahead).type == TokenType::kSymbol && Peek(ahead).text == s;
   }
   Status Error(const std::string& message) const {
@@ -120,12 +146,13 @@ class Parser {
 
   // name | name.name
   std::string ParseQualifiedName() {
-    std::string name = Peek().text;
+    std::string name;
+    AppendName(Peek(), &name);
     Advance();
     if (PeekSymbol(".")) {
       Advance();
       name += ".";
-      name += Peek().text;
+      AppendName(Peek(), &name);
       Advance();
     }
     return name;
@@ -159,7 +186,7 @@ class Parser {
         if (Peek().type != TokenType::kIdentifier) {
           return Error("expected alias after AS");
         }
-        item.alias = Peek().text;
+        AppendName(Peek(), &item.alias);
         Advance();
       }
       stmt->items.push_back(std::move(item));
@@ -168,13 +195,11 @@ class Parser {
   }
 
   std::optional<AggFunc> PeekAggFunc() const {
-    if (Peek().type != TokenType::kIdentifier) return std::nullopt;
-    const std::string& t = Peek().text;
-    if (t == "count") return AggFunc::kCount;
-    if (t == "sum") return AggFunc::kSum;
-    if (t == "avg") return AggFunc::kAvg;
-    if (t == "min") return AggFunc::kMin;
-    if (t == "max") return AggFunc::kMax;
+    if (PeekKeyword("count")) return AggFunc::kCount;
+    if (PeekKeyword("sum")) return AggFunc::kSum;
+    if (PeekKeyword("avg")) return AggFunc::kAvg;
+    if (PeekKeyword("min")) return AggFunc::kMin;
+    if (PeekKeyword("max")) return AggFunc::kMax;
     return std::nullopt;
   }
 
@@ -183,7 +208,7 @@ class Parser {
       if (Peek().type != TokenType::kIdentifier) {
         return Error("expected table name");
       }
-      stmt->from_tables.push_back(Peek().text);
+      AppendName(Peek(), &stmt->from_tables.emplace_back());
       Advance();
     } while (MatchSymbol(","));
     return Status::OK();
@@ -275,8 +300,7 @@ class Parser {
     }
     // x [NOT] LIKE 'pattern'.
     bool negated_like = false;
-    if (PeekKeyword("not") && Peek(1).type == TokenType::kIdentifier &&
-        Peek(1).text == "like") {
+    if (PeekKeyword("not") && PeekKeyword("like", 1)) {
       Advance();
       negated_like = true;
     }
@@ -296,8 +320,7 @@ class Parser {
     if (negated_like) return Error("expected LIKE after NOT");
     // x [NOT] IN (v1, v2, ...)  ->  [NOT] (x = v1 OR x = v2 OR ...).
     bool negated_in = false;
-    if (PeekKeyword("not") && Peek(1).type == TokenType::kIdentifier &&
-        Peek(1).text == "in") {
+    if (PeekKeyword("not") && PeekKeyword("in", 1)) {
       Advance();
       negated_in = true;
     }
@@ -405,13 +428,13 @@ class Parser {
         return Result<ParseExprPtr>(std::move(node));
       case TokenType::kString:
         node->kind = ParseExpr::Kind::kLiteral;
-        node->literal = Value::String(token.text);
+        node->literal = Value::String(std::string(token.text));
         Advance();
         return Result<ParseExprPtr>(std::move(node));
       case TokenType::kIdentifier: {
-        if (token.text == "date" && Peek(1).type == TokenType::kString) {
+        if (IsKeyword(token, "date") && Peek(1).type == TokenType::kString) {
           Advance();
-          auto days = ParseDate(Peek().text);
+          auto days = ParseDate(std::string(Peek().text));
           if (!days.ok()) return days.status();
           node->kind = ParseExpr::Kind::kLiteral;
           node->literal = Value::Date(*days);
@@ -434,7 +457,7 @@ class Parser {
       case TokenType::kEnd:
         break;
     }
-    return Error("unexpected token '" + token.text + "'");
+    return Error("unexpected token '" + std::string(token.text) + "'");
   }
 
   std::vector<Token> tokens_;

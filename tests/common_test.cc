@@ -148,6 +148,14 @@ TEST(DateTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseDate("1998-13-02").ok());
   EXPECT_FALSE(ParseDate("1998-00-02").ok());
   EXPECT_FALSE(ParseDate("1998-01-40").ok());
+  // Years past four digits, found by sql_fuzz_test: MakeDate's int
+  // arithmetic overflowed on the way to an answer.
+  EXPECT_FALSE(ParseDate("-2147483648-01-01").ok());
+  EXPECT_FALSE(ParseDate("-1-01-01").ok());
+  EXPECT_FALSE(ParseDate("10000-01-01").ok());
+  auto year_zero = ParseDate("0000-03-01");
+  ASSERT_TRUE(year_zero.ok());
+  EXPECT_EQ(*year_zero, -719468);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/arena.h"
 #include "expr/evaluator.h"
 #include "expr/expression.h"
@@ -335,6 +340,110 @@ TEST_F(FoldTest, DivisionByZeroFoldsToNull) {
       Bin(BinaryOp::kDiv, Lit(Value::Int64(1)), Lit(Value::Int64(0))));
   ASSERT_EQ(e->kind(), ExprKind::kLiteral);
   EXPECT_TRUE(static_cast<const LiteralExpr&>(*e).value().is_null());
+}
+
+// Every node of `expr`, in pre-order.
+void Nodes(const Expression& expr, std::vector<const Expression*>* out) {
+  out->push_back(&expr);
+  if (expr.kind() == ExprKind::kBinary) {
+    const auto& b = static_cast<const BinaryExpr&>(expr);
+    Nodes(b.left(), out);
+    Nodes(b.right(), out);
+  } else if (expr.kind() == ExprKind::kUnary) {
+    Nodes(static_cast<const UnaryExpr&>(expr).operand(), out);
+  }
+}
+
+std::vector<DataType> ResultTypes(const Expression& expr) {
+  std::vector<const Expression*> nodes;
+  Nodes(expr, &nodes);
+  std::vector<DataType> types;
+  for (const Expression* node : nodes) types.push_back(node->result_type());
+  return types;
+}
+
+TEST_F(FoldTest, NothingToFoldKeepsEveryNode) {
+  auto neg = MakeUnary(UnaryOp::kNegate, Col());
+  ASSERT_TRUE(neg.ok());
+  auto is_null = MakeUnary(UnaryOp::kIsNotNull, Col());
+  ASSERT_TRUE(is_null.ok());
+  ExprPtr e = Bin(
+      BinaryOp::kOr,
+      Bin(BinaryOp::kAnd, Bin(BinaryOp::kGt, Col(), Lit(Value::Int64(5))),
+          std::move(*is_null)),
+      Bin(BinaryOp::kEq, std::move(*neg), Lit(Value::Int64(3))));
+  std::vector<const Expression*> before;
+  Nodes(*e, &before);
+  ExprPtr folded = FoldConstants(std::move(e));
+  std::vector<const Expression*> after;
+  Nodes(*folded, &after);
+  EXPECT_EQ(after, before);
+}
+
+TEST_F(FoldTest, FoldingTwiceEqualsFoldingOnce) {
+  std::vector<ExprPtr> trees;
+  trees.push_back(Bin(BinaryOp::kAdd, Col(),
+                      Bin(BinaryOp::kMul, Lit(Value::Int64(2)),
+                          Lit(Value::Int64(3)))));
+  trees.push_back(Bin(
+      BinaryOp::kAnd, Lit(Value::Bool(true)),
+      Bin(BinaryOp::kOr, Bin(BinaryOp::kLt, Col(), Lit(Value::Int64(1))),
+          Bin(BinaryOp::kEq, Lit(Value::Int64(1)), Lit(Value::Int64(2))))));
+  trees.push_back(Bin(BinaryOp::kGt, Col(),
+                      Bin(BinaryOp::kDiv, Lit(Value::Int64(1)),
+                          Lit(Value::Int64(0)))));
+  // Negating a DATE yields an INT64 value under a DATE-typed node.
+  auto neg_date = MakeUnary(UnaryOp::kNegate, Lit(Value::Date(9000)));
+  ASSERT_TRUE(neg_date.ok());
+  trees.push_back(Bin(BinaryOp::kSub, Col(), std::move(*neg_date)));
+  for (ExprPtr& tree : trees) {
+    ExprPtr once = FoldConstants(std::move(tree));
+    const std::string text = once->ToString();
+    const std::vector<DataType> types = ResultTypes(*once);
+    const Expression* root = once.get();
+    ExprPtr twice = FoldConstants(std::move(once));
+    EXPECT_EQ(twice.get(), root) << text;
+    EXPECT_EQ(twice->ToString(), text);
+    EXPECT_EQ(ResultTypes(*twice), types) << text;
+  }
+}
+
+TEST_F(FoldTest, ShortCircuitReturnsTheSurvivingChildsNode) {
+  ExprPtr kept = Bin(BinaryOp::kGt, Col(), Lit(Value::Int64(0)));
+  const Expression* kept_node = kept.get();
+  ExprPtr e = FoldConstants(
+      Bin(BinaryOp::kAnd, Lit(Value::Bool(true)), std::move(kept)));
+  EXPECT_EQ(e.get(), kept_node);
+
+  kept = Bin(BinaryOp::kLt, Col(), Lit(Value::Int64(9)));
+  kept_node = kept.get();
+  e = FoldConstants(Bin(BinaryOp::kOr, std::move(kept),
+                        Bin(BinaryOp::kEq, Lit(Value::Int64(1)),
+                            Lit(Value::Int64(2)))));  // FALSE once folded.
+  EXPECT_EQ(e.get(), kept_node);
+  EXPECT_EQ(e->ToString(), "(x < 9)");
+}
+
+TEST_F(FoldTest, Int64OverflowWrapsAround) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  ExprPtr sum = FoldConstants(
+      Bin(BinaryOp::kAdd, Lit(Value::Int64(kMax)), Lit(Value::Int64(1))));
+  ASSERT_EQ(sum->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(static_cast<const LiteralExpr&>(*sum).value(), Value::Int64(kMin));
+  ExprPtr difference = FoldConstants(
+      Bin(BinaryOp::kSub, Lit(Value::Int64(kMin)), Lit(Value::Int64(1))));
+  EXPECT_EQ(static_cast<const LiteralExpr&>(*difference).value(),
+            Value::Int64(kMax));
+  ExprPtr product = FoldConstants(
+      Bin(BinaryOp::kMul, Lit(Value::Int64(kMax)), Lit(Value::Int64(2))));
+  EXPECT_EQ(static_cast<const LiteralExpr&>(*product).value(),
+            Value::Int64(-2));
+  auto neg = MakeUnary(UnaryOp::kNegate, Lit(Value::Int64(kMin)));
+  ASSERT_TRUE(neg.ok());
+  ExprPtr negated = FoldConstants(std::move(*neg));
+  EXPECT_EQ(static_cast<const LiteralExpr&>(*negated).value(),
+            Value::Int64(kMin));
 }
 
 TEST_F(FoldTest, FoldsUnary) {

@@ -717,6 +717,10 @@ TEST_F(PlannerTest, BatchedSerialKeyRangePlansIndexScan) {
   EXPECT_EQ(index_scans[0]->index()->name, "orders_pk");
   EXPECT_EQ(index_scans[0]->lo_key(), 100);
   EXPECT_EQ(index_scans[0]->hi_key(), 400);
+  // The range enforces the BETWEEN; only the price is left to check.
+  ASSERT_NE(index_scans[0]->residual(), nullptr);
+  EXPECT_EQ(index_scans[0]->residual()->ToString(),
+            "(o_totalprice > 1000.0000)");
 
   // Tuple at a time, the same query keeps its table scan: the reference
   // answer comes through another access path.
@@ -766,6 +770,7 @@ TEST_F(PlannerTest, EqualityOnUniqueKeyPlansIndexScan) {
   ASSERT_EQ(index_scans.size(), 1u) << PrintPlan(*plan);
   EXPECT_EQ(index_scans[0]->lo_key(), 7);
   EXPECT_EQ(index_scans[0]->hi_key(), 7);
+  EXPECT_EQ(index_scans[0]->residual(), nullptr);
   const auto rows = RunBatchedCanonical(plan.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows, testutil::Canonical(testutil::RunPlan(MustPlan(kSql).get())));
@@ -780,8 +785,72 @@ TEST_F(PlannerTest, StrictBoundAtInt64MaxIsEmptyRange) {
   Collect(plan.get(), &index_scans);
   ASSERT_EQ(index_scans.size(), 1u) << PrintPlan(*plan);
   EXPECT_GT(index_scans[0]->lo_key(), index_scans[0]->hi_key());
+  EXPECT_EQ(index_scans[0]->residual(), nullptr);
   EXPECT_TRUE(RunBatchedCanonical(plan.get()).empty());
   EXPECT_TRUE(testutil::RunPlan(MustPlan(kSql).get()).empty());
+}
+
+// An IndexScan's residual is the filter less the conjuncts its key range
+// enforces; every answer equals the tuple-at-a-time table scan's under the
+// whole filter.
+
+TEST_F(PlannerTest, PureKeyRangePlansNoResidual) {
+  for (const char* sql :
+       {"SELECT o_orderkey, o_totalprice FROM orders "
+        "WHERE o_orderkey BETWEEN 100 AND 400",
+        "SELECT c_custkey, c_name FROM customer WHERE 7 = c_custkey",
+        "SELECT o_orderkey FROM orders "
+        "WHERE o_orderkey > 99 AND o_orderkey < 401 AND o_orderkey >= 90"}) {
+    OperatorPtr plan = MustPlan(sql, BatchedOptions());
+    std::vector<IndexScanOperator*> index_scans;
+    Collect(plan.get(), &index_scans);
+    ASSERT_EQ(index_scans.size(), 1u) << PrintPlan(*plan);
+    EXPECT_EQ(index_scans[0]->residual(), nullptr) << sql;
+    const auto expected =
+        testutil::Canonical(testutil::RunPlan(MustPlan(sql).get()));
+    EXPECT_FALSE(expected.empty()) << sql;
+    EXPECT_EQ(RunBatchedCanonical(plan.get()), expected) << sql;
+  }
+}
+
+TEST_F(PlannerTest, ResidualKeepsWhatTheKeyRangeDoesNotEnforce) {
+  const struct {
+    const char* where;
+    const char* residual;
+  } kCases[] = {
+      {"o_orderkey BETWEEN 100 AND 400 AND o_orderkey <> 200",
+       "(o_orderkey <> 200)"},
+      // The other conjuncts keep their order.
+      {"o_totalprice > 1000.0 AND o_orderkey >= 100 AND o_orderkey <> 200 "
+       "AND o_orderkey <= 400",
+       "((o_totalprice > 1000.0000) AND (o_orderkey <> 200))"},
+      // A literal of another type is not folded into the range.
+      {"o_orderkey BETWEEN 100 AND 400 AND o_orderkey < 300.5",
+       "(o_orderkey < 300.5000)"},
+      // Nor is a NULL literal (1 / 0 folds to one): no row passes.
+      {"o_orderkey BETWEEN 100 AND 400 AND o_orderkey < 1 / 0",
+       "(o_orderkey < NULL)"},
+      // Bounds on a column without an index stay.
+      {"o_orderkey BETWEEN 100 AND 400 AND o_custkey BETWEEN 1 AND 50",
+       "((o_custkey >= 1) AND (o_custkey <= 50))"},
+  };
+  for (const auto& c : kCases) {
+    const std::string sql =
+        std::string("SELECT o_orderkey, o_custkey, o_totalprice FROM orders "
+                    "WHERE ") +
+        c.where;
+    OperatorPtr plan = MustPlan(sql, BatchedOptions());
+    std::vector<IndexScanOperator*> index_scans;
+    Collect(plan.get(), &index_scans);
+    ASSERT_EQ(index_scans.size(), 1u) << PrintPlan(*plan);
+    EXPECT_EQ(index_scans[0]->lo_key(), 100) << c.where;
+    EXPECT_EQ(index_scans[0]->hi_key(), 400) << c.where;
+    ASSERT_NE(index_scans[0]->residual(), nullptr) << c.where;
+    EXPECT_EQ(index_scans[0]->residual()->ToString(), c.residual);
+    EXPECT_EQ(RunBatchedCanonical(plan.get()),
+              testutil::Canonical(testutil::RunPlan(MustPlan(sql).get())))
+        << c.where;
+  }
 }
 
 // Rows appended after a table's columnar image or an index was built are
@@ -856,6 +925,60 @@ TEST(AppendAfterLoadTest, PlansSkipIndexBuiltBeforeAppend) {
   PlannerOptions index_join;
   index_join.join_strategy = JoinStrategy::kIndexNestLoop;
   EXPECT_FALSE(PlanSql(&catalog, kJoin, index_join).ok());
+}
+
+TEST(IndexResidualTest, UnchosenIndexedColumnKeepsItsBounds) {
+  // Two indexed columns: a = i, NULL for every 10th row; b a permutation of
+  // 0..9999.
+  Catalog catalog;
+  auto owned = std::make_unique<Table>(
+      "t", Schema({{"a", DataType::kInt64},
+                   {"b", DataType::kInt64},
+                   {"v", DataType::kDouble}}));
+  Table* table = owned.get();
+  ASSERT_TRUE(catalog.AddTable(std::move(owned)).ok());
+  for (int64_t i = 0; i < 10000; ++i) {
+    table->AppendRow({i % 10 == 0 ? Value::Null(DataType::kInt64)
+                                  : Value::Int64(i),
+                      Value::Int64(i * 7919 % 10000),
+                      Value::Double(static_cast<double>(i))});
+  }
+  ASSERT_TRUE(catalog.CreateIndex("t_a", "t", "a", /*unique=*/true).ok());
+  ASSERT_TRUE(catalog.CreateIndex("t_b", "t", "b", /*unique=*/true).ok());
+
+  const struct {
+    const char* where;
+    const char* index;
+    const char* residual;
+  } kCases[] = {
+      {"b BETWEEN 0 AND 5000 AND a BETWEEN 100 AND 150", "t_a",
+       "((b >= 0) AND (b <= 5000))"},
+      {"a >= 0 AND b > 10 AND a <= 9000 AND b <= 40", "t_b",
+       "((a >= 0) AND (a <= 9000))"},
+      // NULL keys are not in the B+-tree, and fail the range's bounds.
+      {"a BETWEEN 0 AND 60", "t_a", nullptr},
+  };
+  for (const auto& c : kCases) {
+    const std::string sql =
+        std::string("SELECT a, b, v FROM t WHERE ") + c.where;
+    auto batched = PlanSql(&catalog, sql, BatchedOptions());
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    std::vector<IndexScanOperator*> index_scans;
+    Collect(batched->get(), &index_scans);
+    ASSERT_EQ(index_scans.size(), 1u) << PrintPlan(**batched);
+    EXPECT_EQ(index_scans[0]->index()->name, c.index) << c.where;
+    if (c.residual == nullptr) {
+      EXPECT_EQ(index_scans[0]->residual(), nullptr) << c.where;
+    } else {
+      ASSERT_NE(index_scans[0]->residual(), nullptr) << c.where;
+      EXPECT_EQ(index_scans[0]->residual()->ToString(), c.residual);
+    }
+    auto tuple = PlanSql(&catalog, sql);
+    ASSERT_TRUE(tuple.ok()) << tuple.status();
+    const auto expected = testutil::Canonical(testutil::RunPlan(tuple->get()));
+    EXPECT_FALSE(expected.empty()) << c.where;
+    EXPECT_EQ(RunBatchedCanonical(batched->get()), expected) << c.where;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string_view>
+
 #include "common/date.h"
 #include "sql/parser.h"
 
@@ -16,7 +20,7 @@ TEST(LexerTest, TokenKinds) {
   auto tokens = Tokenize("SELECT x, 42, 3.5, 'str' <= <> !=");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ((*tokens)[0].type, TokenType::kIdentifier);
-  EXPECT_EQ((*tokens)[0].text, "select");  // Lowercased.
+  EXPECT_EQ((*tokens)[0].text, "SELECT");  // As written.
   EXPECT_EQ((*tokens)[2].type, TokenType::kSymbol);
   EXPECT_EQ((*tokens)[3].int_value, 42);
   EXPECT_DOUBLE_EQ((*tokens)[5].float_value, 3.5);
@@ -27,9 +31,75 @@ TEST(LexerTest, TokenKinds) {
   EXPECT_EQ(tokens->back().type, TokenType::kEnd);
 }
 
+TEST(LexerTest, PinsKindsTextsValuesAndOffsets) {
+  // Every symbol, both spellings of <>, mixed-case keywords and
+  // identifiers, an integer, a float, a mixed-case string literal and a
+  // trailing ';'.
+  constexpr std::string_view kSql =
+      "sElEcT T.Ab,(x+42)*3.5-y/2 FROM tAb WHERE a=b<c>d<=e>=f<>g!='MiXeD';";
+  constexpr TokenType kId = TokenType::kIdentifier;
+  constexpr TokenType kSym = TokenType::kSymbol;
+  const struct {
+    TokenType type;
+    std::string_view text;
+    size_t offset;
+  } kExpected[] = {
+      {kId, "sElEcT", 0},  {kId, "T", 7},       {kSym, ".", 8},
+      {kId, "Ab", 9},      {kSym, ",", 11},     {kSym, "(", 12},
+      {kId, "x", 13},      {kSym, "+", 14},     {TokenType::kInteger, "42", 15},
+      {kSym, ")", 17},     {kSym, "*", 18},     {TokenType::kFloat, "3.5", 19},
+      {kSym, "-", 22},     {kId, "y", 23},      {kSym, "/", 24},
+      {TokenType::kInteger, "2", 25},           {kId, "FROM", 27},
+      {kId, "tAb", 32},    {kId, "WHERE", 36},  {kId, "a", 42},
+      {kSym, "=", 43},     {kId, "b", 44},      {kSym, "<", 45},
+      {kId, "c", 46},      {kSym, ">", 47},     {kId, "d", 48},
+      {kSym, "<=", 49},    {kId, "e", 51},      {kSym, ">=", 52},
+      {kId, "f", 54},      {kSym, "<>", 55},    {kId, "g", 57},
+      {kSym, "<>", 58},    {TokenType::kString, "MiXeD", 60},
+      {kSym, ";", 67},     {TokenType::kEnd, "", 68},
+  };
+  auto tokens = Tokenize(kSql);
+  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  ASSERT_EQ(tokens->size(), std::size(kExpected));
+  for (size_t i = 0; i < tokens->size(); ++i) {
+    const Token& token = (*tokens)[i];
+    EXPECT_EQ(token.type, kExpected[i].type) << i;
+    EXPECT_EQ(token.text, kExpected[i].text) << i;
+    EXPECT_EQ(token.offset, kExpected[i].offset) << i;
+    // Each text is a view of the statement, except "<>" for "!=".
+    if (i != 32 && !token.text.empty()) {
+      EXPECT_EQ(token.text.data(), kSql.data() + token.offset +
+                                       (token.type == TokenType::kString))
+          << i;
+    }
+  }
+  EXPECT_EQ((*tokens)[8].int_value, 42);
+  EXPECT_EQ((*tokens)[15].int_value, 2);
+  EXPECT_DOUBLE_EQ((*tokens)[11].float_value, 3.5);
+}
+
+TEST(LexerTest, NumbersKeepTheirValues) {
+  auto tokens = Tokenize("007 9223372036854775807 99999999999999999999 1. "
+                         "1.2.3 0.1");
+  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  ASSERT_EQ(tokens->size(), 7u);
+  EXPECT_EQ((*tokens)[0].int_value, 7);
+  EXPECT_EQ((*tokens)[1].int_value, INT64_MAX);
+  EXPECT_EQ((*tokens)[2].int_value, INT64_MAX);  // Saturates.
+  EXPECT_EQ((*tokens)[3].type, TokenType::kFloat);
+  EXPECT_EQ((*tokens)[3].float_value, 1.0);
+  EXPECT_EQ((*tokens)[4].text, "1.2.3");
+  EXPECT_EQ((*tokens)[4].float_value, 1.2);  // The longest number prefix.
+  EXPECT_EQ((*tokens)[5].float_value, 0.1);
+}
+
 TEST(LexerTest, RejectsBadInput) {
-  EXPECT_FALSE(Tokenize("SELECT 'unterminated").ok());
-  EXPECT_FALSE(Tokenize("SELECT @").ok());
+  auto unterminated = Tokenize("SELECT 'unterminated");
+  ASSERT_FALSE(unterminated.ok());
+  EXPECT_EQ(unterminated.status().message(), "unterminated string literal");
+  auto bad = Tokenize("SELECT @");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(), "unexpected character '@' at offset 7");
 }
 
 TEST(ParserTest, Query1FromThePaper) {
@@ -109,11 +179,48 @@ TEST(ParserTest, QualifiedColumnNames) {
   EXPECT_EQ(stmt.items[0].expr->column_name, "lineitem.l_orderkey");
 }
 
+TEST(ParserTest, KeywordsMatchInAnyCaseAndNamesAreStoredLowercase) {
+  SelectStatement stmt = MustParse(
+      "sElEcT DiStInCt T.Col_A, CoUnT(*) As Total FrOm Tab "
+      "WhErE Col_B NoT LiKe 'AbC%' AnD d = DaTe '1998-09-02' "
+      "GrOuP bY T.Col_A oRdEr By Total DeSc LiMiT 3");
+  EXPECT_TRUE(stmt.distinct);
+  ASSERT_EQ(stmt.items.size(), 2u);
+  EXPECT_EQ(stmt.items[0].expr->column_name, "t.col_a");
+  EXPECT_EQ(stmt.items[1].agg_func, AggFunc::kCountStar);
+  EXPECT_EQ(stmt.items[1].alias, "total");
+  ASSERT_EQ(stmt.from_tables.size(), 1u);
+  EXPECT_EQ(stmt.from_tables[0], "tab");
+  ASSERT_NE(stmt.where, nullptr);
+  const ParseExpr& like = *stmt.where->left->left;
+  EXPECT_EQ(like.binary_op, BinaryOp::kLike);
+  EXPECT_EQ(like.left->column_name, "col_b");
+  EXPECT_EQ(like.right->literal, Value::String("AbC%"));  // Case kept.
+  EXPECT_EQ(stmt.where->right->right->literal.date_value(),
+            bufferdb::MakeDate(1998, 9, 2));
+  ASSERT_EQ(stmt.group_by.size(), 1u);
+  EXPECT_EQ(stmt.group_by[0], "t.col_a");
+  ASSERT_EQ(stmt.order_by.size(), 1u);
+  EXPECT_EQ(stmt.order_by[0].column, "total");
+  EXPECT_TRUE(stmt.order_by[0].descending);
+  EXPECT_EQ(stmt.limit, 3);
+}
+
 TEST(ParserTest, CountColumnVsCountStar) {
   SelectStatement stmt = MustParse("SELECT COUNT(a), COUNT(*) FROM t");
   EXPECT_EQ(stmt.items[0].agg_func, AggFunc::kCount);
   ASSERT_NE(stmt.items[0].expr, nullptr);
   EXPECT_EQ(stmt.items[1].agg_func, AggFunc::kCountStar);
+}
+
+TEST(ParserTest, ErrorMessagesNameTheOffset) {
+  auto unexpected = ParseSelect("SELECT a FROM t WHERE a = )");
+  ASSERT_FALSE(unexpected.ok());
+  EXPECT_EQ(unexpected.status().message(),
+            "unexpected token ')' (at offset 26)");
+  auto trailing = ParseSelect("SELECT a FROM t extra_tokens");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().message(), "trailing input (at offset 16)");
 }
 
 TEST(ParserTest, ErrorsAreDiagnosed) {
