@@ -1,6 +1,8 @@
 #include "common/date.h"
 
+#include <charconv>
 #include <cstdio>
+#include <system_error>
 
 namespace bufferdb {
 
@@ -45,16 +47,43 @@ std::string DateToString(int64_t days) {
 }
 
 Result<int64_t> ParseDate(const std::string& text) {
-  int y = 0, m = 0, d = 0;
-  if (std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) != 3) {
-    return Status::ParseError("bad date literal: " + text);
+  // Exactly three '-'-separated decimal fields. Each is read as int64, so a
+  // field too long for int is rejected rather than truncated.
+  int64_t field[3] = {0, 0, 0};
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0) {
+      if (p == end || *p != '-') {
+        return Status::ParseError("bad date literal: " + text);
+      }
+      ++p;
+    }
+    auto [next, ec] = std::from_chars(p, end, field[i]);
+    if (ec == std::errc::result_out_of_range) {
+      return Status::ParseError("date out of range: " + text);
+    }
+    if (ec != std::errc()) {
+      return Status::ParseError("bad date literal: " + text);
+    }
+    p = next;
   }
-  // Four-digit years only: MakeDate's arithmetic overflows int near its
+  if (p != end) return Status::ParseError("bad date literal: " + text);
+  const int64_t y = field[0], m = field[1], d = field[2];
+  // Four-digit years only: MakeDate's int arithmetic overflows near its
   // ends.
   if (y < 0 || y > 9999 || m < 1 || m > 12 || d < 1 || d > 31) {
     return Status::ParseError("date out of range: " + text);
   }
-  return MakeDate(y, m, d);
+  const int64_t days =
+      MakeDate(static_cast<int>(y), static_cast<int>(m), static_cast<int>(d));
+  // A day past its month's end (1998-02-31) would roll into the next month.
+  int year = 0, month = 0, day = 0;
+  DateToYmd(days, &year, &month, &day);
+  if (month != m || day != d) {
+    return Status::ParseError("date out of range: " + text);
+  }
+  return days;
 }
 
 }  // namespace bufferdb

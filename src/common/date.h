@@ -17,7 +17,8 @@ void DateToYmd(int64_t days, int* year, int* month, int* day);
 /// Formats as "YYYY-MM-DD".
 std::string DateToString(int64_t days);
 
-/// Parses "YYYY-MM-DD"; the year must lie in 0..9999.
+/// Parses "YYYY-MM-DD" and nothing more; the year must lie in 0..9999 and
+/// the day inside its month.
 Result<int64_t> ParseDate(const std::string& text);
 
 }  // namespace bufferdb

@@ -204,30 +204,4 @@ ExprPtr RemapColumns(const Expression& expr, std::span<const int> pos,
   return nullptr;
 }
 
-ExprPtr RemapColumns(ExprPtr expr, std::span<const int> pos,
-                     const Schema& schema) {
-  switch (expr->kind()) {
-    case ExprKind::kLiteral:
-      return expr;
-    case ExprKind::kColumnRef: {
-      int col = pos[static_cast<const ColumnRefExpr&>(*expr).column()];
-      return MakeColumnRefUnchecked(col, schema.column(col).type,
-                                    schema.column(col).name);
-    }
-    case ExprKind::kBinary: {
-      auto& b = static_cast<BinaryExpr&>(*expr);
-      b.mutable_left() = RemapColumns(std::move(b.mutable_left()), pos, schema);
-      b.mutable_right() =
-          RemapColumns(std::move(b.mutable_right()), pos, schema);
-      return expr;
-    }
-    case ExprKind::kUnary: {
-      ExprPtr& operand = static_cast<UnaryExpr&>(*expr).mutable_operand();
-      operand = RemapColumns(std::move(operand), pos, schema);
-      return expr;
-    }
-  }
-  return expr;
-}
-
 }  // namespace bufferdb

@@ -38,12 +38,6 @@ bool MatchColumnComparison(const Expression& expr,
 ExprPtr RemapColumns(const Expression& expr, std::span<const int> pos,
                      const Schema& schema);
 
-/// RemapColumns over a tree the caller hands over: only the column
-/// references are replaced, every other node is kept. Each column must keep
-/// its type, so every node's result type stays valid.
-ExprPtr RemapColumns(ExprPtr expr, std::span<const int> pos,
-                     const Schema& schema);
-
 /// Recursively evaluates constant subtrees into literals, including the
 /// boolean short-circuits (FALSE AND x -> FALSE, TRUE AND x -> x, and the
 /// OR duals). Division by zero folds to a NULL literal, matching runtime

@@ -2,58 +2,13 @@
 
 #include <algorithm>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 namespace bufferdb::parallel {
-
-namespace {
-
-// The CPUs the calling thread may run on, ascending; empty off Linux or
-// when the mask cannot be read.
-std::vector<int> AllowedCpus() {
-  std::vector<int> cpus;
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
-    }
-  }
-#endif
-  return cpus;
-}
-
-// Restricts the calling thread to `cpu`; a no-op for -1 or off Linux.
-void PinCallingThread(int cpu) {
-#if defined(__linux__)
-  if (cpu < 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  sched_setaffinity(0, sizeof(set), &set);  // Best effort: unpinned on error.
-#else
-  (void)cpu;
-#endif
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(1, num_threads);
-  // Worker i runs on the (i mod k)-th of the k CPUs the constructing thread
-  // may use. Unpinned, workers woken together often shared a CPU, so tasks
-  // submitted together ran one after another.
-  const std::vector<int> cpus = AllowedCpus();
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    const int cpu = cpus.empty() ? -1 : cpus[i % cpus.size()];
-    threads_.emplace_back([this, cpu] {
-      PinCallingThread(cpu);
-      WorkerLoop();
-    });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 

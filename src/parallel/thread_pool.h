@@ -14,9 +14,6 @@ namespace bufferdb::parallel {
 /// (morsel-driven scheduling wants one pool sized to the hardware, not one
 /// thread spawn per query; see "Morsel-Driven Parallelism", Leis et al.).
 ///
-/// On Linux each worker is pinned to one of the CPUs the constructing
-/// thread may run on, round-robin, so workers woken together run together.
-///
 /// Tasks are arbitrary callables; exceptions thrown by a task are captured
 /// in the future returned by Submit. The destructor drains nothing: queued
 /// tasks that have not started are still executed before the threads join,

@@ -537,8 +537,7 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoins(const LogicalQuery& query,
   }
   if (leftover != nullptr) {
     double rows = plan->estimated_rows();
-    ExprPtr predicate =
-        RemapColumns(std::move(leftover), *pos, plan->output_schema());
+    ExprPtr predicate = RemapColumns(*leftover, *pos, plan->output_schema());
     plan = std::make_unique<FilterOperator>(std::move(plan),
                                             std::move(predicate));
     plan->set_estimated_rows(rows / 3.0);

@@ -168,8 +168,7 @@ Result<LogicalQuery> Binder::Bind(const SelectStatement& stmt) {
           std::vector<int> pos(query.input_schema.num_columns());
           std::iota(pos.begin(), pos.end(),
                     -static_cast<int>(scope.offsets[single]));
-          bound = RemapColumns(std::move(bound), pos,
-                               query.tables[single]->schema());
+          bound = RemapColumns(*bound, pos, query.tables[single]->schema());
         }
         query.filters[single] =
             AndCombine(std::move(query.filters[single]), std::move(bound));

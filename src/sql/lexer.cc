@@ -38,20 +38,16 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
         ++i;
       }
       token.text = sql.substr(start, i - start);
-      const char* first = token.text.data();
-      const char* last = first + token.text.size();
       if (is_float) {
         token.type = TokenType::kFloat;
-        // Past the range of double, strtod's inf or denormal is the value.
-        if (std::from_chars(first, last, token.float_value).ec !=
-            std::errc()) {
-          token.float_value =
-              std::strtod(std::string(token.text).c_str(), nullptr);
-        }
+        token.float_value =
+            std::strtod(std::string(token.text).c_str(), nullptr);
       } else {
         token.type = TokenType::kInteger;
         // The digits carry no sign, so the only failure is overflow, which
         // saturates as strtoll does.
+        const char* first = token.text.data();
+        const char* last = first + token.text.size();
         if (std::from_chars(first, last, token.int_value).ec != std::errc()) {
           token.int_value = std::numeric_limits<int64_t>::max();
         }

@@ -153,6 +153,19 @@ TEST(DateTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseDate("-2147483648-01-01").ok());
   EXPECT_FALSE(ParseDate("-1-01-01").ok());
   EXPECT_FALSE(ParseDate("10000-01-01").ok());
+  // A year too long for int: reading it through int truncated it to 1998.
+  EXPECT_FALSE(ParseDate("4294969294-01-01").ok());
+  EXPECT_FALSE(ParseDate("99999999999999999999-01-01").ok());
+  // Text after the day, and a day past its month's end.
+  EXPECT_FALSE(ParseDate("1998-09-02 and then some").ok());
+  EXPECT_FALSE(ParseDate("1998-02-31").ok());
+  EXPECT_FALSE(ParseDate("1998-04-31").ok());
+  EXPECT_FALSE(ParseDate("1998-09").ok());
+  EXPECT_FALSE(ParseDate("").ok());
+  auto leap_day = ParseDate("1996-02-29");
+  ASSERT_TRUE(leap_day.ok());
+  EXPECT_EQ(*leap_day, MakeDate(1996, 2, 29));
+  EXPECT_FALSE(ParseDate("1997-02-29").ok());
   auto year_zero = ParseDate("0000-03-01");
   ASSERT_TRUE(year_zero.ok());
   EXPECT_EQ(*year_zero, -719468);

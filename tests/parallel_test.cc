@@ -6,17 +6,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "parallel/morsel.h"
 #include "parallel/thread_pool.h"
@@ -56,37 +51,6 @@ TEST(ThreadPoolTest, UsesMultipleThreads) {
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(ids.size(), 4u);
-}
-
-TEST(ThreadPoolTest, WorkersRunOnDistinctCpus) {
-#if defined(__linux__)
-  constexpr size_t kThreads = 4;
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
-  if (static_cast<size_t>(CPU_COUNT(&allowed)) < kThreads) {
-    GTEST_SKIP() << "fewer than " << kThreads << " CPUs allowed";
-  }
-  ThreadPool pool(kThreads);
-  // Every task waits at the barrier for the others, so each runs on its
-  // own worker, and each worker is pinned to its own CPU.
-  std::barrier meet(static_cast<std::ptrdiff_t>(kThreads));
-  std::mutex mu;
-  std::set<int> cpus;
-  std::vector<std::future<void>> futures;
-  for (size_t i = 0; i < kThreads; ++i) {
-    futures.push_back(pool.Submit([&] {
-      meet.arrive_and_wait();
-      const int cpu = sched_getcpu();
-      std::lock_guard<std::mutex> lock(mu);
-      cpus.insert(cpu);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(cpus.size(), kThreads);
-#else
-  GTEST_SKIP() << "workers are pinned on Linux only";
-#endif
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
