@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   bench::PrintJsonHeader("expr_eval", sf);
 
   const size_t num_rows = bench::SmokeMode() ? 65536 : 1048576;
-  const int iters = bench::SmokeIters(7, 2);
+  const int iters = bench::SmokeIters(7, 15);
   const int64_t threshold = 1500;  // ~50% selectivity for k,v in [0, 1000).
 
   Schema schema({{"k", DataType::kInt64},
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   }
 
   ExprPtr pred = MakePredicate(threshold);
-  auto program = CompiledExpr::Compile(*pred, schema);
+  auto program = CompiledExpr::CompileFilter(*pred, schema);
   if (program == nullptr) {
     std::fprintf(stderr, "FAIL: predicate did not compile\n");
     return 1;

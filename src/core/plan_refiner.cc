@@ -1,6 +1,5 @@
 #include "core/plan_refiner.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace bufferdb {
@@ -36,15 +35,15 @@ void PlanRefiner::LeaveUnbuffered(OpenGroup group, RefinementReport* report) {
 
 OperatorPtr PlanRefiner::CloseGroup(OperatorPtr group_top, OpenGroup group,
                                     RefinementReport* report) {
-  // The cardinality rule (§6, §7.3): buffering only pays off when the group
-  // is invoked often enough. Unknown estimates are treated as large. A
-  // batch-draining parent amortizes the buffer's per-tuple code over the
-  // batch, so the break-even cardinality drops by the batch width.
-  double threshold = options_.cardinality_threshold;
-  if (options_.batch_size > 1) {
-    threshold = std::max(1.0, threshold / static_cast<double>(options_.batch_size));
-  }
-  bool profitable = group.output_rows < 0 || group.output_rows >= threshold;
+  // A batch-draining parent already runs its child a batch at a time, the
+  // interleaving a Buffer creates; a Buffer there would only copy pointers
+  // and hide the child's published columns (DESIGN.md §8). Otherwise the
+  // cardinality rule (§6, §7.3): buffering only pays off when the group is
+  // invoked often enough. Unknown estimates are treated as large.
+  const bool profitable =
+      options_.batch_size <= 1 &&
+      (group.output_rows < 0 ||
+       group.output_rows >= options_.cardinality_threshold);
   if (!profitable) {
     LeaveUnbuffered(std::move(group), report);
     return group_top;

@@ -20,16 +20,13 @@ struct RefinementOptions {
   /// simulator configuration (regenerate with bench_fig11_cardinality).
   double cardinality_threshold = 128.0;
   size_t buffer_size = BufferOperator::kDefaultBufferSize;
-  /// Batch width the plan's consumers drain buffers with (the NextBatch
-  /// fast path). 1 — the default and the paper's setting — models
-  /// tuple-at-a-time parents. When > 1, a batch-aware parent above a Buffer
-  /// executes the buffer's own code once per slice instead of once per
-  /// tuple, so the per-tuple buffering overhead shrinks by the batch width;
-  /// the refiner accounts for this by scaling the cardinality threshold
-  /// down by the batch width (clamped to >= 1 row), placing buffers above
-  /// smaller groups than the tuple path would justify. Instruction
-  /// *footprints* are unaffected: the buffer's code must still be resident,
-  /// so group formation (§6.1) is identical.
+  /// Batch width the plan's operators pull their children with. 1 — the
+  /// default and the paper's setting — refines a tuple-at-a-time plan. When
+  /// > 1 the refiner forms and reports the execution groups of the batched
+  /// footprints (Operator::hot_funcs_batched) but buffers none of them: a
+  /// batch-draining parent already runs its child a batch at a time, so a
+  /// Buffer would only copy pointers, and since it spans several child
+  /// batches it would hide the child's published columns (DESIGN.md §8).
   size_t batch_size = 1;
   /// When false (ablation), every eligible operator becomes its own
   /// execution group — the "too much buffering" regime of §6.
@@ -65,7 +62,8 @@ struct RefinementReport {
 /// excluded by the planner (the inner index scan of a foreign-key index
 /// nested-loop join). A buffer is only inserted above a group whose output
 /// cardinality reaches the calibration threshold (§7.3) — below it the
-/// buffering overhead outweighs the locality benefit.
+/// buffering overhead outweighs the locality benefit — and never into a
+/// batched plan (RefinementOptions::batch_size > 1).
 class PlanRefiner {
  public:
   explicit PlanRefiner(RefinementOptions options = RefinementOptions())

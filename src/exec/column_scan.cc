@@ -167,8 +167,8 @@ ColumnScanOperator::ColumnScanOperator(Table* table, ExprPtr predicate)
     // Scalar fallback runs the tree-walking interpreter.
     AddHotFunc(sim::FuncId::kExprCmp);
     AddHotFunc(sim::FuncId::kExprArith);
-    compiled_ =
-        CompiledExpr::Compile(*predicate_, table_->schema(), columnar_);
+    compiled_ = CompiledExpr::CompileFilter(*predicate_, table_->schema(),
+                                            columnar_);
     if (compiled_ != nullptr) SetVectorBatchFuncs();
     ExtractZoneConjuncts(*predicate_, *columnar_, &conjuncts_);
   }
@@ -259,15 +259,16 @@ void ColumnScanOperator::FillPredicateInputs(size_t n) {
   }
 }
 
+void ColumnScanOperator::set_published_columns(std::vector<int> columns) {
+  published_cols_ = std::move(columns);
+  published_.Clear();
+}
+
 void ColumnScanOperator::PublishAliases(size_t n) {
   published_.set_rows(n);
-  const Schema& schema = table_->schema();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    const ColumnSegment& seg = columnar_->segment(c);
-    // String columns have no SoA value form; consumers read them from the
-    // row pointers as before.
-    if (seg.type == DataType::kString) continue;
-    ColumnVector* vec = published_.Mutable(static_cast<int>(c));
+  for (int c : published_cols_) {
+    const ColumnSegment& seg = columnar_->segment(static_cast<size_t>(c));
+    ColumnVector* vec = published_.Mutable(c);
     if (seg.type == DataType::kDouble) {
       vec->AliasF64(seg.f64.data() + pos_, seg.nulls.data() + pos_);
       ctx_->Touch(seg.f64.data() + pos_, n * sizeof(double));
@@ -279,31 +280,34 @@ void ColumnScanOperator::PublishAliases(size_t n) {
   }
 }
 
-void ColumnScanOperator::PublishCompacted() {
-  published_.set_rows(sel_.count);
-  const std::vector<int>& cols = compiled_->input_columns();
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (compiled_->input_is_dict_code(i)) continue;  // Codes stay private.
-    const ColumnVector& src = vbatch_.Get(cols[i]);
-    ColumnVector* dst = published_.Mutable(cols[i]);
-    dst->Reset(src.type, sel_.count);
+void ColumnScanOperator::PublishGathered(size_t n) {
+  const size_t count = sel_.count;
+  const uint32_t* idx = sel_.idx.data();
+  published_.set_rows(count);
+  for (int c : published_cols_) {
+    const ColumnSegment& seg = columnar_->segment(static_cast<size_t>(c));
+    ColumnVector* dst = published_.Mutable(c);
+    dst->Reset(seg.type, count);
     uint8_t* dst_nulls = dst->nulls.data();
-    const uint8_t* src_nulls = src.null_data();
-    if (src.is_double()) {
-      const double* s = src.f64_data();
+    const uint8_t* src_nulls = seg.nulls.data() + pos_;
+    if (seg.type == DataType::kDouble) {
+      const double* src = seg.f64.data() + pos_;
       double* d = dst->f64.data();
-      for (size_t k = 0; k < sel_.count; ++k) {
-        d[k] = s[sel_.idx[k]];
-        dst_nulls[k] = src_nulls[sel_.idx[k]];
+      for (size_t k = 0; k < count; ++k) {
+        d[k] = src[idx[k]];
+        dst_nulls[k] = src_nulls[idx[k]];
       }
+      ctx_->Touch(src, n * sizeof(double));
     } else {
-      const int64_t* s = src.i64_data();
+      const int64_t* src = seg.i64.data() + pos_;
       int64_t* d = dst->i64.data();
-      for (size_t k = 0; k < sel_.count; ++k) {
-        d[k] = s[sel_.idx[k]];
-        dst_nulls[k] = src_nulls[sel_.idx[k]];
+      for (size_t k = 0; k < count; ++k) {
+        d[k] = src[idx[k]];
+        dst_nulls[k] = src_nulls[idx[k]];
       }
+      ctx_->Touch(src, n * sizeof(int64_t));
     }
+    ctx_->Touch(src_nulls, n);
   }
 }
 
@@ -338,7 +342,11 @@ size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
       for (size_t k = 0; k < sel_.count; ++k) {
         out[k] = rows[pos_ + sel_.idx[k]];
       }
-      PublishCompacted();
+      if (sel_.count == run) {
+        PublishAliases(run);
+      } else {
+        PublishGathered(run);
+      }
       pos_ += run;
       return sel_.count;
     }

@@ -9,7 +9,8 @@ FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate)
     : predicate_(FoldConstants(std::move(predicate))) {
   AddChild(std::move(child));
   InitHotFuncs(module_id());
-  compiled_ = CompiledExpr::Compile(*predicate_, this->child(0)->output_schema());
+  compiled_ = CompiledExpr::CompileFilter(*predicate_,
+                                         this->child(0)->output_schema());
   if (compiled_ != nullptr) SetVectorBatchFuncs();
 }
 

@@ -24,8 +24,8 @@ IndexScanOperator::IndexScanOperator(const IndexInfo* index,
   if (residual_predicate_ != nullptr) {
     AddHotFunc(sim::FuncId::kExprCmp);
     AddHotFunc(sim::FuncId::kExprArith);
-    compiled_ =
-        CompiledExpr::Compile(*residual_predicate_, index_->table->schema());
+    compiled_ = CompiledExpr::CompileFilter(*residual_predicate_,
+                                            index_->table->schema());
     if (compiled_ != nullptr) SetVectorBatchFuncs();
   }
 }

@@ -33,19 +33,20 @@ ProjectOperator::ProjectOperator(OperatorPtr child,
     copy_columns_.push_back(col);
   }
 
-  // Vectorize all-or-nothing: one uncompilable item (e.g. a string column)
-  // keeps the whole operator on the interpreter, so a batch never mixes the
-  // two materialization paths.
-  std::vector<std::unique_ptr<CompiledExpr>> programs;
-  for (const ProjectItem& item : items_) {
-    auto p = CompiledExpr::Compile(*item.expr, in_schema);
-    if (p == nullptr) {
-      programs.clear();
-      break;
+  // A slot copy runs no program, so only a projection that computes
+  // something compiles. It vectorizes all-or-nothing: one uncompilable item
+  // (e.g. a string column) keeps the whole operator on the interpreter, so
+  // a batch never mixes the two materialization paths.
+  if (copy_columns_.empty()) {
+    for (const ProjectItem& item : items_) {
+      auto p = CompiledExpr::Compile(*item.expr, in_schema);
+      if (p == nullptr) {
+        compiled_.clear();
+        break;
+      }
+      compiled_.push_back(std::move(p));
     }
-    programs.push_back(std::move(p));
   }
-  compiled_ = std::move(programs);
   for (const auto& p : compiled_) {
     for (int col : p->input_columns()) {
       bool present = false;
@@ -108,6 +109,13 @@ size_t ProjectOperator::NextBatch(const uint8_t** out, size_t max) {
     ctx_->ExecModule(module_id(), hot_funcs_batched());  // End-of-stream.
     return 0;
   }
+  if (!copy_columns_.empty()) {
+    for (size_t i = 0; i < in_n; ++i) {
+      ctx_->ExecModule(module_id(), hot_funcs_);
+      out[i] = CopyRow(in_batch_[i]);
+    }
+    return in_n;
+  }
   const Schema& in_schema = child(0)->output_schema();
   if (!compiled_.empty() && vectorized_eval_) {
     RowBatchDecoder::DecodeMissing(in_batch_.data(), in_n, in_schema,
@@ -145,13 +153,6 @@ size_t ProjectOperator::NextBatch(const uint8_t** out, size_t max) {
       out[i] = row;
     }
     PublishResults(in_n);
-    return in_n;
-  }
-  if (!copy_columns_.empty()) {
-    for (size_t i = 0; i < in_n; ++i) {
-      ctx_->ExecModule(module_id(), hot_funcs_);
-      out[i] = CopyRow(in_batch_[i]);
-    }
     return in_n;
   }
   TupleBuilder builder(&output_schema_);

@@ -28,13 +28,14 @@ class ProjectOperator final : public Operator {
   const uint8_t* Next() override;
   void Close() override;
 
-  /// Batch fast path. When every item compiled to a kernel program the batch
-  /// is decoded once (union of all programs' input columns), each program
-  /// runs column-at-a-time, and the output rows are materialized from the
-  /// result vectors into one arena block — no TupleBuilder, no Value
-  /// boxing. Otherwise a bare-column projection copies each row's slots,
-  /// and any other runs the per-tuple interpreter with the schema lookup
-  /// and TupleBuilder hoisted out of the loop.
+  /// Batch fast path. A bare-column projection copies each row's slots, as
+  /// Next() does, and publishes nothing. Otherwise, when every item
+  /// compiled to a kernel program, the batch is decoded once (union of all
+  /// programs' input columns), each program runs column-at-a-time, and the
+  /// output rows are materialized from the result vectors into one arena
+  /// block — no TupleBuilder, no Value boxing. Any other projection runs
+  /// the per-tuple interpreter with the schema lookup and TupleBuilder
+  /// hoisted out of the loop.
   size_t NextBatch(const uint8_t** out, size_t max) override;
 
   const Schema& output_schema() const override { return output_schema_; }
@@ -58,9 +59,9 @@ class ProjectOperator final : public Operator {
   // The input column of each item when every item is a bare column
   // reference; empty otherwise.
   std::vector<int> copy_columns_;
-  // One program per item when ALL items compiled; empty otherwise
-  // (all-or-nothing, so a batch is either fully vectorized or fully
-  // interpreted).
+  // One program per item when the projection computes something and ALL
+  // items compiled; empty otherwise (all-or-nothing, so a batch is either
+  // fully vectorized or fully interpreted).
   std::vector<std::unique_ptr<CompiledExpr>> compiled_;
   std::vector<int> decode_cols_;  // Union of the programs' input columns.
   std::vector<const uint8_t*> in_batch_;  // NextBatch scratch.

@@ -11,7 +11,7 @@ SeqScanOperator::SeqScanOperator(Table* table, ExprPtr predicate)
                                       : nullptr) {
   InitHotFuncs(module_id());
   if (predicate_ != nullptr) {
-    compiled_ = CompiledExpr::Compile(*predicate_, table_->schema());
+    compiled_ = CompiledExpr::CompileFilter(*predicate_, table_->schema());
     if (compiled_ != nullptr) SetVectorBatchFuncs();
   }
 }

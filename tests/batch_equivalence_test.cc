@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -325,6 +326,45 @@ TEST_P(BatchEquivalenceTest, ProjectAboveScan) {
     expected.push_back(std::move(picked));
   }
   ExpectSameRows(expected, RunPlanBatched(make_project().get(), batch()));
+
+  // Bare numeric columns only: every item compiles, yet NextBatch copies
+  // slots as Next() does instead of decoding the batch, publishes nothing,
+  // and each row is byte-identical to the one TupleBuilder::Finish builds.
+  const std::vector<std::string> numeric = {"nd", "k", "ni", "k"};
+  auto make_numeric = [&] {
+    std::vector<ProjectItem> items;
+    for (const std::string& name : numeric) {
+      items.push_back(ProjectItem{Col(ns, name), name});
+    }
+    return std::make_unique<ProjectOperator>(
+        std::make_unique<SeqScanOperator>(nullable.get(), nullptr),
+        std::move(items));
+  };
+  CheckEquivalent(make_numeric);
+  const auto scanned = RunPlan(&scan);
+  OperatorPtr project = make_numeric();
+  const Schema& out_schema = project->output_schema();
+  ExecContext ctx;
+  ASSERT_TRUE(project->Open(&ctx).ok());
+  Arena arena;
+  std::vector<const uint8_t*> slice(batch());
+  size_t row = 0;
+  while (const size_t n = project->NextBatch(slice.data(), slice.size())) {
+    EXPECT_EQ(project->BatchColumns()->rows(), 0u);
+    for (size_t i = 0; i < n; ++i, ++row) {
+      ASSERT_LT(row, scanned.size());
+      TupleBuilder builder(&out_schema);
+      for (size_t c = 0; c < numeric.size(); ++c) {
+        builder.Set(c, scanned[row][ns.FindColumn(numeric[c])]);
+      }
+      const uint8_t* want = builder.Finish(&arena);
+      const uint32_t size = TupleView(want, &out_schema).size_bytes();
+      ASSERT_EQ(TupleView(slice[i], &out_schema).size_bytes(), size);
+      EXPECT_EQ(std::memcmp(slice[i], want, size), 0) << "row " << row;
+    }
+  }
+  EXPECT_EQ(row, scanned.size());
+  project->Close();
 }
 
 TEST_P(BatchEquivalenceTest, BufferAboveScan) {
@@ -748,8 +788,9 @@ class ExchangeBatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
   }
 
   // A parallel plan at the parameterized batch width. With `refine`, each
-  // worker fragment gets its own static Buffers (the Exchange is a group
-  // boundary); the result must still match the unrefined serial plan.
+  // worker fragment of a width-1 plan gets its own static Buffers (the
+  // Exchange is a group boundary) and a batched one gets none; the result
+  // must still match the unrefined serial plan.
   PlannerOptions Options(size_t degree, bool refine) const {
     PlannerOptions options;
     options.parallel_degree = degree;

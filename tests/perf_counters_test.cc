@@ -140,9 +140,9 @@ TEST(PerfCountersTest, ProfiledOperatorForwardsPublishedColumns) {
   table->AttachColumnar(ColumnarTable::Build(*table));
   const Schema& schema = table->schema();
   perf::QueryProfile scan_profile;
-  OperatorPtr scan = perf::ProfilePlan(
-      std::make_unique<ColumnScanOperator>(table.get(), nullptr),
-      &scan_profile);
+  auto column_scan = std::make_unique<ColumnScanOperator>(table.get(), nullptr);
+  column_scan->set_published_columns({schema.FindColumn("k")});
+  OperatorPtr scan = perf::ProfilePlan(std::move(column_scan), &scan_profile);
   ExecContext ctx;
   ASSERT_TRUE(scan->Open(&ctx).ok());
   std::vector<const uint8_t*> batch(64);
@@ -152,14 +152,17 @@ TEST(PerfCountersTest, ProfiledOperatorForwardsPublishedColumns) {
   ASSERT_NE(published, nullptr);
   EXPECT_EQ(scan->BatchColumns(), published);
   EXPECT_EQ(published->rows(), n);
+  EXPECT_NE(published->Find(schema.FindColumn("k")), nullptr);
   scan->Close();
 
-  // ColumnScan(k < 7) -> batched hash-agg(by k: SUM(v), COUNT), traced and
-  // not.
+  // ColumnScan(k < 7, publishing k and v) -> batched hash-agg(by k:
+  // SUM(v), COUNT), traced and not.
   auto make_plan = [&] {
-    OperatorPtr input = std::make_unique<ColumnScanOperator>(
+    auto input = std::make_unique<ColumnScanOperator>(
         table.get(), testutil::Bin(BinaryOp::kLt, testutil::Col(schema, "k"),
                                    testutil::Lit(Value::Int64(7))));
+    input->set_published_columns(
+        {schema.FindColumn("k"), schema.FindColumn("v")});
     std::vector<GroupKeyExpr> groups;
     groups.push_back(GroupKeyExpr{testutil::Col(schema, "k"), "k"});
     std::vector<AggSpec> specs;

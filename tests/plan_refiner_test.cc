@@ -168,19 +168,16 @@ TEST(PlanRefinerTest, ExcludedInnerIndexScanNeverBuffered) {
   EXPECT_EQ(report.buffers_added, 2);
 }
 
-TEST(PlanRefinerTest, HashJoinBuildSideScanBuffered) {
-  // Fig. 16: both the probe-side scan and the build-side scan get buffers
-  // (the build input is blocking but the pipeline below it still thrashes
-  // against the build code).
-  auto lineitem = MakeKvTable("l", {{1, 1}});
-  auto orders = MakeKvTable("o", {{1, 1}});
+// Fig. 16's plan: Agg(SUM, AVG, COUNT) over HashJoin(filtered scan of `l`,
+// scan of `o`), every estimate large.
+OperatorPtr HashJoinPlan(Table* lineitem, Table* orders) {
   const Schema& ls = lineitem->schema();
   const Schema& os = orders->schema();
 
   auto probe_scan = std::make_unique<SeqScanOperator>(
-      lineitem.get(), Bin(BinaryOp::kGe, Col(ls, "k"), Lit(Value::Int64(0))));
+      lineitem, Bin(BinaryOp::kGe, Col(ls, "k"), Lit(Value::Int64(0))));
   probe_scan->set_estimated_rows(1e6);
-  auto build_scan = std::make_unique<SeqScanOperator>(orders.get(), nullptr);
+  auto build_scan = std::make_unique<SeqScanOperator>(orders, nullptr);
   build_scan->set_estimated_rows(1e6);
   auto join = std::make_unique<HashJoinOperator>(
       std::move(probe_scan), std::move(build_scan), Col(ls, "k"),
@@ -198,10 +195,27 @@ TEST(PlanRefinerTest, HashJoinBuildSideScanBuffered) {
   auto agg = std::make_unique<AggregationOperator>(std::move(join),
                                                    std::move(specs));
   agg->set_estimated_rows(1);
+  return agg;
+}
 
+size_t CountBuffers(const Operator& op) {
+  size_t n = IsBuffer(&op) ? 1 : 0;
+  for (size_t i = 0; i < op.num_children(); ++i) {
+    n += CountBuffers(*op.child(i));
+  }
+  return n;
+}
+
+TEST(PlanRefinerTest, HashJoinBuildSideScanBuffered) {
+  // Fig. 16: both the probe-side scan and the build-side scan get buffers
+  // (the build input is blocking but the pipeline below it still thrashes
+  // against the build code).
+  auto lineitem = MakeKvTable("l", {{1, 1}});
+  auto orders = MakeKvTable("o", {{1, 1}});
   RefinementReport report;
   PlanRefiner refiner;
-  OperatorPtr refined = refiner.Refine(std::move(agg), &report);
+  OperatorPtr refined =
+      refiner.Refine(HashJoinPlan(lineitem.get(), orders.get()), &report);
 
   const Operator* hj = refined->child(0);
   if (IsBuffer(hj)) hj = hj->child(0);  // Probe group itself is buffered.
@@ -209,6 +223,43 @@ TEST(PlanRefinerTest, HashJoinBuildSideScanBuffered) {
   EXPECT_TRUE(IsBuffer(hj->child(0)));  // Probe-side scan buffered.
   EXPECT_TRUE(IsBuffer(hj->child(1)));  // Build-side scan buffered.
   EXPECT_GE(report.buffers_added, 2);
+}
+
+// A batched plan gets no Buffer: its parents already pull a batch at a
+// time. The refiner still forms and reports the groups of the batched
+// footprints, each unbuffered; refined at batch 1 the same plan keeps its
+// Buffers.
+TEST(PlanRefinerTest, BatchedPlanGetsNoBufferButKeepsItsGroups) {
+  auto lineitem = MakeKvTable("l", {{1, 1}});
+  auto orders = MakeKvTable("o", {{1, 1}});
+
+  RefinementReport tuple_report;
+  OperatorPtr tuple_plan = PlanRefiner().Refine(
+      HashJoinPlan(lineitem.get(), orders.get()), &tuple_report);
+  EXPECT_EQ(tuple_report.buffers_added, 3);
+  EXPECT_EQ(CountBuffers(*tuple_plan), 3u);
+  EXPECT_EQ(tuple_report.groups.size(), 4u);
+
+  RefinementOptions batched;
+  batched.batch_size = Operator::kDefaultBatchSize;
+  RefinementReport report;
+  OperatorPtr refined = PlanRefiner(batched).Refine(
+      HashJoinPlan(lineitem.get(), orders.get()), &report);
+  EXPECT_EQ(report.buffers_added, 0);
+  EXPECT_EQ(CountBuffers(*refined), 0u);
+  // The batched footprints are smaller (compiled predicates), so fewer
+  // groups form than at batch 1; the same two the refiner formed when it
+  // still buffered batched groups.
+  EXPECT_EQ(report.groups.size(), 2u);
+  for (const ExecutionGroup& group : report.groups) {
+    EXPECT_FALSE(group.buffered) << group.ToString();
+  }
+  // Unknown estimates (treated as large) do not bring a Buffer back.
+  OperatorPtr unknown = HashJoinPlan(lineitem.get(), orders.get());
+  unknown->child(0)->set_estimated_rows(-1);
+  RefinementReport unknown_report;
+  PlanRefiner(batched).Refine(std::move(unknown), &unknown_report);
+  EXPECT_EQ(unknown_report.buffers_added, 0);
 }
 
 TEST(PlanRefinerTest, MergeDisabledBuffersEveryEligibleOperator) {
