@@ -249,14 +249,6 @@ void AppendAggFuncs(AggFunc func, std::vector<sim::FuncId>* funcs) {
   }
 }
 
-void AddInputColumns(const CompiledExpr& program, std::vector<int>* cols) {
-  for (int col : program.input_columns()) {
-    if (std::find(cols->begin(), cols->end(), col) == cols->end()) {
-      cols->push_back(col);
-    }
-  }
-}
-
 AggregationOperator::AggregationOperator(OperatorPtr child,
                                          std::vector<AggSpec> specs)
     : specs_(std::move(specs)) {

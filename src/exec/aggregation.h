@@ -117,7 +117,4 @@ class AggregationOperator final : public Operator {
 /// footprint (AVG adds SUM's code plus its own, per Table 2 calibration).
 void AppendAggFuncs(AggFunc func, std::vector<sim::FuncId>* funcs);
 
-/// Adds the input columns of `program` to `cols` (deduplicated).
-void AddInputColumns(const CompiledExpr& program, std::vector<int>* cols);
-
 }  // namespace bufferdb

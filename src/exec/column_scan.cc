@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "expr/evaluator.h"
 
@@ -9,149 +10,31 @@ namespace bufferdb {
 
 namespace {
 
-ZoneOp ToZoneOp(BinaryOp op) {
+// Whether some value in [lo, hi] passes `v <op> imm`.
+template <typename T>
+bool RangeMayPass(BinaryOp op, T lo, T hi, T imm) {
   switch (op) {
-    case BinaryOp::kEq: return ZoneOp::kEq;
-    case BinaryOp::kNe: return ZoneOp::kNe;
-    case BinaryOp::kLt: return ZoneOp::kLt;
-    case BinaryOp::kLe: return ZoneOp::kLe;
-    case BinaryOp::kGt: return ZoneOp::kGt;
-    default: return ZoneOp::kGe;
+    case BinaryOp::kEq: return imm >= lo && imm <= hi;
+    case BinaryOp::kNe: return !(lo == hi && lo == imm);
+    case BinaryOp::kLt: return lo < imm;
+    case BinaryOp::kLe: return lo <= imm;
+    case BinaryOp::kGt: return hi > imm;
+    default: return hi >= imm;
   }
 }
 
-/// Builds the zone conjunct for one `col <op> literal` comparison, already
-/// normalized so the column is on the left. String literals are translated
-/// into dictionary-code space (the dictionary is sorted, so code order is
-/// string order). Returns false when the conjunct is unusable for pruning
-/// (mixed domains, NULL literal, ...) — never an error, just no pruning.
-bool MakeConjunct(const ColumnRefExpr& ref, BinaryOp op, const Value& lit,
-                  const DictView& dict, ZoneConjunct* out) {
-  if (lit.is_null()) return false;
-  const DataType ct = ref.result_type();
-  out->col = ref.column();
-  out->op = ToZoneOp(op);
-  switch (ct) {
-    case DataType::kBool:
-    case DataType::kInt64:
-    case DataType::kDate:
-      // Exact-domain only: an int literal against a double column (or vice
-      // versa) would need float-precision reasoning; skip those.
-      if (lit.type() != ct) return false;
-      out->is_f64 = false;
-      out->i64 = lit.int64_value();
-      return true;
-    case DataType::kDouble:
-      if (lit.type() != DataType::kDouble) return false;
-      out->is_f64 = true;
-      out->f64 = lit.double_value();
-      return true;
-    case DataType::kString: {
-      if (lit.type() != DataType::kString || !dict.HasDict(out->col)) {
-        return false;
-      }
-      out->is_f64 = false;
-      const std::string& s = lit.string_value();
-      switch (op) {
-        case BinaryOp::kEq: {
-          const int64_t code = dict.CodeOf(out->col, s);
-          if (code < 0) {
-            out->always_false = true;  // Literal absent: nothing matches.
-          } else {
-            out->i64 = code;
-          }
-          return true;
-        }
-        case BinaryOp::kNe: {
-          const int64_t code = dict.CodeOf(out->col, s);
-          if (code < 0) return false;  // Every non-NULL row passes.
-          out->i64 = code;
-          return true;
-        }
-        // Ordered comparisons become code-rank bounds: codes [0, lower)
-        // are < s, codes [0, upper) are <= s.
-        case BinaryOp::kLt:
-          out->op = ZoneOp::kLt;
-          out->i64 = dict.LowerBound(out->col, s);
-          return true;
-        case BinaryOp::kLe:
-          out->op = ZoneOp::kLt;
-          out->i64 = dict.UpperBound(out->col, s);
-          return true;
-        case BinaryOp::kGt:
-          out->op = ZoneOp::kGe;
-          out->i64 = dict.UpperBound(out->col, s);
-          return true;
-        case BinaryOp::kGe:
-          out->op = ZoneOp::kGe;
-          out->i64 = dict.LowerBound(out->col, s);
-          return true;
-        default:
-          return false;
-      }
-    }
-  }
-  return false;
-}
-
-/// Collects pruning conjuncts from the top-level AND chain of `e`. Only
-/// `col <op> literal` comparisons (and literal/prefix LIKE on dictionary
-/// columns) contribute; anything else is simply not used for pruning. Every
-/// emitted conjunct C satisfies: row passes the predicate => C is true for
-/// that row — so a block where C can never be true is safely skippable.
-void ExtractZoneConjuncts(const Expression& e, const DictView& dict,
-                          std::vector<ZoneConjunct>* out) {
-  if (e.kind() != ExprKind::kBinary) return;
-  const auto& b = static_cast<const BinaryExpr&>(e);
-  if (b.op() == BinaryOp::kAnd) {
-    ExtractZoneConjuncts(b.left(), dict, out);
-    ExtractZoneConjuncts(b.right(), dict, out);
-    return;
-  }
-  if (b.op() == BinaryOp::kLike) {
-    if (b.left().kind() != ExprKind::kColumnRef ||
-        b.right().kind() != ExprKind::kLiteral) {
-      return;
-    }
-    const auto& ref = static_cast<const ColumnRefExpr&>(b.left());
-    const Value& lit = static_cast<const LiteralExpr&>(b.right()).value();
-    if (lit.is_null() || lit.type() != DataType::kString ||
-        !dict.HasDict(ref.column())) {
-      return;
-    }
-    const std::string& s = lit.string_value();
-    const size_t wild = s.find_first_of("%_");
-    if (wild == std::string::npos) {
-      ZoneConjunct c;  // `LIKE 'abc'` is exact match.
-      if (MakeConjunct(ref, BinaryOp::kEq, lit, dict, &c)) out->push_back(c);
-      return;
-    }
-    if (s.back() != '%' || wild != s.size() - 1) return;
-    int64_t lo = 0;
-    int64_t hi = 0;
-    if (!dict.PrefixRange(ref.column(), {s.data(), s.size() - 1}, &lo, &hi)) {
-      return;
-    }
-    ZoneConjunct ge;
-    ge.col = ref.column();
-    ge.op = ZoneOp::kGe;
-    ge.i64 = lo;
-    ZoneConjunct lt;
-    lt.col = ref.column();
-    lt.op = ZoneOp::kLt;
-    lt.i64 = hi;
-    out->push_back(ge);
-    out->push_back(lt);
-    return;
-  }
-  const ColumnRefExpr* column = nullptr;
-  const Value* literal = nullptr;
-  BinaryOp op = BinaryOp::kEq;
-  ZoneConjunct c;
-  if (MatchColumnComparison(b, &column, &literal, &op) &&
-      MakeConjunct(*column, op, *literal, dict, &c)) {
-    out->push_back(c);
-  }
+// True when block `z` of test `t`'s column may hold a row passing `t`;
+// false means the whole block is safely skippable. A test fails on NULL
+// lanes, so a block of nothing but NULLs holds none, and an absent
+// string's code -1 lies below every block's codes. Value::Compare orders
+// doubles with `<`/`>`, so a NaN compares "equal" to everything: min/max
+// bound no such lane, and a block holding one, or a NaN immediate, may
+// always match.
+bool BlockMayMatch(const ZoneMap& z, const ColumnTest& t) {
+  if (z.null_count >= z.rows) return false;
+  if (!t.f64) return RangeMayPass(t.op, z.min_i64, z.max_i64, t.imm_i64);
+  if (z.has_nan || std::isnan(t.imm_f64)) return true;
+  return RangeMayPass(t.op, z.min_f64, z.max_f64, t.imm_f64);
 }
 
 }  // namespace
@@ -170,7 +53,15 @@ ColumnScanOperator::ColumnScanOperator(Table* table, ExprPtr predicate)
     compiled_ = CompiledExpr::CompileFilter(*predicate_, table_->schema(),
                                             columnar_);
     if (compiled_ != nullptr) SetVectorBatchFuncs();
-    ExtractZoneConjuncts(*predicate_, *columnar_, &conjuncts_);
+    // Every conjunct that is column tests prunes, compiled or not: a row
+    // that passes the predicate passes each of them.
+    std::vector<const Expression*> conjuncts;
+    CollectConjuncts(*predicate_, &conjuncts);
+    for (const Expression* conjunct : conjuncts) {
+      ColumnTest tests[2];
+      const size_t num = MatchColumnTests(*conjunct, columnar_, tests);
+      zone_tests_.insert(zone_tests_.end(), tests, tests + num);
+    }
   }
 }
 
@@ -186,11 +77,11 @@ Status ColumnScanOperator::Open(ExecContext* ctx) {
 }
 
 bool ColumnScanOperator::BlockPruned(size_t block) const {
-  for (const ZoneConjunct& c : conjuncts_) {
+  for (const ColumnTest& t : zone_tests_) {
     const ColumnSegment& seg =
-        columnar_->segment(static_cast<size_t>(c.col));
+        columnar_->segment(static_cast<size_t>(t.column));
     if (block >= seg.zones.size()) continue;
-    if (!BlockMayMatch(seg.zones[block], seg, c)) return true;
+    if (!BlockMayMatch(seg.zones[block], t)) return true;
   }
   return false;
 }
@@ -225,37 +116,43 @@ bool ColumnScanOperator::ClaimRun(size_t max, size_t* run) {
   }
 }
 
+void ColumnScanOperator::AliasSegment(int col, size_t n, ColumnVector* vec) {
+  const ColumnSegment& seg = columnar_->segment(static_cast<size_t>(col));
+  if (seg.type == DataType::kDouble) {
+    vec->AliasF64(seg.f64.data() + pos_, seg.nulls.data() + pos_);
+    ctx_->Touch(seg.f64.data() + pos_, n * sizeof(double));
+  } else {
+    vec->AliasI64(seg.type, seg.i64.data() + pos_, seg.nulls.data() + pos_);
+    ctx_->Touch(seg.i64.data() + pos_, n * sizeof(int64_t));
+  }
+  ctx_->Touch(seg.nulls.data() + pos_, n);
+}
+
 void ColumnScanOperator::FillPredicateInputs(size_t n) {
   vbatch_.set_rows(n);
   const std::vector<int>& cols = compiled_->input_columns();
   for (size_t i = 0; i < cols.size(); ++i) {
-    const auto col = static_cast<size_t>(cols[i]);
-    const ColumnSegment& seg = columnar_->segment(col);
     ColumnVector* vec = vbatch_.Mutable(cols[i]);
-    if (compiled_->input_is_dict_code(i)) {
-      // Codes are stored int32; widen into an owned int64 vector (the one
-      // materialization the dictionary path pays). NULL rows carry code 0,
-      // preserving the zero-payload-under-NULL invariant.
-      vec->Reset(DataType::kInt64, n);
-      int64_t* out = vec->i64.data();
-      uint8_t* nulls = vec->nulls.data();
-      const int32_t* codes = seg.codes.data() + pos_;
-      const uint8_t* seg_nulls = seg.nulls.data() + pos_;
-      for (size_t k = 0; k < n; ++k) {
-        out[k] = codes[k];
-        nulls[k] = seg_nulls[k];
-      }
-      ctx_->Touch(codes, n * sizeof(int32_t));
-      ctx_->Touch(seg_nulls, n);
-    } else if (seg.type == DataType::kDouble) {
-      vec->AliasF64(seg.f64.data() + pos_, seg.nulls.data() + pos_);
-      ctx_->Touch(seg.f64.data() + pos_, n * sizeof(double));
-      ctx_->Touch(seg.nulls.data() + pos_, n);
-    } else {
-      vec->AliasI64(seg.type, seg.i64.data() + pos_, seg.nulls.data() + pos_);
-      ctx_->Touch(seg.i64.data() + pos_, n * sizeof(int64_t));
-      ctx_->Touch(seg.nulls.data() + pos_, n);
+    if (!compiled_->input_is_dict_code(i)) {
+      AliasSegment(cols[i], n, vec);
+      continue;
     }
+    // Codes are stored int32; widen into an owned int64 vector (the one
+    // materialization the dictionary path pays). NULL rows carry code 0,
+    // preserving the zero-payload-under-NULL invariant.
+    const ColumnSegment& seg =
+        columnar_->segment(static_cast<size_t>(cols[i]));
+    vec->Reset(DataType::kInt64, n);
+    int64_t* out = vec->i64.data();
+    uint8_t* nulls = vec->nulls.data();
+    const int32_t* codes = seg.codes.data() + pos_;
+    const uint8_t* seg_nulls = seg.nulls.data() + pos_;
+    for (size_t k = 0; k < n; ++k) {
+      out[k] = codes[k];
+      nulls[k] = seg_nulls[k];
+    }
+    ctx_->Touch(codes, n * sizeof(int32_t));
+    ctx_->Touch(seg_nulls, n);
   }
 }
 
@@ -264,55 +161,22 @@ void ColumnScanOperator::set_published_columns(std::vector<int> columns) {
   published_.Clear();
 }
 
-void ColumnScanOperator::PublishAliases(size_t n) {
-  published_.set_rows(n);
-  for (int c : published_cols_) {
-    const ColumnSegment& seg = columnar_->segment(static_cast<size_t>(c));
-    ColumnVector* vec = published_.Mutable(c);
-    if (seg.type == DataType::kDouble) {
-      vec->AliasF64(seg.f64.data() + pos_, seg.nulls.data() + pos_);
-      ctx_->Touch(seg.f64.data() + pos_, n * sizeof(double));
-    } else {
-      vec->AliasI64(seg.type, seg.i64.data() + pos_, seg.nulls.data() + pos_);
-      ctx_->Touch(seg.i64.data() + pos_, n * sizeof(int64_t));
-    }
-    ctx_->Touch(seg.nulls.data() + pos_, n);
-  }
-}
-
-void ColumnScanOperator::PublishGathered(size_t n) {
-  const size_t count = sel_.count;
-  const uint32_t* idx = sel_.idx.data();
+void ColumnScanOperator::Publish(size_t run, size_t count) {
   published_.set_rows(count);
+  ColumnVector segment;  // Borrows the run of a segment to gather from.
   for (int c : published_cols_) {
-    const ColumnSegment& seg = columnar_->segment(static_cast<size_t>(c));
-    ColumnVector* dst = published_.Mutable(c);
-    dst->Reset(seg.type, count);
-    uint8_t* dst_nulls = dst->nulls.data();
-    const uint8_t* src_nulls = seg.nulls.data() + pos_;
-    if (seg.type == DataType::kDouble) {
-      const double* src = seg.f64.data() + pos_;
-      double* d = dst->f64.data();
-      for (size_t k = 0; k < count; ++k) {
-        d[k] = src[idx[k]];
-        dst_nulls[k] = src_nulls[idx[k]];
-      }
-      ctx_->Touch(src, n * sizeof(double));
+    ColumnVector* vec = published_.Mutable(c);
+    if (count == run) {
+      AliasSegment(c, run, vec);
     } else {
-      const int64_t* src = seg.i64.data() + pos_;
-      int64_t* d = dst->i64.data();
-      for (size_t k = 0; k < count; ++k) {
-        d[k] = src[idx[k]];
-        dst_nulls[k] = src_nulls[idx[k]];
-      }
-      ctx_->Touch(src, n * sizeof(int64_t));
+      AliasSegment(c, run, &segment);
+      GatherLanes(segment, sel_, vec);
     }
-    ctx_->Touch(src_nulls, n);
   }
 }
 
 size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
-  // Nothing is published unless this call aliases or gathers its own run.
+  // Nothing is published unless this call returns a run of its own.
   published_.set_rows(0);
   // Rows Next() staged but has not returned yet go out first, so mixing the
   // two interfaces never skips or repeats a row. They are handed out
@@ -323,72 +187,48 @@ size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
     stage_pos_ += k;
     return k;
   }
-  const std::vector<const uint8_t*>& rows = table_->rows();
-  if (compiled_ != nullptr && vectorized_eval_) {
-    for (;;) {
-      size_t run = 0;
-      if (!ClaimRun(max, &run)) break;
-      // One module execution per row considered; pruned blocks never get
-      // here, which is the zone maps' instruction-count win.
-      for (size_t i = 0; i < run; ++i) {
-        ctx_->ExecModule(module_id(), hot_funcs_batched());
-      }
-      FillPredicateInputs(run);
-      compiled_->RunFilter(vbatch_, &sel_);
-      if (sel_.count == 0) {
-        pos_ += run;
-        continue;  // Keep scanning: 0 means end-of-stream to callers.
-      }
-      for (size_t k = 0; k < sel_.count; ++k) {
-        out[k] = rows[pos_ + sel_.idx[k]];
-      }
-      if (sel_.count == run) {
-        PublishAliases(run);
-      } else {
-        PublishGathered(run);
-      }
-      pos_ += run;
-      return sel_.count;
-    }
-    ctx_->ExecModule(module_id(), hot_funcs_batched());  // End-of-scan.
-    return 0;
-  }
-  if (predicate_ == nullptr) {
+  const Schema& schema = table_->schema();
+  const bool vectorized = compiled_ != nullptr && vectorized_eval_;
+  const std::vector<sim::FuncId>& funcs =
+      vectorized ? hot_funcs_batched() : hot_funcs_;
+  for (;;) {
     size_t run = 0;
     if (!ClaimRun(max, &run)) {
-      ctx_->ExecModule(module_id(), hot_funcs_batched());
+      ctx_->ExecModule(module_id(), funcs);  // End-of-scan.
       return 0;
     }
-    for (size_t i = 0; i < run; ++i) {
-      ctx_->ExecModule(module_id(), hot_funcs_batched());
-      out[i] = rows[pos_ + i];
-    }
-    PublishAliases(run);
-    pos_ += run;
-    return run;
-  }
-  // Scalar fallback (predicate did not compile): interpreter per row, but
-  // zone pruning still applies through ClaimRun.
-  const Schema& schema = table_->schema();
-  size_t n = 0;
-  while (n < max) {
-    size_t run = 0;
-    if (!ClaimRun(max - n, &run)) break;
-    for (size_t i = 0; i < run; ++i) {
-      ctx_->ExecModule(module_id(), hot_funcs_);
-      const uint8_t* row = rows[pos_ + i];
-      TupleView view(row, &schema);
-      ctx_->Touch(row, view.size_bytes());
+    const uint8_t* const* rows = table_->rows().data() + pos_;
+    // One module execution per row considered; pruned blocks never get
+    // here, which is the zone maps' instruction-count win.
+    size_t count = run;
+    if (predicate_ != nullptr && !vectorized) {
+      for (size_t i = 0; i < run; ++i) {
+        ctx_->ExecModule(module_id(), funcs);
+        ctx_->Touch(rows[i], TupleView(rows[i], &schema).size_bytes());
+      }
       // LINT: allow-scalar-eval(fallback: predicate did not compile)
-      const bool keep = EvaluatePredicate(*predicate_, view);
-      out[n] = row;
-      n += keep ? 1 : 0;
+      count = SelectRows(*predicate_, rows, run, schema, &sel_);
+    } else {
+      for (size_t i = 0; i < run; ++i) ctx_->ExecModule(module_id(), funcs);
+      if (vectorized) {
+        FillPredicateInputs(run);
+        compiled_->RunFilter(vbatch_, &sel_);
+        count = sel_.count;
+      }
     }
+    if (count == 0) {
+      pos_ += run;
+      continue;  // Keep scanning: 0 means end-of-stream to callers.
+    }
+    if (count == run) {
+      std::copy_n(rows, run, out);
+    } else {
+      for (size_t k = 0; k < count; ++k) out[k] = rows[sel_.idx[k]];
+    }
+    Publish(run, count);
     pos_ += run;
-    if (n > 0) return n;  // Contiguity only matters for published columns.
+    return count;
   }
-  if (n == 0) ctx_->ExecModule(module_id(), hot_funcs_);
-  return n;
 }
 
 const uint8_t* ColumnScanOperator::Next() {

@@ -20,8 +20,11 @@ namespace bufferdb {
 /// operators is unchanged — but fills its predicate's VectorBatch by
 /// pointer-aliasing the columnar segments instead of decoding rows (zero
 /// copy, zero decode), prunes whole ~4K-row blocks via zone maps against
-/// constant predicate conjuncts, and evaluates string predicates on
-/// dictionary codes in the vectorized engine.
+/// the predicate's column tests (MatchColumnTests, whether or not the rest
+/// of the predicate compiled), and evaluates string predicates on
+/// dictionary codes in the vectorized engine. A predicate that did not
+/// compile selects each run through the per-row interpreter (SelectRows);
+/// the run is returned and published the same way.
 ///
 /// It publishes the columns its consumer reads through BatchColumns(), so
 /// that consumer (an aggregate, a join's key loop, a Project) decodes none
@@ -87,21 +90,22 @@ class ColumnScanOperator final : public Operator {
   /// end of stream. On true, [pos_, pos_ + *run) is the longest contiguous
   /// unpruned run with *run <= max.
   bool ClaimRun(size_t max, size_t* run);
+  /// Points `vec` at rows [pos_, pos_ + n) of non-string column `col`'s
+  /// segment and charges reading them.
+  void AliasSegment(int col, size_t n, ColumnVector* vec);
   /// Points vbatch_ (predicate inputs) at segment storage for rows
   /// [pos_, pos_ + n), widening dictionary codes where flagged.
   void FillPredicateInputs(size_t n);
-  /// Publishes rows [pos_, pos_ + n) by aliasing the published columns'
-  /// segments.
-  void PublishAliases(size_t n);
-  /// Publishes the survivors in sel_ of the run [pos_, pos_ + n) by
-  /// gathering the published columns from their segments.
-  void PublishGathered(size_t n);
+  /// Publishes the `count` rows returned from the run [pos_, pos_ + run):
+  /// every row aliases the segments, fewer are sel_'s survivors, gathered
+  /// from them.
+  void Publish(size_t run, size_t count);
 
   Table* table_;
   const ColumnarTable* columnar_;
   ExprPtr predicate_;
   std::unique_ptr<CompiledExpr> compiled_;  // Null when no/uncompilable pred.
-  std::vector<ZoneConjunct> conjuncts_;     // Zone-map-usable conjuncts.
+  std::vector<ColumnTest> zone_tests_;      // The predicate's column tests.
   VectorBatch vbatch_;     // Predicate inputs (aliased or widened codes).
   std::vector<int> published_cols_;
   VectorBatch published_;  // BatchColumns() payload.

@@ -23,26 +23,7 @@ Status FilterOperator::Open(ExecContext* ctx) {
 void FilterOperator::PublishCompacted() {
   published_.set_rows(sel_.count);
   for (int col : compiled_->input_columns()) {
-    const ColumnVector& src = vbatch_.Get(col);
-    ColumnVector* dst = published_.Mutable(col);
-    dst->Reset(src.type, sel_.count);
-    uint8_t* dst_nulls = dst->nulls.data();
-    const uint8_t* src_nulls = src.null_data();
-    if (src.is_double()) {
-      const double* s = src.f64_data();
-      double* d = dst->f64.data();
-      for (size_t k = 0; k < sel_.count; ++k) {
-        d[k] = s[sel_.idx[k]];
-        dst_nulls[k] = src_nulls[sel_.idx[k]];
-      }
-    } else {
-      const int64_t* s = src.i64_data();
-      int64_t* d = dst->i64.data();
-      for (size_t k = 0; k < sel_.count; ++k) {
-        d[k] = s[sel_.idx[k]];
-        dst_nulls[k] = src_nulls[sel_.idx[k]];
-      }
-    }
+    GatherLanes(vbatch_.Get(col), sel_, published_.Mutable(col));
   }
 }
 
@@ -61,13 +42,14 @@ size_t FilterOperator::NextBatch(const uint8_t** out, size_t max) {
   // LINT: allow-alloc(one-time staging growth; no-op once capacity == max)
   if (in_batch_.size() < max) in_batch_.resize(max);
   const bool vectorized = compiled_ != nullptr && vectorized_eval_;
+  const std::vector<sim::FuncId>& funcs =
+      vectorized ? hot_funcs_batched() : hot_funcs_;
   for (;;) {
     size_t in_n = child(0)->NextBatch(in_batch_.data(), max);
     if (in_n == 0) {
       ctx_->ExecModule(module_id(), hot_funcs_batched());  // End-of-stream.
       return 0;
     }
-    size_t n = 0;
     if (vectorized) {
       // Columns the child already published (ColumnScan aliases, an earlier
       // Filter's compacted vectors) are aliased, the rest decoded.
@@ -75,22 +57,17 @@ size_t FilterOperator::NextBatch(const uint8_t** out, size_t max) {
                                      compiled_->input_columns(),
                                      child(0)->BatchColumns(), &vbatch_);
       compiled_->RunFilter(vbatch_, &sel_);
-      for (size_t i = 0; i < in_n; ++i) {
-        ctx_->ExecModule(module_id(), hot_funcs_batched());
-      }
-      n = sel_.count;
-      for (size_t k = 0; k < n; ++k) out[k] = in_batch_[sel_.idx[k]];
-      if (n > 0) PublishCompacted();
     } else {
-      for (size_t i = 0; i < in_n; ++i) {
-        ctx_->ExecModule(module_id(), hot_funcs_);
-        const uint8_t* row = in_batch_[i];
-        out[n] = row;
-        // LINT: allow-scalar-eval(fallback: predicate did not compile)
-        n += EvaluatePredicate(*predicate_, TupleView(row, &schema)) ? 1 : 0;
-      }
+      // LINT: allow-scalar-eval(fallback: predicate did not compile)
+      SelectRows(*predicate_, in_batch_.data(), in_n, schema, &sel_);
     }
-    if (n > 0) return n;
+    for (size_t i = 0; i < in_n; ++i) ctx_->ExecModule(module_id(), funcs);
+    const size_t n = sel_.count;
+    for (size_t k = 0; k < n; ++k) out[k] = in_batch_[sel_.idx[k]];
+    if (n > 0) {
+      if (vectorized) PublishCompacted();
+      return n;
+    }
     // Every row of this batch was filtered out; pull the next one.
   }
 }

@@ -22,12 +22,10 @@ class FilterOperator final : public Operator {
   const uint8_t* Next() override;
   void Close() override;
 
-  /// Batch fast path: pulls whole batches from the child. When the predicate
-  /// compiled to a kernel program, it is evaluated column-at-a-time into a
-  /// selection vector (decode → RunFilter → gather survivors); otherwise the
-  /// per-tuple interpreter runs with a branch-free selection loop (the
-  /// output cursor advances by the predicate result, so the store itself
-  /// never branches).
+  /// Batch fast path: pulls whole batches from the child and selects the
+  /// survivors column-at-a-time when the predicate compiled (decode →
+  /// RunFilter), else with the per-row interpreter (SelectRows); either
+  /// selection is gathered through one tail.
   size_t NextBatch(const uint8_t** out, size_t max) override;
 
   const Schema& output_schema() const override {

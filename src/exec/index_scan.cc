@@ -1,6 +1,7 @@
 #include "exec/index_scan.h"
 
 #include <limits>
+#include <numeric>
 
 #include "exec/row_batch_decoder.h"
 #include "expr/evaluator.h"
@@ -107,27 +108,23 @@ size_t IndexScanOperator::NextRun(const uint8_t** out, size_t max) {
 
 size_t IndexScanOperator::SelectResidual(const uint8_t* const* rows, size_t n,
                                          SelectionVector* sel) {
+  const Schema& schema = index_->table->schema();
   if (compiled_ != nullptr && vectorized_eval_) {
     // LINT: allow-row-decode(leaf: rows the scan gathered, no batch source)
-    RowBatchDecoder::Decode(rows, n, index_->table->schema(),
-                            compiled_->input_columns(), &vbatch_);
+    RowBatchDecoder::Decode(rows, n, schema, compiled_->input_columns(),
+                            &vbatch_);
     compiled_->RunFilter(vbatch_, sel);
-    return sel->count;
-  }
-  const Schema& schema = index_->table->schema();
-  // LINT: allow-alloc(one-time staging growth; no-op once capacity == n)
-  if (sel->idx.size() < n) sel->idx.resize(n);
-  size_t kept = 0;
-  for (size_t i = 0; i < n; ++i) {
-    sel->idx[kept] = static_cast<uint32_t>(i);
+  } else if (residual_predicate_ != nullptr) {
     // LINT: allow-scalar-eval(fallback: the residual did not compile)
-    const bool keep = residual_predicate_ == nullptr ||
-                      EvaluatePredicate(*residual_predicate_,
-                                        TupleView(rows[i], &schema));
-    kept += keep ? 1 : 0;
+    SelectRows(*residual_predicate_, rows, n, schema, sel);
+  } else {
+    // LINT: allow-alloc(one-time staging growth; no-op once capacity == n)
+    if (sel->idx.size() < n) sel->idx.resize(n);
+    std::iota(sel->idx.begin(), sel->idx.begin() + static_cast<ptrdiff_t>(n),
+              0u);
+    sel->count = n;
   }
-  sel->count = kept;
-  return kept;
+  return sel->count;
 }
 
 size_t IndexScanOperator::NextBatch(const uint8_t** out, size_t max) {

@@ -85,7 +85,8 @@ class Operator {
   /// The default implementation loops over Next(), so every operator
   /// supports the batch interface unchanged; operators with a natural
   /// array representation (Buffer, Exchange) or a tight generation loop
-  /// (SeqScan, Filter, Project) override it.
+  /// (SeqScan, ColumnScan, IndexScan, Filter, Project, IndexNestLoopJoin)
+  /// override it, and so do the ContractChecked and Profiled decorators.
   virtual size_t NextBatch(const uint8_t** out, size_t max);
 
   /// Re-positions at the beginning without releasing state. Default
@@ -93,9 +94,11 @@ class Operator {
   [[nodiscard]] virtual Status Rescan();
 
   /// Columns of the most recent NextBatch() result that this operator
-  /// already holds in SoA form (DESIGN.md §12): ColumnScan publishes
-  /// aliased segment storage, Filter/Project publish the vectors their own
-  /// kernels produced. A consumer passes this to
+  /// already holds in SoA form (DESIGN.md §12): ColumnScan publishes the
+  /// columns its consumer reads, aliased from or gathered out of segment
+  /// storage; Filter publishes its compiled predicate's inputs gathered by
+  /// its selection and Project its programs' results; a Profiled decorator
+  /// forwards its child's. A consumer passes this to
   /// RowBatchDecoder::DecodeMissing so each column is decoded at most once
   /// per pipeline. nullptr (the default) means nothing is published. The
   /// returned batch is only valid for the rows of the producer's most

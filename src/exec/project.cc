@@ -47,13 +47,7 @@ ProjectOperator::ProjectOperator(OperatorPtr child,
       compiled_.push_back(std::move(p));
     }
   }
-  for (const auto& p : compiled_) {
-    for (int col : p->input_columns()) {
-      bool present = false;
-      for (int c : decode_cols_) present = present || c == col;
-      if (!present) decode_cols_.push_back(col);
-    }
-  }
+  for (const auto& p : compiled_) AddInputColumns(*p, &decode_cols_);
   if (!compiled_.empty()) SetVectorBatchFuncs();
   results_.resize(compiled_.size());
 }

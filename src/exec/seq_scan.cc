@@ -50,6 +50,9 @@ const uint8_t* SeqScanOperator::Next() {
 
 size_t SeqScanOperator::NextBatch(const uint8_t** out, size_t max) {
   const Schema& schema = table_->schema();
+  const bool vectorized = compiled_ != nullptr && vectorized_eval_;
+  const std::vector<sim::FuncId>& funcs =
+      vectorized ? hot_funcs_batched() : hot_funcs_;
   size_t n = 0;
   while (n < max) {
     if (pos_ >= limit_) {
@@ -59,41 +62,33 @@ size_t SeqScanOperator::NextBatch(const uint8_t** out, size_t max) {
       limit_ = morsel.end;
       continue;
     }
-    if (compiled_ != nullptr && vectorized_eval_) {
-      // Vectorized predicate: gather the range into `out`, decode the
-      // referenced columns once, run the kernel program, then compact the
-      // survivors in place (sel_.idx is ascending, so idx[k] >= k and the
-      // in-place store never clobbers a pending source slot).
-      size_t gathered = 0;
-      while (pos_ < limit_ && n + gathered < max) {
-        ctx_->ExecModule(module_id(), hot_funcs_batched());
-        const uint8_t* row = table_->row(pos_++);
-        ctx_->Touch(row, TupleView(row, &schema).size_bytes());
-        out[n + gathered++] = row;
-      }
+    // Tight run over the current range: no morsel check per row.
+    size_t gathered = 0;
+    while (pos_ < limit_ && n + gathered < max) {
+      ctx_->ExecModule(module_id(), funcs);
+      const uint8_t* row = table_->row(pos_++);
+      ctx_->Touch(row, TupleView(row, &schema).size_bytes());
+      out[n + gathered++] = row;
+    }
+    if (predicate_ == nullptr) {
+      n += gathered;
+      continue;
+    }
+    if (vectorized) {
       // LINT: allow-row-decode(leaf: gathered rows, no batch source)
       RowBatchDecoder::Decode(out + n, gathered, schema,
                               compiled_->input_columns(), &vbatch_);
       compiled_->RunFilter(vbatch_, &sel_);
-      for (size_t k = 0; k < sel_.count; ++k) {
-        out[n + k] = out[n + sel_.idx[k]];
-      }
-      n += sel_.count;
-      continue;
+    } else {
+      // LINT: allow-scalar-eval(fallback: predicate did not compile)
+      SelectRows(*predicate_, out + n, gathered, schema, &sel_);
     }
-    // Tight run over the current range: no morsel check per row, and the
-    // survivor store is branch-free (`n` advances by 0 or 1).
-    while (pos_ < limit_ && n < max) {
-      ctx_->ExecModule(module_id(), hot_funcs_);
-      const uint8_t* row = table_->row(pos_++);
-      TupleView view(row, &schema);
-      ctx_->Touch(row, view.size_bytes());
-      bool keep = predicate_ == nullptr ||
-                  // LINT: allow-scalar-eval(fallback: predicate did not compile)
-                  EvaluatePredicate(*predicate_, view);
-      out[n] = row;
-      n += keep ? 1 : 0;
+    // Compact the survivors in place: sel_.idx is ascending, so idx[k] >= k
+    // and the store never clobbers a pending source slot.
+    for (size_t k = 0; k < sel_.count; ++k) {
+      out[n + k] = out[n + sel_.idx[k]];
     }
+    n += sel_.count;
   }
   if (n == 0) ctx_->ExecModule(module_id(), hot_funcs_);  // End-of-scan.
   return n;

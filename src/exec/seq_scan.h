@@ -30,10 +30,10 @@ class SeqScanOperator final : public Operator {
   void Close() override;
   [[nodiscard]] Status Rescan() override;
 
-  /// Batch fast path: generates (and, with a predicate, filters) up to
-  /// `max` rows in one tight loop over the table, writing survivors with a
-  /// branch-free selection store instead of returning through a virtual
-  /// call per row.
+  /// Batch fast path: gathers up to `max` rows in one tight loop over the
+  /// table and, with a predicate, selects the survivors through the compiled
+  /// program or the per-row interpreter (SelectRows), instead of returning
+  /// through a virtual call per row.
   size_t NextBatch(const uint8_t** out, size_t max) override;
 
   const Schema& output_schema() const override { return table_->schema(); }

@@ -10,6 +10,20 @@ bool EvaluatePredicate(const Expression& expr, const TupleView& row) {
   return !v.is_null() && v.bool_value();
 }
 
+size_t SelectRows(const Expression& predicate, const uint8_t* const* rows,
+                  size_t n, const Schema& schema, SelectionVector* sel) {
+  if (sel->idx.size() < n) sel->idx.resize(n);
+  uint32_t* idx = sel->idx.data();
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    // The store always happens and the cursor advances by the result.
+    idx[kept] = static_cast<uint32_t>(i);
+    kept += EvaluatePredicate(predicate, TupleView(rows[i], &schema)) ? 1 : 0;
+  }
+  sel->count = kept;
+  return kept;
+}
+
 bool IsConstantExpr(const Expression& expr) {
   switch (expr.kind()) {
     case ExprKind::kLiteral:

@@ -3,12 +3,21 @@
 #include <span>
 
 #include "expr/expression.h"
+#include "expr/vector.h"
 
 namespace bufferdb {
 
 /// SQL predicate semantics: true iff the expression evaluates to non-NULL
 /// true.
 bool EvaluatePredicate(const Expression& expr, const TupleView& row);
+
+/// The per-row interpreter over a row batch: fills `sel` with the ascending
+/// indexes of the rows of `rows[0..n)`, laid out by `schema`, that pass
+/// `predicate` (EvaluatePredicate), and returns their count. This is the
+/// fallback of a batched operator whose predicate did not compile, where
+/// CompiledExpr::RunFilter would run.
+size_t SelectRows(const Expression& predicate, const uint8_t* const* rows,
+                  size_t n, const Schema& schema, SelectionVector* sel);
 
 /// True if `expr` references no columns (usable before any row exists).
 bool IsConstantExpr(const Expression& expr);

@@ -87,6 +87,31 @@ struct SelectionVector {
   size_t count = 0;
 };
 
+/// Makes `dst` own the lanes of `src` that `sel` selects, in its order.
+/// `dst` must not be `src`.
+inline void GatherLanes(const ColumnVector& src, const SelectionVector& sel,
+                        ColumnVector* dst) {
+  dst->Reset(src.type, sel.count);
+  const uint32_t* idx = sel.idx.data();
+  const uint8_t* src_nulls = src.null_data();
+  uint8_t* dst_nulls = dst->nulls.data();
+  if (src.is_double()) {
+    const double* s = src.f64_data();
+    double* d = dst->f64.data();
+    for (size_t k = 0; k < sel.count; ++k) {
+      d[k] = s[idx[k]];
+      dst_nulls[k] = src_nulls[idx[k]];
+    }
+  } else {
+    const int64_t* s = src.i64_data();
+    int64_t* d = dst->i64.data();
+    for (size_t k = 0; k < sel.count; ++k) {
+      d[k] = s[idx[k]];
+      dst_nulls[k] = src_nulls[idx[k]];
+    }
+  }
+}
+
 /// The decoded input columns of one row batch, shared by every kernel
 /// program evaluated over that batch (one decode feeds the filter predicate,
 /// all project items, join keys, ...). Vectors are keyed by the input

@@ -1,5 +1,6 @@
 #include "expr/vector_eval.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -282,82 +283,6 @@ size_t SelectCompare(BinaryOp op, const T* v, const uint8_t* nu, T imm,
   }
 }
 
-// One comparison of a dictionary-coded column's codes against a rank.
-struct CodeTest {
-  BinaryOp op;  // kEq, kNe, kLt or kGe.
-  int64_t rank;
-};
-
-// Rewrites `b`, a string comparison or LIKE between a column and a string
-// literal, into comparisons of the column's dictionary codes that hold
-// exactly where `b` does: one, or two for `LIKE 'p%'` (lo <= code AND
-// code < hi), in tests[0..*num). A NULL code lane fails every test, as `b`
-// is NULL there. The dictionary is sorted with Value::Compare's byte order,
-// so ranks translate ordered comparisons: codes [0, LowerBound) are < s,
-// [0, UpperBound) are <= s. False for any other shape, a NULL literal
-// (rare enough to leave to the interpreter), an uncoded column or a LIKE
-// pattern other than a literal prefix and one trailing '%'.
-bool DictCodeTests(const BinaryExpr& b, const DictView& dict, int* col,
-                   CodeTest tests[2], size_t* num) {
-  const ColumnRefExpr* column = nullptr;
-  const Value* literal = nullptr;
-  BinaryOp op = b.op();
-  if (op == BinaryOp::kLike) {
-    // LIKE binds the pattern on the right.
-    if (b.left().kind() != ExprKind::kColumnRef ||
-        b.right().kind() != ExprKind::kLiteral) {
-      return false;
-    }
-    column = &static_cast<const ColumnRefExpr&>(b.left());
-    literal = &static_cast<const LiteralExpr&>(b.right()).value();
-  } else if (!MatchColumnComparison(b, &column, &literal, &op)) {
-    return false;
-  }
-  if (literal->is_null() || literal->type() != DataType::kString) return false;
-  *col = column->column();
-  if (!dict.HasDict(*col)) return false;
-  const std::string& s = literal->string_value();
-  *num = 1;
-  if (op == BinaryOp::kLike) {
-    const size_t wild = s.find_first_of("%_");
-    if (wild == std::string::npos) {
-      op = BinaryOp::kEq;  // `s LIKE 'abc'` is exact match.
-    } else {
-      if (s.back() != '%' || wild != s.size() - 1) return false;
-      int64_t lo = 0;
-      int64_t hi = 0;
-      if (!dict.PrefixRange(*col, {s.data(), s.size() - 1}, &lo, &hi)) {
-        return false;
-      }
-      tests[0] = CodeTest{BinaryOp::kGe, lo};
-      tests[1] = CodeTest{BinaryOp::kLt, hi};
-      *num = 2;
-      return true;
-    }
-  }
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-      // -1 when absent: matches no stored code.
-      tests[0] = CodeTest{op, dict.CodeOf(*col, s)};
-      return true;
-    case BinaryOp::kLt:
-      tests[0] = CodeTest{BinaryOp::kLt, dict.LowerBound(*col, s)};
-      return true;
-    case BinaryOp::kLe:
-      tests[0] = CodeTest{BinaryOp::kLt, dict.UpperBound(*col, s)};
-      return true;
-    case BinaryOp::kGt:
-      tests[0] = CodeTest{BinaryOp::kGe, dict.UpperBound(*col, s)};
-      return true;
-    case BinaryOp::kGe:
-      tests[0] = CodeTest{BinaryOp::kGe, dict.LowerBound(*col, s)};
-      return true;
-    default:
-      return false;
-  }
-}
-
 // True when `b` compares or LIKE-matches strings: the dictionary rewrite's
 // business, never a kernel's.
 bool IsStringTest(const BinaryExpr& b) {
@@ -368,7 +293,107 @@ bool IsStringTest(const BinaryExpr& b) {
 
 bool IsF64(DataType t) { return t == DataType::kDouble; }
 
+// The kernel opcode of comparison `op` over double or int64 lanes.
+VecOp CmpOp(BinaryOp op, bool f64) {
+  switch (op) {
+    case BinaryOp::kEq: return f64 ? VecOp::kCmpEqF64 : VecOp::kCmpEqI64;
+    case BinaryOp::kNe: return f64 ? VecOp::kCmpNeF64 : VecOp::kCmpNeI64;
+    case BinaryOp::kLt: return f64 ? VecOp::kCmpLtF64 : VecOp::kCmpLtI64;
+    case BinaryOp::kLe: return f64 ? VecOp::kCmpLeF64 : VecOp::kCmpLeI64;
+    case BinaryOp::kGt: return f64 ? VecOp::kCmpGtF64 : VecOp::kCmpGtI64;
+    default: return f64 ? VecOp::kCmpGeF64 : VecOp::kCmpGeI64;
+  }
+}
+
 }  // namespace
+
+size_t MatchColumnTests(const Expression& conjunct, const DictView* dict,
+                        ColumnTest tests[2]) {
+  if (conjunct.kind() != ExprKind::kBinary) return 0;
+  const auto& b = static_cast<const BinaryExpr&>(conjunct);
+  const ColumnRefExpr* column = nullptr;
+  const Value* literal = nullptr;
+  BinaryOp op = b.op();
+  if (op == BinaryOp::kLike) {
+    // LIKE binds the pattern on the right.
+    if (b.left().kind() != ExprKind::kColumnRef ||
+        b.right().kind() != ExprKind::kLiteral) {
+      return 0;
+    }
+    column = &static_cast<const ColumnRefExpr&>(b.left());
+    literal = &static_cast<const LiteralExpr&>(b.right()).value();
+  } else if (!MatchColumnComparison(b, &column, &literal, &op)) {
+    return 0;
+  }
+  // A NULL literal is rare enough to leave to a program or the interpreter.
+  if (literal->is_null()) return 0;
+  ColumnTest t;
+  t.column = column->column();
+  t.op = op;
+  if (!IsStringTest(b)) {
+    // As in CompileNode, a double on either side makes the comparison a
+    // double one; an integer column against a double literal is left to a
+    // program, which widens the column. (LIKE binds only strings.)
+    t.f64 = IsF64(column->result_type());
+    if (!t.f64 && IsF64(literal->type())) return 0;
+    if (t.f64) {
+      t.imm_f64 = literal->AsDouble();
+    } else {
+      t.imm_i64 = literal->int64_value();
+    }
+    tests[0] = t;
+    return 1;
+  }
+  if (dict == nullptr || literal->type() != DataType::kString ||
+      !dict->HasDict(t.column)) {
+    return 0;
+  }
+  // The dictionary is sorted with Value::Compare's byte order, so ranks
+  // translate ordered comparisons: codes [0, LowerBound) are < s,
+  // [0, UpperBound) are <= s.
+  t.dict_code = true;
+  const std::string& s = literal->string_value();
+  if (op == BinaryOp::kLike) {
+    const size_t wild = s.find_first_of("%_");
+    if (wild != std::string::npos) {
+      if (s.back() != '%' || wild != s.size() - 1) return 0;
+      int64_t lo = 0;
+      int64_t hi = 0;
+      if (!dict->PrefixRange(t.column, {s.data(), s.size() - 1}, &lo, &hi)) {
+        return 0;
+      }
+      tests[0] = tests[1] = t;
+      tests[0].op = BinaryOp::kGe;
+      tests[0].imm_i64 = lo;
+      tests[1].op = BinaryOp::kLt;
+      tests[1].imm_i64 = hi;
+      return 2;
+    }
+    t.op = BinaryOp::kEq;  // `s LIKE 'abc'` is exact match.
+  }
+  switch (t.op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+      t.imm_i64 = dict->CodeOf(t.column, s);
+      break;
+    case BinaryOp::kLt:
+      t.imm_i64 = dict->LowerBound(t.column, s);
+      break;
+    case BinaryOp::kLe:
+      t.op = BinaryOp::kLt;
+      t.imm_i64 = dict->UpperBound(t.column, s);
+      break;
+    case BinaryOp::kGt:
+      t.op = BinaryOp::kGe;
+      t.imm_i64 = dict->UpperBound(t.column, s);
+      break;
+    default:
+      t.imm_i64 = dict->LowerBound(t.column, s);
+      break;
+  }
+  tests[0] = t;
+  return 1;
+}
 
 // ---------------------------------------------------------------------------
 // Compiler: post-order walk emitting one instruction per interior node.
@@ -398,7 +423,7 @@ uint16_t CompiledExpr::AddDictCodeInput(int col) {
     input_is_code_.resize(input_cols_.size(), 0);
   }
   input_is_code_[idx] = 1;
-  return static_cast<uint16_t>(VecInsn::kInputRef | idx);
+  return idx;
 }
 
 uint16_t CompiledExpr::EmitConstI64(int64_t v) {
@@ -429,24 +454,15 @@ bool CompiledExpr::TryCompileDictBinary(const BinaryExpr& b, bool* handled,
                                         Operand* out) {
   *handled = IsStringTest(b);
   if (!*handled) return true;
-  int col = -1;
-  CodeTest tests[2];
-  size_t num = 0;
-  if (dict_ == nullptr || !DictCodeTests(b, *dict_, &col, tests, &num)) {
-    return false;
-  }
-  const uint16_t code = AddDictCodeInput(col);
+  ColumnTest tests[2];
+  const size_t num = MatchColumnTests(b, dict_, tests);
+  if (num == 0) return false;
+  const auto code = static_cast<uint16_t>(
+      VecInsn::kInputRef | AddDictCodeInput(tests[0].column));
   uint16_t result = 0;
   for (size_t t = 0; t < num; ++t) {
-    VecOp cmp = VecOp::kCmpEqI64;
-    switch (tests[t].op) {
-      case BinaryOp::kEq: cmp = VecOp::kCmpEqI64; break;
-      case BinaryOp::kNe: cmp = VecOp::kCmpNeI64; break;
-      case BinaryOp::kLt: cmp = VecOp::kCmpLtI64; break;
-      default: cmp = VecOp::kCmpGeI64; break;
-    }
-    const uint16_t r =
-        EmitBoolBinary(cmp, code, EmitConstI64(tests[t].rank));
+    const uint16_t r = EmitBoolBinary(CmpOp(tests[t].op, false), code,
+                                      EmitConstI64(tests[t].imm_i64));
     // Two tests AND: a NULL code lane makes both comparisons NULL and the
     // Kleene AND NULL, exactly `NULL LIKE 'p%'`.
     result = t == 0 ? r : EmitBoolBinary(VecOp::kAnd, result, r);
@@ -540,26 +556,7 @@ bool CompiledExpr::CompileNode(const Expression& expr, Operand* out) {
           l = EnsureF64(l);
           r = EnsureF64(r);
         }
-        switch (b.op()) {
-          case BinaryOp::kEq:
-            insn.op = f64 ? VecOp::kCmpEqF64 : VecOp::kCmpEqI64;
-            break;
-          case BinaryOp::kNe:
-            insn.op = f64 ? VecOp::kCmpNeF64 : VecOp::kCmpNeI64;
-            break;
-          case BinaryOp::kLt:
-            insn.op = f64 ? VecOp::kCmpLtF64 : VecOp::kCmpLtI64;
-            break;
-          case BinaryOp::kLe:
-            insn.op = f64 ? VecOp::kCmpLeF64 : VecOp::kCmpLeI64;
-            break;
-          case BinaryOp::kGt:
-            insn.op = f64 ? VecOp::kCmpGtF64 : VecOp::kCmpGtI64;
-            break;
-          default:
-            insn.op = f64 ? VecOp::kCmpGeF64 : VecOp::kCmpGeI64;
-            break;
-        }
+        insn.op = CmpOp(b.op(), f64);
         insn.dst = NewReg(DataType::kBool);
       } else {
         // Arithmetic: MakeBinary types the result double iff either operand
@@ -629,45 +626,18 @@ std::unique_ptr<CompiledExpr> CompiledExpr::CompileFilter(
 }
 
 bool CompiledExpr::CompileConjunct(const Expression& expr) {
-  Conjunct c;
-  if (expr.kind() == ExprKind::kBinary) {
-    const auto& b = static_cast<const BinaryExpr&>(expr);
-    if (IsStringTest(b)) {
-      int col = -1;
-      CodeTest tests[2];
-      size_t num = 0;
-      if (dict_ == nullptr || !DictCodeTests(b, *dict_, &col, tests, &num)) {
-        return false;
-      }
-      c.kind = Conjunct::Kind::kSelectI64;
-      c.input = AddDictCodeInput(col) & ~VecInsn::kInputRef;
-      for (size_t t = 0; t < num; ++t) {
-        c.op = tests[t].op;
-        c.imm_i64 = tests[t].rank;
-        conjuncts_.push_back(c);
-      }
-      return true;
-    }
-    const ColumnRefExpr* column = nullptr;
-    const Value* literal = nullptr;
-    // Both sides are numeric here. As in CompileNode, a double on either
-    // side makes the comparison a double one; an integer column against a
-    // double literal stays a program, which widens the column.
-    if (MatchColumnComparison(b, &column, &literal, &c.op) &&
-        !literal->is_null() &&
-        (IsF64(column->result_type()) || !IsF64(literal->type()))) {
-      c.input = AddInputColumn(column->column());
-      if (IsF64(column->result_type())) {
-        c.kind = Conjunct::Kind::kSelectF64;
-        c.imm_f64 = literal->AsDouble();
-      } else {
-        c.kind = Conjunct::Kind::kSelectI64;
-        c.imm_i64 = literal->int64_value();
-      }
-      conjuncts_.push_back(c);
-      return true;
-    }
+  ColumnTest tests[2];
+  const size_t num = MatchColumnTests(expr, dict_, tests);
+  for (size_t t = 0; t < num; ++t) {
+    Conjunct c;
+    c.test = tests[t];
+    c.input = c.test.dict_code ? AddDictCodeInput(c.test.column)
+                               : AddInputColumn(c.test.column);
+    conjuncts_.push_back(c);
   }
+  if (num > 0) return true;
+  Conjunct c;
+  c.program = true;
   c.begin = static_cast<uint32_t>(insns_.size());
   Operand root;
   if (!CompileNode(expr, &root)) return false;
@@ -862,7 +832,7 @@ void CompiledExpr::RunFilter(const VectorBatch& batch, SelectionVector* sel) {
   size_t count = n;
   bool first = true;
   for (const Conjunct& c : conjuncts_) {
-    if (c.kind == Conjunct::Kind::kProgram) {
+    if (c.program) {
       RunInsns(c.begin, c.end, batch);
       const ColumnVector& r = Vec(c.result, batch);
       const int64_t* v = r.i64_data();
@@ -871,13 +841,14 @@ void CompiledExpr::RunFilter(const VectorBatch& batch, SelectionVector* sel) {
         return (nu[i] == 0) & (v[i] != 0);
       });
     } else {
+      const ColumnTest& t = c.test;
       const ColumnVector& col = batch.Get(input_cols_[c.input]);
       const uint8_t* nu = col.null_data();
-      if (c.kind == Conjunct::Kind::kSelectI64) {
-        count = SelectCompare(c.op, col.i64_data(), nu, c.imm_i64, first, n,
+      if (t.f64) {
+        count = SelectCompare(t.op, col.f64_data(), nu, t.imm_f64, first, n,
                               count, idx);
       } else {
-        count = SelectCompare(c.op, col.f64_data(), nu, c.imm_f64, first, n,
+        count = SelectCompare(t.op, col.i64_data(), nu, t.imm_i64, first, n,
                               count, idx);
       }
     }
@@ -885,6 +856,14 @@ void CompiledExpr::RunFilter(const VectorBatch& batch, SelectionVector* sel) {
     if (count == 0) break;
   }
   sel->count = count;
+}
+
+void AddInputColumns(const CompiledExpr& program, std::vector<int>* cols) {
+  for (int col : program.input_columns()) {
+    if (std::find(cols->begin(), cols->end(), col) == cols->end()) {
+      cols->push_back(col);
+    }
+  }
 }
 
 Value LaneValue(const ColumnVector& v, size_t i) {

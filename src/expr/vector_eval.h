@@ -60,18 +60,46 @@ struct VecInsn {
   bool imm_null = false;
 };
 
+/// A test of one column's stored lanes against an immediate, `lane <op>
+/// imm`. The tests MatchColumnTests derives from a conjunct together pass
+/// exactly the lanes where the conjunct is non-NULL true, so each fails a
+/// NULL lane. The filter form runs a test as a selection loop, ColumnScan
+/// against its zone maps.
+struct ColumnTest {
+  int column = 0;
+  BinaryOp op = BinaryOp::kEq;  // A comparison.
+  bool dict_code = false;  // The lanes are the column's dictionary codes.
+  bool f64 = false;        // Double lanes against imm_f64, else int64 ones
+                           // against imm_i64.
+  int64_t imm_i64 = 0;
+  double imm_f64 = 0.0;
+};
+
+/// Writes to `tests` the column tests `conjunct` is equivalent to and
+/// returns their number: 0 when it is none. A comparison of a column with a
+/// non-NULL literal, in either orientation, is one test when a bool, int64
+/// or date column meets a literal of its domain (compared as int64) or a
+/// double column meets a numeric literal (compared as double); an integer
+/// column against a double literal is none. With `dict`, a string
+/// comparison or LIKE on a dictionary-coded column is a test of its codes
+/// against the literal's rank (an absent literal's code is -1, which no
+/// stored code equals), and `LIKE 'p%'` is two: lo <= code, code < hi over
+/// the prefix's code range.
+size_t MatchColumnTests(const Expression& conjunct, const DictView* dict,
+                        ColumnTest tests[2]);
+
 /// A bound Expression tree flattened (post-order) into a linear program of
 /// type-specialized opcodes over virtual registers. Compiled once at plan
 /// time and cached in operator state; Run() executes the program over a
 /// decoded batch with one tight loop per opcode.
 ///
 /// A predicate compiles in filter form instead (CompileFilter): one step
-/// per conjunct of its top-level AND. A `column <op> literal` conjunct is a
-/// typed selection loop over the input column; any other conjunct is a
-/// kernel program. RunFilter runs the steps in order, the first over every
-/// lane. A later selection loop reads only the survivors of the steps
-/// before it; a later program computes over every lane and keeps those
-/// survivors it passes.
+/// per conjunct of its top-level AND. A conjunct that is column tests
+/// (MatchColumnTests) is a typed selection loop per test; any other
+/// conjunct is a kernel program. RunFilter runs the steps in order, the
+/// first over every lane. A later selection loop reads only the survivors
+/// of the steps before it; a later program computes over every lane and
+/// keeps those survivors it passes.
 ///
 /// Coverage: all arithmetic, comparisons, AND/OR/NOT, IS [NOT] NULL,
 /// negation, literals and column references over bool/int64/double/date.
@@ -113,13 +141,8 @@ class CompiledExpr {
                                                const DictView* dict);
 
   /// Filter form of the BOOL `predicate`, for RunFilter only: its top-level
-  /// conjuncts compile one by one. A conjunct comparing a column with a
-  /// non-NULL literal becomes a selection loop when a bool, int64 or date
-  /// column meets a literal of its domain (compared as int64), when a
-  /// double column meets a numeric literal (compared as double) or, with
-  /// `dict`, when the column is dictionary-coded (its code against the
-  /// literal's rank; `LIKE 'p%'` becomes two such loops). Every other
-  /// conjunct, an integer column against a double literal included, is a
+  /// conjuncts compile one by one. A conjunct that MatchColumnTests(dict)
+  /// matches becomes one selection loop per test; every other conjunct is a
   /// kernel program. nullptr when any conjunct does not compile.
   static std::unique_ptr<CompiledExpr> CompileFilter(
       const Expression& predicate, const Schema& schema,
@@ -159,20 +182,13 @@ class CompiledExpr {
     DataType type;
   };
 
-  /// One step of the filter form. A selection keeps the lanes where input
-  /// column `input` <op> the immediate; a program runs insns_[begin, end)
-  /// and keeps the lanes where register `result` is non-NULL true.
+  /// One step of the filter form. A selection keeps the lanes of input
+  /// column `input` that pass `test`; a program runs insns_[begin, end) and
+  /// keeps the lanes where register `result` is non-NULL true.
   struct Conjunct {
-    enum class Kind : uint8_t {
-      kProgram,
-      kSelectI64,  // int64 lanes against imm_i64.
-      kSelectF64,  // double lanes against imm_f64.
-    };
-    Kind kind = Kind::kProgram;
-    BinaryOp op = BinaryOp::kEq;  // A comparison.
-    uint16_t input = 0;           // Index into input_cols_.
-    int64_t imm_i64 = 0;
-    double imm_f64 = 0.0;
+    bool program = false;
+    ColumnTest test;
+    uint16_t input = 0;  // Index into input_cols_.
     uint32_t begin = 0;
     uint32_t end = 0;
     uint16_t result = 0;
@@ -201,6 +217,10 @@ class CompiledExpr {
   uint16_t result_ref_ = 0;
   DataType result_type_ = DataType::kBool;
 };
+
+/// Adds the input columns of `program` to `cols` (deduplicated): the
+/// columns to decode for several programs run over one batch.
+void AddInputColumns(const CompiledExpr& program, std::vector<int>* cols);
 
 /// Boxes lane `i` of `v` into a Value — the bridge from vectorized results
 /// back into row-wise consumers (aggregate accumulators, group keys). The

@@ -46,39 +46,6 @@ void BuildZones(ColumnSegment* seg, size_t num_rows) {
 
 }  // namespace
 
-bool BlockMayMatch(const ZoneMap& z, const ColumnSegment& seg,
-                   const ZoneConjunct& c) {
-  if (c.always_false) return false;
-  // A comparison against NULL is NULL, which a filter rejects: a block of
-  // nothing but NULLs cannot produce a row through any comparison conjunct.
-  if (z.null_count >= z.rows) return false;
-  if (seg.type == DataType::kDouble) {
-    if (!c.is_f64) return true;  // Mixed-domain conjunct: never prune.
-    // This engine's Value::Compare orders doubles with `<`/`>`, so a NaN
-    // compares "equal" to everything; min/max cannot bound such lanes.
-    if (z.has_nan || std::isnan(c.f64)) return true;
-    switch (c.op) {
-      case ZoneOp::kEq: return c.f64 >= z.min_f64 && c.f64 <= z.max_f64;
-      case ZoneOp::kNe: return !(z.min_f64 == z.max_f64 && z.min_f64 == c.f64);
-      case ZoneOp::kLt: return z.min_f64 < c.f64;
-      case ZoneOp::kLe: return z.min_f64 <= c.f64;
-      case ZoneOp::kGt: return z.max_f64 > c.f64;
-      case ZoneOp::kGe: return z.max_f64 >= c.f64;
-    }
-    return true;
-  }
-  if (c.is_f64) return true;
-  switch (c.op) {
-    case ZoneOp::kEq: return c.i64 >= z.min_i64 && c.i64 <= z.max_i64;
-    case ZoneOp::kNe: return !(z.min_i64 == z.max_i64 && z.min_i64 == c.i64);
-    case ZoneOp::kLt: return z.min_i64 < c.i64;
-    case ZoneOp::kLe: return z.min_i64 <= c.i64;
-    case ZoneOp::kGt: return z.max_i64 > c.i64;
-    case ZoneOp::kGe: return z.max_i64 >= c.i64;
-  }
-  return true;
-}
-
 std::unique_ptr<ColumnarTable> ColumnarTable::Build(const Table& table) {
   auto ct = std::unique_ptr<ColumnarTable>(new ColumnarTable());
   const Schema& schema = table.schema();

@@ -51,30 +51,6 @@ struct ColumnSegment {
   std::vector<ZoneMap> zones;
 };
 
-/// Operator a zone-map conjunct applies; mirrors the comparison subset of
-/// BinaryOp without making storage depend on expression headers.
-enum class ZoneOp { kEq, kNe, kLt, kLe, kGt, kGe };
-
-/// One `col <op> literal` conjunct usable for block pruning. The literal is
-/// pre-translated into the column's storage domain (dictionary-code space
-/// for strings) by the extractor in exec/column_scan.cc.
-struct ZoneConjunct {
-  int col = 0;
-  ZoneOp op = ZoneOp::kEq;
-  bool is_f64 = false;
-  int64_t i64 = 0;
-  double f64 = 0;
-  // Equality literal absent from the dictionary: no stored row can match,
-  // every block is prunable regardless of its zone map.
-  bool always_false = false;
-};
-
-/// True when block `z` of `seg` may contain a row satisfying `c`; false
-/// means the whole block is safely skippable. Conservative: any uncertainty
-/// (NaN in a double block) returns true.
-bool BlockMayMatch(const ZoneMap& z, const ColumnSegment& seg,
-                   const ZoneConjunct& c);
-
 /// Columnar image of a packed-row Table: per-column typed segments built at
 /// load time, row-aligned with the table's row vector (segment index i holds
 /// the decode of table.row(i)). The row store stays authoritative — the

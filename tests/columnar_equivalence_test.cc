@@ -5,8 +5,9 @@
 //   2. zone-map pruning correctness on block-boundary-straddling predicates
 //      and all-NULL blocks (pruning must change counters, never results),
 //   3. dictionary round-trip and differential fuzz of the conjunct filter
-//      (dictionary-code string tests beside numeric and program conjuncts)
-//      against the per-tuple interpreter,
+//      (dictionary-code string tests beside numeric and program conjuncts,
+//      and conjuncts that leave the scan to the interpreter) against the
+//      per-tuple interpreter,
 //   4. the columns a planned ColumnScan publishes, and their contents.
 
 #include <gtest/gtest.h>
@@ -84,6 +85,63 @@ std::unique_ptr<Table> MakeColumnarTable(size_t n) {
   }
   table->AttachColumnar(ColumnarTable::Build(*table));
   return table;
+}
+
+// Published columns must describe exactly the `n` rows just returned, lane
+// for lane, or nothing at all (staged rows handed out by NextBatch).
+void ExpectPublishedMatches(const ColumnScanOperator& scan,
+                            const uint8_t* const* rows, size_t n) {
+  const VectorBatch* pub = scan.BatchColumns();
+  ASSERT_NE(pub, nullptr);
+  if (pub->rows() == 0) return;
+  ASSERT_EQ(pub->rows(), n);
+  const Schema& schema = scan.output_schema();
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const ColumnVector* vec = pub->Find(static_cast<int>(c));
+    if (vec == nullptr) continue;
+    for (size_t k = 0; k < n; ++k) {
+      Value v = TupleView(rows[k], &schema).GetValue(c);
+      ASSERT_EQ(vec->null_data()[k] != 0, v.is_null()) << "col " << c;
+      if (v.is_null()) continue;
+      if (vec->is_double()) {
+        EXPECT_EQ(vec->f64_data()[k], v.double_value()) << "col " << c;
+      } else {
+        EXPECT_EQ(vec->i64_data()[k], v.int64_value()) << "col " << c;
+      }
+    }
+  }
+}
+
+enum class Drain { kNextBatch, kNext, kAlternating };
+
+// Drains `root` (`scan`, possibly contract-wrapped) at `width`: through
+// NextBatch only, Next only, or one Next then one NextBatch in turn.
+std::vector<std::vector<Value>> DrainScan(Operator* root,
+                                          const ColumnScanOperator& scan,
+                                          size_t width, Drain drain) {
+  ExecContext ctx;
+  EXPECT_TRUE(root->Open(&ctx).ok());
+  std::vector<const uint8_t*> rows;
+  std::vector<const uint8_t*> slice(width);
+  auto pull_batch = [&] {
+    size_t n = root->NextBatch(slice.data(), width);
+    ExpectPublishedMatches(scan, slice.data(), n);
+    rows.insert(rows.end(), slice.begin(), slice.begin() + n);
+    return n;
+  };
+  for (;;) {
+    if (drain == Drain::kNextBatch) {
+      if (pull_batch() == 0) break;
+      continue;
+    }
+    const uint8_t* row = root->Next();
+    if (row == nullptr) break;
+    rows.push_back(row);
+    if (drain == Drain::kAlternating && pull_batch() == 0) break;
+  }
+  auto out = BoxRows(rows, root->output_schema());
+  root->Close();
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -223,6 +281,8 @@ TEST_F(ZoneMapPruningTest, BlockBoundaryPredicates) {
   std::vector<Case> cases;
   // Exactly the first block survives k < 4096: blocks 1 and 2 pruned.
   cases.push_back({Bin(BinaryOp::kLt, Col(s, "k"), Lit(Value::Int64(b))), 2});
+  // The same test with the literal on the left: 4096 > k is k < 4096.
+  cases.push_back({Bin(BinaryOp::kGt, Lit(Value::Int64(b)), Col(s, "k")), 2});
   // k <= 4096 straddles the block 0/1 boundary by one row: only block 2
   // prunable.
   cases.push_back({Bin(BinaryOp::kLe, Col(s, "k"), Lit(Value::Int64(b))), 1});
@@ -243,6 +303,15 @@ TEST_F(ZoneMapPruningTest, BlockBoundaryPredicates) {
   // Everything matches: nothing prunable.
   cases.push_back(
       {Bin(BinaryOp::kGe, Col(s, "k"), Lit(Value::Int64(-5))), 0});
+  // A conjunct that does not compile leaves the others' zone tests: the
+  // scan interprets the predicate and still prunes blocks 1 and 2.
+  ExprPtr uncompiled =
+      Bin(BinaryOp::kAnd, Bin(BinaryOp::kLt, Col(s, "k"), Lit(Value::Int64(b))),
+          Bin(BinaryOp::kLike, Col(s, "s"), Lit(Value::String("%ph%"))));
+  EXPECT_EQ(ColumnScanOperator(table.get(), uncompiled->Clone())
+                .compiled_predicate(),
+            nullptr);
+  cases.push_back({std::move(uncompiled), 2});
 
   for (size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE("case " + std::to_string(i));
@@ -271,6 +340,11 @@ TEST_F(ZoneMapPruningTest, AllNullBlocks) {
   pruned = CheckAndCountPruned(
       table.get(), Bin(BinaryOp::kEq, Col(s, "v"), Lit(Value::Double(7.0))));
   EXPECT_GE(pruned, 1u);
+  // A DOUBLE column against an INT64 literal is a double test, in the
+  // filter's selection loop and against the zone maps alike.
+  pruned = CheckAndCountPruned(
+      table.get(), Bin(BinaryOp::kLt, Col(s, "v"), Lit(Value::Int64(50))));
+  EXPECT_GE(pruned, 1u);
 }
 
 TEST_F(ZoneMapPruningTest, StringZoneMapsInCodeSpace) {
@@ -291,7 +365,8 @@ TEST_F(ZoneMapPruningTest, StringZoneMapsInCodeSpace) {
       table.get(),
       Bin(BinaryOp::kEq, Col(s, "s"), Lit(Value::String("marmot"))));
   EXPECT_GE(pruned, 2u);
-  // Absent literal: always_false conjunct prunes every block.
+  // Absent literal: its code -1 lies below every block's codes, so every
+  // block is pruned.
   pruned = CheckAndCountPruned(
       table.get(),
       Bin(BinaryOp::kEq, Col(s, "s"), Lit(Value::String("wombat"))));
@@ -349,10 +424,12 @@ TEST(DictionaryTest, RoundTrip) {
 
 // AND chains of one to five conjuncts that put dictionary-coded string
 // conjuncts (equality, `<>`, an absent literal, ranges, `LIKE 'p%'`, the
-// empty prefix) beside numeric ones and beside program conjuncts that mix
-// the two: the ColumnScan's conjunct-by-conjunct filter runs on dictionary
-// codes and returns exactly the rows of the per-tuple interpreter, in table
-// order, at every width.
+// empty prefix) beside numeric ones, beside program conjuncts that mix the
+// two and beside LIKE patterns no dictionary test covers: the ColumnScan's
+// conjunct-by-conjunct filter runs on dictionary codes, or the interpreter
+// when a conjunct does not compile, prunes blocks by the column tests
+// either way, and returns exactly the rows of the per-tuple interpreter, in
+// table order, at every width, publishing each run's columns.
 TEST(DictionaryTest, DifferentialFuzzVsInterpreter) {
   auto table = MakeColumnarTable(5000);
   const Schema& s = table->schema();
@@ -365,10 +442,11 @@ TEST(DictionaryTest, DifferentialFuzzVsInterpreter) {
   const char* kLiterals[] = {"alpha", "alp",  "beta", "betamax", "b",
                              "a",     "gap",  "gaps", "del",     "delia",
                              "omega", "omen", "zzz",  ""};
+  bool compiles = true;
   auto conjunct = [&]() -> ExprPtr {
     const std::string lit = kLiterals[next() % std::size(kLiterals)];
     const int64_t k = static_cast<int64_t>(next() % 5000);
-    switch (next() % 11) {
+    switch (next() % 13) {
       case 0: return Bin(BinaryOp::kEq, Col(s, "s"), Lit(Value::String(lit)));
       case 1: return Bin(BinaryOp::kNe, Lit(Value::String(lit)), Col(s, "s"));
       case 2: return Bin(BinaryOp::kLe, Col(s, "s"), Lit(Value::String(lit)));
@@ -382,6 +460,11 @@ TEST(DictionaryTest, DifferentialFuzzVsInterpreter) {
         return Bin(BinaryOp::kGe, Col(s, "v"),
                    Lit(Value::Double(static_cast<double>(k % 250))));
       case 9: return Bin(BinaryOp::kNe, Col(s, "k"), Lit(Value::Int64(k)));
+      case 10:  // Neither pattern is a prefix: the interpreter runs.
+      case 11:
+        compiles = false;
+        return Bin(BinaryOp::kLike, Col(s, "s"),
+                   Lit(Value::String(next() % 2 == 0 ? "%ph%" : "a_%")));
       default:  // A program conjunct: a string test OR a numeric one.
         return Bin(BinaryOp::kOr,
                    Bin(BinaryOp::kEq, Col(s, "s"), Lit(Value::String(lit))),
@@ -389,6 +472,7 @@ TEST(DictionaryTest, DifferentialFuzzVsInterpreter) {
     }
   };
   for (int trial = 0; trial < 100; ++trial) {
+    compiles = true;
     ExprPtr pred = conjunct();
     const int more = static_cast<int>(next() % 5);
     for (int c = 0; c < more; ++c) {
@@ -398,12 +482,18 @@ TEST(DictionaryTest, DifferentialFuzzVsInterpreter) {
         std::make_unique<SeqScanOperator>(table.get(), pred->Clone());
     const auto expected = RunPlan(reference.get());
     for (size_t width : {1u, 7u, 256u, 1024u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << pred->ToString() << " width " << width);
       auto cscan =
           std::make_unique<ColumnScanOperator>(table.get(), pred->Clone());
-      // String predicates must run on dictionary codes, not the interpreter.
-      EXPECT_NE(cscan->compiled_predicate(), nullptr) << pred->ToString();
-      EXPECT_EQ(expected, RunPlanBatched(cscan.get(), width))
-          << pred->ToString() << " width " << width;
+      ColumnScanOperator* hook = cscan.get();
+      // String predicates run on dictionary codes, not the interpreter,
+      // unless some conjunct does not compile.
+      EXPECT_EQ(hook->compiled_predicate() != nullptr, compiles);
+      hook->set_published_columns({0, 1});  // k and v; s is a string.
+      OperatorPtr root = ContractChecked(std::move(cscan));
+      EXPECT_EQ(expected,
+                DrainScan(root.get(), *hook, width, Drain::kNextBatch));
     }
   }
 }
@@ -411,63 +501,6 @@ TEST(DictionaryTest, DifferentialFuzzVsInterpreter) {
 // ---------------------------------------------------------------------------
 // Direct operator equivalence across widths, contract-checked.
 // ---------------------------------------------------------------------------
-
-// Published columns must describe exactly the `n` rows just returned, lane
-// for lane, or nothing at all (staged rows handed out by NextBatch).
-void ExpectPublishedMatches(const ColumnScanOperator& scan,
-                            const uint8_t* const* rows, size_t n) {
-  const VectorBatch* pub = scan.BatchColumns();
-  ASSERT_NE(pub, nullptr);
-  if (pub->rows() == 0) return;
-  ASSERT_EQ(pub->rows(), n);
-  const Schema& schema = scan.output_schema();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    const ColumnVector* vec = pub->Find(static_cast<int>(c));
-    if (vec == nullptr) continue;
-    for (size_t k = 0; k < n; ++k) {
-      Value v = TupleView(rows[k], &schema).GetValue(c);
-      ASSERT_EQ(vec->null_data()[k] != 0, v.is_null()) << "col " << c;
-      if (v.is_null()) continue;
-      if (vec->is_double()) {
-        EXPECT_EQ(vec->f64_data()[k], v.double_value()) << "col " << c;
-      } else {
-        EXPECT_EQ(vec->i64_data()[k], v.int64_value()) << "col " << c;
-      }
-    }
-  }
-}
-
-enum class Drain { kNextBatch, kNext, kAlternating };
-
-// Drains `root` (`scan`, possibly contract-wrapped) at `width`: through
-// NextBatch only, Next only, or one Next then one NextBatch in turn.
-std::vector<std::vector<Value>> DrainScan(Operator* root,
-                                          const ColumnScanOperator& scan,
-                                          size_t width, Drain drain) {
-  ExecContext ctx;
-  EXPECT_TRUE(root->Open(&ctx).ok());
-  std::vector<const uint8_t*> rows;
-  std::vector<const uint8_t*> slice(width);
-  auto pull_batch = [&] {
-    size_t n = root->NextBatch(slice.data(), width);
-    ExpectPublishedMatches(scan, slice.data(), n);
-    rows.insert(rows.end(), slice.begin(), slice.begin() + n);
-    return n;
-  };
-  for (;;) {
-    if (drain == Drain::kNextBatch) {
-      if (pull_batch() == 0) break;
-      continue;
-    }
-    const uint8_t* row = root->Next();
-    if (row == nullptr) break;
-    rows.push_back(row);
-    if (drain == Drain::kAlternating && pull_batch() == 0) break;
-  }
-  auto out = BoxRows(rows, root->output_schema());
-  root->Close();
-  return out;
-}
 
 class ColumnScanWidthTest : public ::testing::TestWithParam<size_t> {};
 

@@ -28,14 +28,14 @@ see (see DESIGN.md section 9):
                             propagation and TSan coverage stay centralized.
                             Annotate with `// LINT: allow-thread(<reason>)`.
   ENG006 scalar-eval        No per-tuple Expression::Evaluate /
-                            EvaluatePredicate calls inside NextBatch() or
-                            LoadBatched() (an aggregation's batched load)
-                            bodies: the batch fast path must evaluate
-                            expressions through compiled kernel programs
-                            (expr/vector_eval.h). The deliberate interpreter
-                            fallback (compiler returned nullptr) is annotated
-                            `// LINT: allow-scalar-eval(<reason>)` on the
-                            same or the preceding line.
+                            EvaluatePredicate / SelectRows calls inside
+                            NextBatch() or LoadBatched() (an aggregation's
+                            batched load) bodies: the batch fast path must
+                            evaluate expressions through compiled kernel
+                            programs (expr/vector_eval.h). The deliberate
+                            interpreter fallback (compiler returned nullptr)
+                            is annotated `// LINT: allow-scalar-eval(<reason>)`
+                            on the same or the preceding line.
   ENG007 syscall-containment perf_event_open / raw syscall() only appear
                             under src/perf/ -- hardware-counter access goes
                             through perf::PerfCounterGroup so the degraded
@@ -433,8 +433,9 @@ BATCH_FUNC_DEF_RE = re.compile(
     r"(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?(?:final\s*)?\{"
 )
 
+# SelectRows (expr/evaluator.h) runs EvaluatePredicate over a row batch.
 SCALAR_EVAL_RE = re.compile(
-    r"\bEvaluatePredicate\s*\(|(?:\.|->)\s*Evaluate\s*\(")
+    r"\b(?:EvaluatePredicate|SelectRows)\s*\(|(?:\.|->)\s*Evaluate\s*\(")
 
 
 def check_scalar_eval(path: str, raw: str, stripped: str) -> list[Finding]:
@@ -671,6 +672,19 @@ size_t BadOp::NextBatch(const uint8_t** out, size_t max) {
 }  // namespace bufferdb
 """,
     ),
+    "src/exec/bad_select_rows.cc": (
+        "ENG006",
+        """\
+#include "exec/bad_select_rows.h"
+namespace bufferdb {
+size_t BadOp::NextBatch(const uint8_t** out, size_t max) {
+  size_t n = child(0)->NextBatch(out, max);
+  SelectRows(*predicate_, out, n, schema_, &sel_);  // the interpreter
+  return sel_.count;
+}
+}  // namespace bufferdb
+""",
+    ),
     "src/exec/bad_load_scalar_eval.cc": (
         "ENG006",
         """\
@@ -744,6 +758,8 @@ size_t GoodOp::NextBatch(const uint8_t** out, size_t max) {
   // The annotated interpreter fallback must not trip ENG006.
   Value v = evaluator_->Evaluate(row_);  // LINT: allow-scalar-eval(fallback)
   (void)v;
+  // LINT: allow-scalar-eval(fallback: predicate did not compile)
+  SelectRows(*predicate_, out, max, schema_, &sel_);
   // DecodeMissing is the sanctioned batch decode: never trips ENG008.
   RowBatchDecoder::DecodeMissing(out, max, schema_, cols_, nullptr, &vbatch_);
   // LINT: allow-row-decode(leaf: gathered rows, no batch source)
