@@ -72,8 +72,10 @@ struct AggAccumulator {
 ///
 /// With `set_batch_size(n > 1)` and every argument compiled to a kernel
 /// program, the load drains the child through NextBatch and folds each
-/// argument column-at-a-time (AggAccumulator::UpdateColumn). Default is the
-/// paper-faithful tuple-at-a-time load.
+/// argument column-at-a-time (AggAccumulator::UpdateColumn). It reads only
+/// the arguments' input columns, so it asks the child for batches without
+/// rows (Operator::OmitRows). Default is the paper-faithful
+/// tuple-at-a-time load.
 class AggregationOperator final : public Operator {
  public:
   AggregationOperator(OperatorPtr child, std::vector<AggSpec> specs);

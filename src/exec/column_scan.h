@@ -29,11 +29,12 @@ namespace bufferdb {
 /// It publishes the columns its consumer reads through BatchColumns(), so
 /// that consumer (an aggregate, a join's key loop, a Project) decodes none
 /// of them: published_columns(), which the planner sets to the non-string
-/// columns of the table that anything above a single-table scan reads, or
-/// to the join key below a join. When every row of a run passes, the
-/// published vectors alias the segments; otherwise they are gathered from
-/// the segments by the selection. Until set_published_columns names some,
-/// a scan publishes none.
+/// columns of the table that anything above a single-table scan reads, to
+/// the same below an index join that a scalar aggregate asks for columns
+/// (the join copies them), or to the join key below any other join. When
+/// every row of a run passes, the published vectors alias the segments;
+/// otherwise they are gathered from the segments by the selection. Until
+/// set_published_columns names some, a scan publishes none.
 ///
 /// Each NextBatch() return is one contiguous run of table rows (possibly
 /// shorter than `max`; the NextBatch contract allows that), because only a

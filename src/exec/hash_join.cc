@@ -104,17 +104,18 @@ void HashJoinOperator::DrainBuild(Sink sink) {
   if (probe_batch_size_ > 1 && build_compiled_ != nullptr &&
       vectorized_eval_) {
     build_rows_.resize(kDefaultBatchSize);
+    build_keys_.resize(kDefaultBatchSize);
+    build_valid_.resize(kDefaultBatchSize);
     for (;;) {
       size_t n = child(1)->NextBatch(build_rows_.data(), build_rows_.size());
       if (n == 0) break;
-      RowBatchDecoder::DecodeMissing(build_rows_.data(), n, build_schema,
-                                     build_compiled_->input_columns(),
-                                     child(1)->BatchColumns(), &build_vbatch_);
-      const ColumnVector& keys = build_compiled_->Run(build_vbatch_);
+      EvaluateJoinKeys(build_compiled_.get(), *build_key_, build_rows_.data(),
+                       n, build_schema, child(1)->BatchColumns(),
+                       &build_vbatch_, build_keys_.data(), build_valid_.data());
       for (size_t i = 0; i < n; ++i) {
         ctx_->ExecModule(sim::ModuleId::kHashJoinBuild, build_batch_funcs_);
-        if (keys.null_data()[i] != 0) continue;  // NULL keys never match.
-        sink(keys.i64_data()[i], build_rows_[i]);
+        if (build_valid_[i] == 0) continue;  // NULL keys never match.
+        sink(build_keys_[i], build_rows_[i]);
       }
     }
   } else {
@@ -189,12 +190,12 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-// Pulls one batch of probe rows and resolves their bucket heads in two
-// passes: pass 1 evaluates keys, hashes, and prefetches every row's bucket;
-// pass 2 reads the (now in-flight) bucket heads and prefetches the first
-// chain node. By the time the caller walks a row's chain, its cache lines
-// are en route — the misses of up to `probe_batch_size_` independent probes
-// overlap instead of paying a full DRAM round-trip each.
+// Pulls one batch of probe rows, evaluates their keys and resolves their
+// bucket heads in two passes: pass 1 hashes and prefetches every row's
+// bucket; pass 2 reads the (now in-flight) bucket heads and prefetches the
+// first chain node. By the time the caller walks a row's chain, its cache
+// lines are en route — the misses of up to `probe_batch_size_` independent
+// probes overlap instead of paying a full DRAM round-trip each.
 void HashJoinOperator::FetchProbeBatch() {
   const Schema& probe_schema = child(0)->output_schema();
   probe_pos_ = 0;
@@ -205,35 +206,15 @@ void HashJoinOperator::FetchProbeBatch() {
   }
   const std::vector<int32_t>& buckets = table_->buckets;
   const uint64_t mask = buckets.size() - 1;
-  if (probe_compiled_ != nullptr && vectorized_eval_) {
-    // Column-at-a-time key evaluation for the whole batch, then the same
-    // hash + bucket-prefetch pass over the key vector.
-    RowBatchDecoder::DecodeMissing(probe_rows_.data(), probe_count_,
-                                   probe_schema,
-                                   probe_compiled_->input_columns(),
-                                   child(0)->BatchColumns(), &probe_vbatch_);
-    const ColumnVector& keys = probe_compiled_->Run(probe_vbatch_);
-    for (size_t i = 0; i < probe_count_; ++i) {
-      const bool valid = keys.null_data()[i] == 0;
-      probe_valid_[i] = valid ? 1 : 0;
-      if (!valid) continue;
-      probe_keys_[i] = keys.i64_data()[i];
-      uint64_t b = SplitMix64(static_cast<uint64_t>(probe_keys_[i])) & mask;
-      probe_buckets_[i] = b;
-      PrefetchRead(&buckets[b]);
-    }
-  } else {
-    for (size_t i = 0; i < probe_count_; ++i) {
-      TupleView view(probe_rows_[i], &probe_schema);
-      Value key = probe_key_->Evaluate(view);
-      bool valid = !key.is_null();
-      probe_valid_[i] = valid ? 1 : 0;
-      if (!valid) continue;
-      probe_keys_[i] = key.int64_value();
-      uint64_t b = SplitMix64(static_cast<uint64_t>(probe_keys_[i])) & mask;
-      probe_buckets_[i] = b;
-      PrefetchRead(&buckets[b]);
-    }
+  EvaluateJoinKeys(vectorized_eval_ ? probe_compiled_.get() : nullptr,
+                   *probe_key_, probe_rows_.data(), probe_count_,
+                   probe_schema, child(0)->BatchColumns(), &probe_vbatch_,
+                   probe_keys_.data(), probe_valid_.data());
+  for (size_t i = 0; i < probe_count_; ++i) {
+    if (probe_valid_[i] == 0) continue;
+    uint64_t b = SplitMix64(static_cast<uint64_t>(probe_keys_[i])) & mask;
+    probe_buckets_[i] = b;
+    PrefetchRead(&buckets[b]);
   }
   for (size_t i = 0; i < probe_count_; ++i) {
     if (!probe_valid_[i]) {

@@ -131,6 +131,8 @@ class HashJoinOperator final : public Operator {
   VectorBatch probe_vbatch_;
   VectorBatch build_vbatch_;
   std::vector<const uint8_t*> build_rows_;  // Batched-build staging.
+  std::vector<int64_t> build_keys_;
+  std::vector<uint8_t> build_valid_;
 
   JoinHashTable own_table_;  // Filled by the serial build.
   parallel::SharedJoinBuild* shared_ = nullptr;

@@ -51,6 +51,8 @@ void IndexScanOperator::Position() {
 Status IndexScanOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
   seek_key_.reset();
+  forward_seeks_ = 0;
+  descents_ = 0;
   Position();
   return Status::OK();
 }
@@ -81,7 +83,21 @@ void IndexScanOperator::SeekEqual(int64_t key) {
     it_ = seek_start_;
     return;
   }
-  Position();
+  // Every entry before the last key's start is below it, so a larger key
+  // can walk on from there; the walk charges the leaf it starts from and
+  // the one it lands on.
+  it_ = seek_start_;
+  const void* leaf = it_.node_address();
+  if (seek_key_.has_value() && key > *seek_key_ && it_.SeekForward(key)) {
+    ++forward_seeks_;
+    if (leaf != nullptr) ctx_->Touch(leaf, kNodeTouchBytes);
+    if (it_.Valid() && it_.node_address() != leaf) {
+      ctx_->Touch(it_.node_address(), kNodeTouchBytes);
+    }
+  } else {
+    ++descents_;
+    Position();
+  }
   seek_key_ = key;
   seek_start_ = it_;
 }

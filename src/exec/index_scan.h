@@ -39,8 +39,16 @@ class IndexScanOperator final : public Operator {
 
   /// Equality mode positioned at `key`, like BindEqualKey + Rescan. When
   /// `key` is the key of the previous SeekEqual, the walk restarts where
-  /// that key's entries begin instead of descending the tree again.
+  /// that key's entries begin instead of descending the tree again. A key
+  /// above it walks forward from there when its first entry lies in that
+  /// leaf or the next one (BTree::Iterator::SeekForward); only a smaller
+  /// key, or one further on, descends from the root.
   void SeekEqual(int64_t key);
+
+  /// New SeekEqual keys since Open that walked forward, and that descended
+  /// from the root (test and measurement hooks).
+  uint64_t forward_seeks() const { return forward_seeks_; }
+  uint64_t descents() const { return descents_; }
 
   /// Copies up to `max` rows of the bound interval's remaining entries into
   /// `out`, whole leaf runs at a time, with no residual applied; 0 when the
@@ -79,6 +87,8 @@ class IndexScanOperator final : public Operator {
   // Where the entries of the last SeekEqual key begin.
   std::optional<int64_t> seek_key_;
   BTree::Iterator seek_start_;
+  uint64_t forward_seeks_ = 0;
+  uint64_t descents_ = 0;
   VectorBatch vbatch_;  // Residual inputs of the rows being filtered.
   SelectionVector sel_;
 };

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,12 +49,19 @@ class NestLoopJoinOperator final : public Operator {
 ///
 /// Next() is the paper's per-tuple path. NextBatch() pulls a whole outer
 /// batch, evaluates its keys column at a time, probes each non-NULL key
-/// through the inner scan's own descent and leaf walk (a key equal to the
-/// previous one restarts where its entries begin), runs the inner residual
-/// once over all candidate matches of the output batch and writes the
-/// survivors' joined rows. Outer rows a NextBatch pulled but did not probe
-/// yet are the next ones Next() takes, and a key either call left half
-/// drained is finished by the other, so the two calls may be mixed.
+/// through the inner scan's SeekEqual (a key equal to or just above the
+/// previous one walks on from where that key's entries begin) and leaf
+/// walk, runs the inner residual once over all candidate matches of the
+/// output batch and writes the survivors' joined rows. Outer rows a
+/// NextBatch pulled but did not probe yet are the next ones Next() takes,
+/// and a key either call left half drained is finished by the other, so
+/// the two calls may be mixed.
+///
+/// After a granted OmitRows() request NextBatch() writes no joined row: it
+/// publishes the requested columns instead, outer ones copied from the
+/// outer batch's published (or decoded) vectors at each match's outer
+/// lane as its key's matches are found, inner ones decoded from the
+/// matched leaf rows.
 class IndexNestLoopJoinOperator final : public Operator {
  public:
   IndexNestLoopJoinOperator(OperatorPtr outer,
@@ -66,16 +74,35 @@ class IndexNestLoopJoinOperator final : public Operator {
   size_t NextBatch(const uint8_t** out, size_t max) override;
   void Close() override;
 
+  /// Grants a request for non-string output columns.
+  bool OmitRows(std::span<const int> columns) override;
+  /// The requested columns of the last NextBatch, or nullptr while the
+  /// join writes rows.
+  const VectorBatch* BatchColumns() const override {
+    return omit_rows_ ? &published_ : nullptr;
+  }
+
   const Schema& output_schema() const override { return output_schema_; }
   sim::ModuleId module_id() const override {
     return sim::ModuleId::kNestLoopJoin;
   }
   std::string label() const override { return "NestLoop(indexed)"; }
 
+  /// Whether NextBatch writes joined rows (no OmitRows granted since
+  /// Open), and the output columns it publishes when it does not.
+  bool builds_rows() const { return !omit_rows_; }
+  const std::vector<int>& published_columns() const { return publish_cols_; }
+
  private:
   /// Pulls the next outer batch and evaluates its keys; false at the end
   /// of the outer stream.
   bool FetchOuterBatch();
+  /// Copies the requested outer columns of outer_lane_ into stage lanes
+  /// [at, at + count), the current key's next matches.
+  void StageOuter(size_t at, size_t count);
+  /// Publishes the requested columns of the `kept` matches that sel_
+  /// selects out of the `n` candidates in match_inner_/outer_stage_.
+  void PublishMatches(size_t n, size_t kept);
 
   ExprPtr outer_key_expr_;
   std::unique_ptr<CompiledExpr> key_compiled_;  // Null -> interpreter.
@@ -95,9 +122,21 @@ class IndexNestLoopJoinOperator final : public Operator {
   std::array<uint8_t, kDefaultBatchSize> outer_valid_{};  // 0: NULL key.
   size_t outer_pos_ = 0;
   size_t outer_n_ = 0;
+  uint32_t outer_lane_ = 0;  // outer_row_'s lane in the outer batch.
   std::array<const uint8_t*, kDefaultBatchSize> match_outer_{};
   std::array<const uint8_t*, kDefaultBatchSize> match_inner_{};
   SelectionVector sel_;
+
+  // Row-free output (OmitRows): the requested output columns, and the
+  // outer and inner columns they come from.
+  bool omit_rows_ = false;
+  std::vector<int> publish_cols_;
+  std::vector<int> outer_cols_;
+  std::vector<int> inner_cols_;
+  VectorBatch outer_vbatch_;  // outer_cols_ of the current outer batch.
+  VectorBatch outer_stage_;   // outer_cols_ of the candidate matches.
+  VectorBatch inner_vbatch_;  // inner_cols_ of the kept matches.
+  VectorBatch published_;     // BatchColumns() payload.
 };
 
 }  // namespace bufferdb

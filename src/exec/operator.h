@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,12 +83,32 @@ class Operator {
   /// call). Mixing Next() and NextBatch() on one operator is allowed; the
   /// two drain the same underlying stream.
   ///
+  /// One exception: after a granted OmitRows() request the rows are
+  /// absent. out[0..n) is then left unwritten, and only the requested
+  /// columns of BatchColumns() describe the n rows counted.
+  ///
   /// The default implementation loops over Next(), so every operator
   /// supports the batch interface unchanged; operators with a natural
   /// array representation (Buffer, Exchange) or a tight generation loop
   /// (SeqScan, ColumnScan, IndexScan, Filter, Project, IndexNestLoopJoin)
   /// override it, and so do the ContractChecked and Profiled decorators.
   virtual size_t NextBatch(const uint8_t** out, size_t max);
+
+  /// Asks for batches without rows (DESIGN.md §12.2): until the next
+  /// Open(), NextBatch() leaves out[] unwritten and publishes `columns` (of
+  /// output_schema()) in BatchColumns() for every row it counts. Returns
+  /// whether this operator does so; the default, false, changes nothing.
+  /// Only a consumer that reads nothing of its input but these columns
+  /// asks, after Open() and before its first pull, and it then pulls
+  /// through NextBatch() alone: a batched scalar Aggregation. The index
+  /// join grants a request for non-string columns; the ContractChecked and
+  /// Profiled decorators forward it. Any other operator, a Buffer, Sort,
+  /// Project, Filter or Exchange included, declines, so it never hands out
+  /// or receives a batch without rows.
+  virtual bool OmitRows(std::span<const int> columns) {
+    (void)columns;
+    return false;
+  }
 
   /// Re-positions at the beginning without releasing state. Default
   /// implementation is Close+Open.
@@ -97,12 +118,17 @@ class Operator {
   /// already holds in SoA form (DESIGN.md §12): ColumnScan publishes the
   /// columns its consumer reads, aliased from or gathered out of segment
   /// storage; Filter publishes its compiled predicate's inputs gathered by
-  /// its selection and Project its programs' results; a Profiled decorator
-  /// forwards its child's. A consumer passes this to
+  /// its selection and Project its programs' results; an index join that
+  /// granted OmitRows() publishes the requested columns, outer ones copied
+  /// from its outer input's published vectors and inner ones read from the
+  /// matched leaf rows; the Profiled and ContractChecked decorators
+  /// forward their child's. A consumer passes this to
   /// RowBatchDecoder::DecodeMissing so each column is decoded at most once
-  /// per pipeline. nullptr (the default) means nothing is published. The
-  /// returned batch is only valid for the rows of the producer's most
-  /// recent NextBatch() return and is invalidated by the next pull.
+  /// per pipeline. nullptr (the default) or a batch of 0 rows means
+  /// nothing is published; any other batch holds exactly the count just
+  /// returned (the ContractChecked decorator checks it). The returned
+  /// batch is only valid for the rows of the producer's most recent
+  /// NextBatch() return and is invalidated by the next pull.
   virtual const VectorBatch* BatchColumns() const { return nullptr; }
 
   virtual const Schema& output_schema() const = 0;

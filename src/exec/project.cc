@@ -20,7 +20,7 @@ ProjectOperator::ProjectOperator(OperatorPtr child,
   output_schema_ = Schema(std::move(cols));
 
   // When every item is a bare column reference of the input column's
-  // type, output rows are slot copies (CopyRow); the interpreter never runs.
+  // type, output rows are slot copies; the interpreter never runs.
   const Schema& in_schema = this->child(0)->output_schema();
   for (const ProjectItem& item : items_) {
     const int col = item.expr->kind() == ExprKind::kColumnRef
@@ -61,36 +61,27 @@ Status ProjectOperator::Open(ExecContext* ctx) {
 void ProjectOperator::PublishResults(size_t n) {
   published_.set_rows(n);
   for (size_t c = 0; c < results_.size(); ++c) {
-    const ColumnVector& v = *results_[c];
-    ColumnVector* dst = published_.Mutable(static_cast<int>(c));
-    if (v.is_double()) {
-      dst->AliasF64(v.f64_data(), v.null_data());
-    } else {
-      dst->AliasI64(v.type, v.i64_data(), v.null_data());
-    }
+    published_.Mutable(static_cast<int>(c))->AliasLanes(*results_[c]);
   }
-}
-
-const uint8_t* ProjectOperator::CopyRow(const uint8_t* row) {
-  const uint8_t* out =
-      TupleBuilder::CopyColumns(output_schema_, child(0)->output_schema(), row,
-                                &ctx_->arena, copy_columns_);
-  ctx_->Touch(out, TupleView(out, &output_schema_).size_bytes());
-  return out;
 }
 
 const uint8_t* ProjectOperator::Next() {
   ctx_->ExecModule(module_id(), hot_funcs_);
   const uint8_t* row = child(0)->Next();
   if (row == nullptr) return nullptr;
-  if (!copy_columns_.empty()) return CopyRow(row);
   const Schema& in_schema = child(0)->output_schema();
-  TupleView view(row, &in_schema);
-  TupleBuilder builder(&output_schema_);
-  for (size_t i = 0; i < items_.size(); ++i) {
-    builder.Set(i, items_[i].expr->Evaluate(view));
+  const uint8_t* out;
+  if (!copy_columns_.empty()) {
+    out = TupleBuilder::CopyColumns(output_schema_, in_schema, row,
+                                    &ctx_->arena, copy_columns_);
+  } else {
+    TupleView view(row, &in_schema);
+    TupleBuilder builder(&output_schema_);
+    for (size_t i = 0; i < items_.size(); ++i) {
+      builder.Set(i, items_[i].expr->Evaluate(view));
+    }
+    out = builder.Finish(&ctx_->arena);
   }
-  const uint8_t* out = builder.Finish(&ctx_->arena);
   ctx_->Touch(out, TupleView(out, &output_schema_).size_bytes());
   return out;
 }
@@ -103,14 +94,18 @@ size_t ProjectOperator::NextBatch(const uint8_t** out, size_t max) {
     ctx_->ExecModule(module_id(), hot_funcs_batched());  // End-of-stream.
     return 0;
   }
+  const Schema& in_schema = child(0)->output_schema();
   if (!copy_columns_.empty()) {
     for (size_t i = 0; i < in_n; ++i) {
       ctx_->ExecModule(module_id(), hot_funcs_);
-      out[i] = CopyRow(in_batch_[i]);
+      // LINT: allow-row-build(a Project's consumer reads rows)
+      const uint8_t* row = TupleBuilder::CopyColumns(
+          output_schema_, in_schema, in_batch_[i], &ctx_->arena, copy_columns_);
+      ctx_->Touch(row, TupleView(row, &output_schema_).size_bytes());
+      out[i] = row;
     }
     return in_n;
   }
-  const Schema& in_schema = child(0)->output_schema();
   if (!compiled_.empty() && vectorized_eval_) {
     RowBatchDecoder::DecodeMissing(in_batch_.data(), in_n, in_schema,
                                    decode_cols_, child(0)->BatchColumns(),
@@ -157,6 +152,7 @@ size_t ProjectOperator::NextBatch(const uint8_t** out, size_t max) {
       // LINT: allow-scalar-eval(fallback: some item did not compile)
       builder.Set(c, items_[c].expr->Evaluate(view));
     }
+    // LINT: allow-row-build(a Project's consumer reads rows)
     const uint8_t* row = builder.Finish(&ctx_->arena);
     ctx_->Touch(row, TupleView(row, &output_schema_).size_bytes());
     out[i] = row;

@@ -51,9 +51,6 @@ class ProjectOperator final : public Operator {
   /// Aliases results_ into published_ for the `n` rows just produced.
   void PublishResults(size_t n);
 
-  /// The output row of `row` for a bare-column projection.
-  const uint8_t* CopyRow(const uint8_t* row);
-
   std::vector<ProjectItem> items_;
   Schema output_schema_;
   // The input column of each item when every item is a bare column

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "storage/tuple.h"
+
 namespace bufferdb {
 
 void RowBatchDecoder::Decode(const uint8_t* const* rows, size_t n,
@@ -63,18 +65,37 @@ void RowBatchDecoder::DecodeMissing(const uint8_t* const* rows, size_t n,
             ? published->Find(col)
             : nullptr;
     if (pub != nullptr) {
-      ColumnVector* vec = batch->Mutable(col);
-      if (pub->is_double()) {
-        vec->AliasF64(pub->f64_data(), pub->null_data());
-      } else {
-        vec->AliasI64(pub->type, pub->i64_data(), pub->null_data());
-      }
+      batch->Mutable(col)->AliasLanes(*pub);
       continue;
     }
     const int one[] = {col};
     Decode(rows, n, schema, one, batch);
   }
   batch->set_rows(n);
+}
+
+void EvaluateJoinKeys(CompiledExpr* program, const Expression& key,
+                      const uint8_t* const* rows, size_t n,
+                      const Schema& schema, const VectorBatch* published,
+                      VectorBatch* vbatch, int64_t* keys, uint8_t* valid) {
+  if (program != nullptr) {
+    RowBatchDecoder::DecodeMissing(rows, n, schema, program->input_columns(),
+                                   published, vbatch);
+    const ColumnVector& out = program->Run(*vbatch);
+    const uint8_t* nulls = out.null_data();
+    const int64_t* vals = out.i64_data();
+    for (size_t i = 0; i < n; ++i) {
+      valid[i] = nulls[i] == 0 ? 1 : 0;
+      keys[i] = vals[i];
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    // LINT: allow-scalar-eval(fallback: the key did not compile)
+    const Value v = key.Evaluate(TupleView(rows[i], &schema));
+    valid[i] = v.is_null() ? 0 : 1;
+    keys[i] = v.is_null() ? 0 : v.int64_value();
+  }
 }
 
 }  // namespace bufferdb

@@ -5,7 +5,9 @@
 #include <span>
 
 #include "catalog/schema.h"
+#include "expr/expression.h"
 #include "expr/vector.h"
+#include "expr/vector_eval.h"
 
 namespace bufferdb {
 
@@ -36,5 +38,16 @@ class RowBatchDecoder {
                             const Schema& schema, std::span<const int> columns,
                             const VectorBatch* published, VectorBatch* batch);
 };
+
+/// The key loop of the joins (the hash join's build and probe, the index
+/// join's outer side): the int64 join key of each of rows[0..n) into
+/// keys[i], with valid[i] = 0 where it is NULL. With `program` (the key
+/// compiled and batch evaluation on) the program's inputs are aliased from
+/// `published` or decoded into `vbatch` (DecodeMissing) and it runs once
+/// over the batch; otherwise `key` is interpreted row by row.
+void EvaluateJoinKeys(CompiledExpr* program, const Expression& key,
+                      const uint8_t* const* rows, size_t n,
+                      const Schema& schema, const VectorBatch* published,
+                      VectorBatch* vbatch, int64_t* keys, uint8_t* valid);
 
 }  // namespace bufferdb

@@ -79,6 +79,16 @@ struct ColumnVector {
     ext_i64 = nullptr;
     ext_nulls = null_bytes;
   }
+
+  /// Points this vector at the lanes `src` holds, owned or borrowed; they
+  /// must outlive every read of this vector.
+  void AliasLanes(const ColumnVector& src) {
+    if (src.is_double()) {
+      AliasF64(src.f64_data(), src.null_data());
+    } else {
+      AliasI64(src.type, src.i64_data(), src.null_data());
+    }
+  }
 };
 
 /// Indexes of the lanes that survived a predicate, in lane order.
@@ -152,6 +162,11 @@ class VectorBatch {
 
   /// Drops all columns (capacity retained by the entry vector itself).
   void Clear() { cols_.clear(); }
+
+  /// The columns held, in the order they were first created: the input
+  /// column index of the i-th, i < num_columns().
+  size_t num_columns() const { return cols_.size(); }
+  int column_at(size_t i) const { return cols_[i].col; }
 
  private:
   struct Entry {

@@ -155,6 +155,26 @@ size_t BTree::Iterator::NextRun(int64_t hi, const uint8_t** out,
   return n;
 }
 
+bool BTree::Iterator::SeekForward(int64_t key) {
+  const Leaf* leaf = static_cast<const Leaf*>(leaf_);
+  int pos = pos_;
+  for (int hop = 0; hop < 2; ++hop) {
+    if (leaf == nullptr) break;  // Every entry is < key: the end.
+    if (leaf->count > 0 && leaf->keys[leaf->count - 1] >= key) {
+      while (leaf->keys[pos] < key) ++pos;
+      leaf_ = leaf;
+      pos_ = pos;
+      return true;
+    }
+    leaf = leaf->next;
+    pos = 0;
+  }
+  if (leaf != nullptr) return false;  // Beyond the next leaf: descend.
+  leaf_ = nullptr;
+  pos_ = 0;
+  return true;
+}
+
 BTree::Iterator BTree::Begin() const {
   const Node* node = root_;
   while (!node->is_leaf) {

@@ -36,6 +36,11 @@ class BTree {
     /// leaf when this one is used up. Returns the count; 0 means the entry
     /// here is above `hi` (or `max` is 0).
     size_t NextRun(int64_t hi, const uint8_t** out, size_t max);
+    /// Moves forward to Seek(`key`)'s answer, the first entry >= `key`,
+    /// when it lies in the current leaf or the next one (or is the end),
+    /// and returns true. Returns false, without moving, when it lies
+    /// further on. Requires every entry before the iterator to be < `key`.
+    bool SeekForward(int64_t key);
 
    private:
     friend class BTree;

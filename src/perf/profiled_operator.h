@@ -65,9 +65,13 @@ class ProfiledOperator final : public Operator {
   }
 
   /// The wrapped operator's published columns, so a traced consumer
-  /// aliases what the untraced plan aliases instead of decoding it.
+  /// aliases what the untraced plan aliases instead of decoding it, and
+  /// its answer to a request for batches without rows.
   const VectorBatch* BatchColumns() const override {
     return child(0)->BatchColumns();
+  }
+  bool OmitRows(std::span<const int> columns) override {
+    return child(0)->OmitRows(columns);
   }
 
   const Schema& output_schema() const override {

@@ -232,10 +232,10 @@ std::vector<int> PublishedColumns(const Table& table,
   return out;
 }
 
-// What a ColumnScan below a join publishes: the join key, the one column
-// the join's key loop reads, unless it is a string. Joins publish no
-// columns of their own, so any other column a scan published there would
-// be gathered for nothing.
+// What a ColumnScan below a hash join publishes: the join key, the one
+// column the join's key loop reads, unless it is a string. A hash join
+// publishes no columns of its own, so any other column a scan published
+// there would be gathered for nothing.
 std::vector<int> PublishedKey(const Table& table, int key_col) {
   if (table.schema().column(static_cast<size_t>(key_col)).type ==
       DataType::kString) {
@@ -342,6 +342,25 @@ void CollectHashJoins(Operator* op, std::vector<HashJoinOperator*>* out) {
   }
 }
 
+// Whether the select list is aggregates alone: the plan's top is a scalar
+// AggregationOperator over the joins.
+bool ScalarAggregate(const LogicalQuery& query) {
+  return query.has_aggregates &&
+         std::all_of(query.items.begin(), query.items.end(),
+                     [](const OutputItem& item) { return item.is_aggregate; });
+}
+
+// The strategy of a join whose inner key column has `inner_index`
+// (nullable): `forced` unless it is kAuto, else an index join on a unique
+// key and a hash join otherwise.
+JoinStrategy ResolveJoinStrategy(JoinStrategy forced,
+                                 const IndexInfo* inner_index) {
+  if (forced != JoinStrategy::kAuto) return forced;
+  return inner_index != nullptr && inner_index->unique
+             ? JoinStrategy::kIndexNestLoop
+             : JoinStrategy::kHashJoin;
+}
+
 }  // namespace
 
 const char* JoinStrategyName(JoinStrategy strategy) {
@@ -382,12 +401,8 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
   const IndexInfo* inner_index =
       catalog_->FindIndex(inner_table, inner_key_col);
 
-  JoinStrategy strategy = options_.join_strategy;
-  if (strategy == JoinStrategy::kAuto) {
-    strategy = (inner_index != nullptr && inner_index->unique)
-                   ? JoinStrategy::kIndexNestLoop
-                   : JoinStrategy::kHashJoin;
-  }
+  const JoinStrategy strategy =
+      ResolveJoinStrategy(options_.join_strategy, inner_index);
 
   double join_rows = EstimateEquiJoinRows(
       outer_rows, inner_filtered_rows,
@@ -471,8 +486,12 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
 // Each join's row holds the `read` columns (all of them in tuple-at-a-time
 // plans). The narrow row keeps input_schema order, so a column keeps its
 // position once joined and `pos` only gains entries as tables join. The
-// driving scan is built once the first join's edge is known, because it
-// publishes that join's outer key.
+// driving scan is built once the first join's edge is known, because what
+// it publishes depends on that join: a hash join reads only its outer key,
+// a merge join's Sort reads rows, and an index join that is the only join
+// under a scalar aggregate is asked for its columns by that aggregate
+// (Operator::OmitRows) and gathers them from the scan's published vectors,
+// so the scan publishes every read column of its table.
 Result<OperatorPtr> PhysicalPlanner::PlanJoins(
     const LogicalQuery& query, const std::vector<size_t>& offsets,
     const std::vector<bool>& read, std::vector<int>* pos) {
@@ -511,12 +530,23 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoins(
           " is not connected to the preceding FROM tables by an equi-join");
     }
     if (k == 1) {
-      // Below a merge join's Sort, which reads rows, it publishes nothing.
+      const Table& driving = *query.tables[0];
+      std::vector<int> published;
+      switch (ResolveJoinStrategy(
+          options_.join_strategy,
+          catalog_->FindIndex(query.tables[1], inner_key_col))) {
+        case JoinStrategy::kIndexNestLoop:
+          published = query.tables.size() == 2 && ScalarAggregate(query)
+                          ? PublishedColumns(driving, read)
+                          : PublishedKey(driving, outer_col);
+          break;
+        case JoinStrategy::kMergeJoin:
+          break;
+        default:
+          published = PublishedKey(driving, outer_col);
+      }
       plan = MakeScan(*catalog_, query.tables[0], query.filters[0],
-                      options_.join_strategy == JoinStrategy::kMergeJoin
-                          ? std::vector<int>{}
-                          : PublishedKey(*query.tables[0], outer_col),
-                      options_);
+                      std::move(published), options_);
     }
     // The join's row: the read columns of tables 0..k, as columns of
     // Concat(plan, tables[k]).

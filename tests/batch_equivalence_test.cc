@@ -22,6 +22,7 @@
 #include "catalog/catalog.h"
 #include "core/buffer_operator.h"
 #include "exec/aggregation.h"
+#include "exec/contract_check.h"
 #include "exec/filter.h"
 #include "exec/hash_aggregation.h"
 #include "exec/hash_join.h"
@@ -225,6 +226,48 @@ void ExpectSameRows(const std::vector<std::vector<Value>>& expected,
   }
 }
 
+// Columns `cols` of `rows`.
+std::vector<std::vector<Value>> Columns(
+    const std::vector<std::vector<Value>>& rows, const std::vector<int>& cols) {
+  std::vector<std::vector<Value>> out;
+  for (const std::vector<Value>& row : rows) {
+    std::vector<Value> picked;
+    for (int c : cols) picked.push_back(row[static_cast<size_t>(c)]);
+    out.push_back(std::move(picked));
+  }
+  return out;
+}
+
+// Drains `op` through a ContractCheckedOperator after asking it for
+// batches without rows, and returns the published columns `cols` of every
+// row it counts, in order. Each returned row pointer stays poisoned, so a
+// consumer that read a row would fail, and Next() throws.
+std::vector<std::vector<Value>> DrainRowFree(OperatorPtr op,
+                                             const std::vector<int>& cols,
+                                             size_t batch) {
+  ContractCheckedOperator checked(std::move(op));
+  ExecContext ctx;
+  EXPECT_TRUE(checked.Open(&ctx).ok());
+  EXPECT_TRUE(checked.OmitRows(cols));
+  std::vector<const uint8_t*> out(batch);
+  std::vector<std::vector<Value>> rows;
+  while (size_t n = checked.NextBatch(out.data(), batch)) {
+    const VectorBatch* published = checked.BatchColumns();
+    EXPECT_NE(published, nullptr);
+    if (published == nullptr) break;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], ContractCheckedOperator::PoisonPointer());
+      std::vector<Value> row;
+      for (int c : cols) row.push_back(LaneValue(published->Get(c), i));
+      rows.push_back(std::move(row));
+    }
+  }
+  EXPECT_THROW(checked.Next(), ContractViolation);
+  checked.Close();
+  EXPECT_EQ(ctx.arena.bytes_allocated(), 0u);
+  return rows;
+}
+
 class BatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
  protected:
   size_t batch() const { return GetParam(); }
@@ -234,6 +277,40 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
   template <typename Factory>
   void CheckEquivalent(Factory factory) {
     CheckBatchedLoad([&](size_t) { return factory(); });
+  }
+
+  // The index join `factory` builds, asked for batches without rows, and
+  // a scalar aggregate over it: the published columns `cols` equal, lane
+  // for lane, the rows the join builds when rows are asked for, and the
+  // aggregate (which asks for its arguments' columns when it loads
+  // batches) answers as the width-1 plan does.
+  template <typename Factory>
+  void CheckRowFree(Factory factory, const std::vector<int>& cols) {
+    ExpectSameRows(Columns(RunPlanBatched(factory().get(), batch()), cols),
+                   DrainRowFree(factory(), cols, batch()));
+    const IndexNestLoopJoinOperator* join = nullptr;
+    auto make_agg = [&](size_t load_batch) {
+      auto input = factory();
+      join = input.get();
+      const Schema& s = input->output_schema();
+      std::vector<AggSpec> specs;
+      specs.push_back(AggSpec{AggFunc::kCountStar, nullptr, "c"});
+      for (int c : cols) {
+        ExprPtr col = MakeColumnRefUnchecked(c, s.column(c).type,
+                                             s.column(c).name);
+        specs.push_back(AggSpec{AggFunc::kSum, col->Clone(), "sum"});
+        specs.push_back(AggSpec{AggFunc::kMin, std::move(col), "min"});
+      }
+      auto agg = std::make_unique<AggregationOperator>(std::move(input),
+                                                       std::move(specs));
+      agg->set_batch_size(load_batch);
+      return agg;
+    };
+    OperatorPtr tuple_plan = testutil::ContractChecked(make_agg(1));
+    OperatorPtr batch_plan = testutil::ContractChecked(make_agg(batch()));
+    ExpectSameRows(RunPlan(tuple_plan.get()),
+                   RunPlanBatched(batch_plan.get(), batch()));
+    EXPECT_EQ(join->builds_rows(), batch() == 1);
   }
 
   // For plans whose operators take a load width (aggregation): the
@@ -506,7 +583,7 @@ TEST_P(BatchEquivalenceTest, IndexNestLoopJoin) {
   ASSERT_TRUE(catalog.CreateIndex("inner_k", "inner", "k").ok());
   const IndexInfo* index = catalog.GetIndex("inner_k");
   const Schema& is = index->table->schema();
-  CheckEquivalent([&] {
+  auto make_nullable_join = [&] {
     auto inner = std::make_unique<IndexScanOperator>(
         index, std::nullopt, std::nullopt,
         Bin(BinaryOp::kLt, Col(is, "v"), Lit(Value::Double(90.0))));
@@ -514,7 +591,11 @@ TEST_P(BatchEquivalenceTest, IndexNestLoopJoin) {
         std::make_unique<SeqScanOperator>(outer.get(), nullptr),
         std::move(inner), Col(outer->schema(), "ni"),
         std::vector<int>{0, 4, 7});
-  });
+  };
+  CheckEquivalent(make_nullable_join);
+  // Outer k and inner v; the string s cannot be published.
+  CheckRowFree(make_nullable_join, {0, 2});
+  EXPECT_FALSE(make_nullable_join()->OmitRows(std::vector<int>{1}));
 
   // Outer keys 60..119 in runs of four equal keys, twice over, against
   // DuplicateKeyIndex: key 77 has more matches than a batch holds, and its
@@ -542,8 +623,44 @@ TEST_P(BatchEquivalenceTest, IndexNestLoopJoin) {
       ExpectSameRows(
           RunPlan(make_join().get()),
           RunPlanMixed(testutil::ContractChecked(make_join()).get(), batch()));
+      // Outer and inner columns: outer v and inner v, or outer k and v and
+      // inner v of the full row.
+      CheckRowFree(make_join, narrow ? std::vector<int>{0, 1}
+                                     : std::vector<int>{0, 1, 3});
     }
   }
+}
+
+// IndexScan::SeekEqual over keys equal to, above and below the previous
+// one, absent ones, key 77's entries spanning leaves, keys in the next
+// leaf and further on, and the last leaf: each key's run equals a fresh
+// descent's (BindEqualKey + Rescan), and both positionings are taken.
+TEST_P(BatchEquivalenceTest, IndexSeekEqualWalksForward) {
+  DuplicateKeyIndex fixture;
+  const int64_t kKeys[] = {0,   0,   1,   2,   5,   30,  76,  77,  77, 78,
+                           79,  120, 3,   77,  199, 199, 250, -5, 10, 11,
+                           12,  13,  14,  198, 500, 76,  78,  150, 151};
+  IndexScanOperator seek(fixture.index, std::nullopt, std::nullopt, nullptr);
+  IndexScanOperator fresh(fixture.index, std::nullopt, std::nullopt, nullptr);
+  ExecContext ctx;
+  ASSERT_TRUE(seek.Open(&ctx).ok());
+  ASSERT_TRUE(fresh.Open(&ctx).ok());
+  std::vector<const uint8_t*> run(batch());
+  for (int64_t key : kKeys) {
+    SCOPED_TRACE(key);
+    seek.SeekEqual(key);
+    std::vector<const uint8_t*> got;
+    while (size_t n = seek.NextRun(run.data(), run.size())) {
+      got.insert(got.end(), run.begin(), run.begin() + n);
+    }
+    fresh.BindEqualKey(key);
+    ASSERT_TRUE(fresh.Rescan().ok());
+    std::vector<const uint8_t*> expected;
+    while (const uint8_t* row = fresh.Next()) expected.push_back(row);
+    EXPECT_EQ(got, expected);
+  }
+  EXPECT_GT(seek.forward_seeks(), 0u);
+  EXPECT_GT(seek.descents(), 0u);
 }
 
 TEST_P(BatchEquivalenceTest, IndexScan) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -126,6 +127,53 @@ TEST(BTreeTest, ReverseInsertOrder) {
     EXPECT_EQ(it.key(), expected++);
   }
   EXPECT_EQ(expected, 1001);
+}
+
+// From the entries of every key `prev`, SeekForward to every key at or
+// above it lands where Seek does, or declines when that entry lies beyond
+// the next leaf. Even keys 0..398, key 100 another 200 times (its entries
+// span leaves), so odd keys are absent and keys near 398 sit in the last
+// leaf.
+TEST(BTreeTest, SeekForwardMatchesSeek) {
+  BTree tree;
+  uintptr_t id = 0;
+  for (int64_t k = 0; k < 400; k += 2) tree.Insert(k, FakeRow(id++));
+  for (int i = 0; i < 200; ++i) tree.Insert(100, FakeRow(id++));
+  size_t moved = 0;
+  size_t declined = 0;
+  for (int64_t prev = -1; prev <= 401; ++prev) {
+    const BTree::Iterator start = tree.Seek(prev);
+    for (int64_t key = prev; key <= 402; ++key) {
+      SCOPED_TRACE("prev " + std::to_string(prev) + ", key " +
+                   std::to_string(key));
+      BTree::Iterator it = start;
+      const BTree::Iterator expected = tree.Seek(key);
+      if (!it.SeekForward(key)) {
+        ++declined;
+        // Declined: the answer (maybe the end) lies beyond the leaf after
+        // the start's.
+        ASSERT_TRUE(start.Valid());
+        EXPECT_EQ(it.node_address(), start.node_address());
+        EXPECT_EQ(it.row(), start.row());
+        BTree::Iterator next = start;
+        while (next.Valid() && next.node_address() == start.node_address()) {
+          next.Next();
+        }
+        ASSERT_TRUE(next.Valid());
+        EXPECT_NE(expected.node_address(), next.node_address());
+        EXPECT_NE(expected.node_address(), start.node_address());
+        continue;
+      }
+      ++moved;
+      ASSERT_EQ(it.Valid(), expected.Valid());
+      if (!expected.Valid()) continue;
+      EXPECT_EQ(it.node_address(), expected.node_address());
+      EXPECT_EQ(it.row(), expected.row());
+      EXPECT_EQ(it.key(), expected.key());
+    }
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(declined, 0u);
 }
 
 }  // namespace

@@ -15,7 +15,11 @@
 #include <utility>
 #include <vector>
 
+#include "exec/aggregation.h"
+#include "exec/column_scan.h"
+#include "exec/row_batch_decoder.h"
 #include "exec/seq_scan.h"
+#include "storage/column_table.h"
 #include "test_util.h"
 
 namespace bufferdb {
@@ -170,6 +174,112 @@ TEST(ContractCheckTest, WrappedPlanProducesSameRows) {
                                   wrapped->child(0)->label() + ")");
   auto rows = testutil::RunPlan(wrapped.get());
   EXPECT_EQ(rows.size(), 3u);
+}
+
+// Passes its scan's rows through and publishes column k decoded from
+// them, with lane i taken from row i + `shift` (wrapping) and a row count
+// `extra` above the batch's.
+class PublishingOp final : public Operator {
+ public:
+  PublishingOp(OperatorPtr scan, size_t shift, size_t extra)
+      : shift_(shift), extra_(extra) {
+    AddChild(std::move(scan));
+  }
+  [[nodiscard]] Status Open(ExecContext* ctx) override {
+    ctx_ = ctx;
+    return child(0)->Open(ctx);
+  }
+  const uint8_t* Next() override { return child(0)->Next(); }
+  size_t NextBatch(const uint8_t** out, size_t max) override {
+    const size_t n = child(0)->NextBatch(out, max);
+    std::vector<const uint8_t*> shifted(n);
+    for (size_t i = 0; i < n; ++i) shifted[i] = out[(i + shift_) % n];
+    const int k[] = {0};
+    RowBatchDecoder::Decode(shifted.data(), n, output_schema(), k, &published_);
+    published_.set_rows(n + extra_);
+    return n;
+  }
+  void Close() override { child(0)->Close(); }
+  const VectorBatch* BatchColumns() const override { return &published_; }
+  const Schema& output_schema() const override {
+    return child(0)->output_schema();
+  }
+  sim::ModuleId module_id() const override { return sim::ModuleId::kSeqScan; }
+
+ private:
+  size_t shift_;
+  size_t extra_;
+  VectorBatch published_;
+};
+
+// Drains `op` through NextBatch in batches of 4.
+void DrainBatches(Operator* op) {
+  ExecContext ctx;
+  ASSERT_TRUE(op->Open(&ctx).ok());
+  const uint8_t* out[4];
+  while (op->NextBatch(out, 4) != 0) {
+  }
+  op->Close();
+}
+
+TEST(ContractCheckTest, PublishedColumnsMustMatchTheRows) {
+  auto table = testutil::MakeKvTable(
+      "t", {{1, 1.0}, {2, 2.0}, {3, 3.0}, {4, 4.0}, {5, 5.0}, {6, 6.0}});
+  auto checked = [&](size_t shift, size_t extra) {
+    return std::make_unique<ContractCheckedOperator>(
+        std::make_unique<PublishingOp>(
+            std::make_unique<SeqScanOperator>(table.get(), nullptr), shift,
+            extra));
+  };
+  // Lanes equal to the rows pass.
+  auto good = checked(0, 0);
+  DrainBatches(good.get());
+  // A lane shifted by one row, and a count that is not the batch's, throw.
+  auto shifted = checked(1, 0);
+  EXPECT_THROW(DrainBatches(shifted.get()), ContractViolation);
+  auto stale = checked(0, 1);
+  EXPECT_THROW(DrainBatches(stale.get()), ContractViolation);
+}
+
+// The wrapper forwards BatchColumns(), so a batched aggregate above a
+// wrapped ColumnScan reads the scan's published vectors, as it does
+// unwrapped, and the checker checks them.
+TEST(ContractCheckTest, AggregateOverWrappedColumnScanSeesItsColumns) {
+  std::vector<std::pair<int64_t, double>> rows;
+  for (int64_t i = 0; i < 1000; ++i) {
+    rows.emplace_back(i % 13, static_cast<double>(i) / 4);
+  }
+  auto table = testutil::MakeKvTable("t", rows);
+  table->AttachColumnar(ColumnarTable::Build(*table));
+  const Schema& s = table->schema();
+  std::vector<std::vector<Value>> answers;
+  for (bool wrapped : {false, true}) {
+    auto scan = std::make_unique<ColumnScanOperator>(
+        table.get(), testutil::Bin(BinaryOp::kLt, testutil::Col(s, "k"),
+                                   testutil::Lit(Value::Int64(9))));
+    scan->set_published_columns({0, 1});
+    const ColumnScanOperator* raw = scan.get();
+    OperatorPtr input = std::move(scan);
+    if (wrapped) {
+      input = std::make_unique<ContractCheckedOperator>(std::move(input));
+    }
+    Operator* checked = input.get();
+    std::vector<AggSpec> specs;
+    specs.push_back(AggSpec{AggFunc::kSum, testutil::Col(s, "v"), "sum_v"});
+    specs.push_back(AggSpec{AggFunc::kMax, testutil::Col(s, "k"), "max_k"});
+    AggregationOperator agg(std::move(input), std::move(specs));
+    agg.set_batch_size(Operator::kDefaultBatchSize);
+    ExecContext ctx;
+    ASSERT_TRUE(agg.Open(&ctx).ok());
+    const uint8_t* row = agg.Next();
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(checked->BatchColumns(), raw->BatchColumns());
+    TupleView view(row, &agg.output_schema());
+    answers.push_back({view.GetValue(0), view.GetValue(1)});
+    agg.Close();
+  }
+  EXPECT_TRUE(answers[0][0] == answers[1][0]);
+  EXPECT_TRUE(answers[0][1] == answers[1][1]);
 }
 
 TEST(ContractCheckTest, MacroWrapsWhenCheckingEnabled) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "common/date.h"
+#include "core/buffer_operator.h"
+#include "core/plan_refiner.h"
 #include "exec/column_scan.h"
 #include "exec/hash_aggregation.h"
 #include "exec/hash_join.h"
 #include "exec/index_scan.h"
+#include "exec/nested_loop_join.h"
 #include "exec/seq_scan.h"
 #include "parallel/agg_merge.h"
 #include "parallel/exchange.h"
@@ -153,6 +156,117 @@ TEST_F(PlannerTest, BatchedJoinRowsCarryOnlyTheColumnsReadAbove) {
     EXPECT_LT(4 * narrow_ctx.arena.bytes_allocated(),
               wide_ctx.arena.bytes_allocated());
   }
+}
+
+// The output column names of `cols` in `schema`, sorted.
+std::vector<std::string> SortedNames(const Schema& schema,
+                                     const std::vector<int>& cols) {
+  std::vector<std::string> names;
+  for (int c : cols) names.push_back(schema.column(c).name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// The one index join of `op`'s subtree, or null.
+IndexNestLoopJoinOperator* FindIndexJoin(Operator* op) {
+  if (auto* join = dynamic_cast<IndexNestLoopJoinOperator*>(op)) return join;
+  for (size_t i = 0; i < op->num_children(); ++i) {
+    if (auto* join = FindIndexJoin(op->child(i))) return join;
+  }
+  return nullptr;
+}
+
+// Paper Query 3's batched aggregate reads its two arguments as columns:
+// the index join publishes exactly them and builds no row, gathering
+// l_discount from its driving scan, which publishes it beside the key.
+// The batch-1 plan keeps its full-width rows over a SeqScan.
+TEST_F(PlannerTest, BatchedQuery3JoinPublishesColumnsAndBuildsNoRows) {
+  PlannerOptions batched;
+  batched.batch_size = Operator::kDefaultBatchSize;
+  for (bool refine : {false, true}) {
+    SCOPED_TRACE(refine ? "refined" : "unrefined");
+    batched.refine = refine;
+    OperatorPtr plan = MustPlan(kQuery3, batched);
+    IndexNestLoopJoinOperator* join = FindIndexJoin(plan.get());
+    ASSERT_NE(join, nullptr);
+    ASSERT_EQ(plan->child(0), join);
+    auto* scan = dynamic_cast<ColumnScanOperator*>(join->child(0));
+    ASSERT_NE(scan, nullptr);
+    EXPECT_EQ(SortedNames(scan->output_schema(), scan->published_columns()),
+              (std::vector<std::string>{"l_discount", "l_orderkey"}));
+    ExecContext ctx;
+    auto rows = ExecutePlanRows(plan.get(), &ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_FALSE(join->builds_rows());
+    EXPECT_EQ(SortedNames(join->output_schema(), join->published_columns()),
+              (std::vector<std::string>{"l_discount", "o_totalprice"}));
+    // The aggregate's one output row is all the arena holds.
+    EXPECT_LT(ctx.arena.bytes_allocated(), 1024u);
+    EXPECT_EQ(*rows, RunSql(kQuery3));
+  }
+
+  OperatorPtr tuple = MustPlan(kQuery3);
+  IndexNestLoopJoinOperator* join = FindIndexJoin(tuple.get());
+  ASSERT_NE(join, nullptr);
+  EXPECT_NE(dynamic_cast<SeqScanOperator*>(join->child(0)), nullptr);
+  ExecContext ctx;
+  ASSERT_TRUE(ExecutePlanRows(tuple.get(), &ctx).ok());
+  EXPECT_TRUE(join->builds_rows());
+  EXPECT_TRUE(join->published_columns().empty());
+}
+
+// Point-query template 7: an index join under Project and Sort, which read
+// rows, so the join builds them and publishes nothing. Under a Project the
+// driving ColumnScan of paper Query 3's join publishes only its key.
+TEST_F(PlannerTest, IndexJoinUnderProjectBuildsRows) {
+  PlannerOptions batched;
+  batched.batch_size = Operator::kDefaultBatchSize;
+  batched.refine = true;
+  OperatorPtr plan = MustPlan(
+      "SELECT o_orderkey, o_totalprice, c_name FROM orders, customer "
+      "WHERE o_custkey = c_custkey AND o_orderkey BETWEEN 100 AND 149 "
+      "ORDER BY o_orderkey",
+      batched);
+  IndexNestLoopJoinOperator* join = FindIndexJoin(plan.get());
+  ASSERT_NE(join, nullptr);
+  ExecContext ctx;
+  auto rows = ExecutePlanBatched(plan.get(), &ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_FALSE(rows->empty());
+  EXPECT_TRUE(join->builds_rows());
+  EXPECT_TRUE(join->published_columns().empty());
+  EXPECT_EQ(join->BatchColumns(), nullptr);
+
+  OperatorPtr project = MustPlan(
+      "SELECT o_totalprice, l_discount FROM lineitem, orders "
+      "WHERE l_orderkey = o_orderkey AND l_shipdate <= DATE '1998-09-02'",
+      batched);
+  join = FindIndexJoin(project.get());
+  ASSERT_NE(join, nullptr);
+  auto* scan = dynamic_cast<ColumnScanOperator*>(join->child(0));
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(SortedNames(scan->output_schema(), scan->published_columns()),
+            (std::vector<std::string>{"l_orderkey"}));
+}
+
+// A batched plan refined at batch 1 gets a Buffer above the join; the
+// aggregate's request stops at the Buffer, so the join builds rows.
+TEST_F(PlannerTest, BufferAboveIndexJoinGetsRows) {
+  PlannerOptions batched;
+  batched.batch_size = Operator::kDefaultBatchSize;
+  OperatorPtr plan = MustPlan(kQuery3, batched);
+  PlanRefiner refiner{RefinementOptions{}};
+  plan = refiner.Refine(std::move(plan));
+  auto* buffer = dynamic_cast<BufferOperator*>(plan->child(0));
+  ASSERT_NE(buffer, nullptr);
+  IndexNestLoopJoinOperator* join = FindIndexJoin(plan.get());
+  ASSERT_NE(join, nullptr);
+  ASSERT_EQ(buffer->child(0), join);
+  ExecContext ctx;
+  auto rows = ExecutePlanRows(plan.get(), &ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_TRUE(join->builds_rows());
+  EXPECT_EQ(*rows, RunSql(kQuery3));
 }
 
 TEST_F(PlannerTest, RefinedAndOriginalPlansAgree) {

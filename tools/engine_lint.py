@@ -53,6 +53,15 @@ see (see DESIGN.md section 9):
                             batch source to alias from) are annotated
                             `// LINT: allow-row-decode(<reason>)` on the
                             same or the preceding line.
+  ENG009 row-build          No TupleBuilder::ConcatRows / CopyColumns /
+                            Finish calls inside NextBatch() or
+                            LoadBatched() bodies: building a row a consumer
+                            decodes straight back into columns is the waste
+                            the published-columns protocol removes
+                            (Operator::OmitRows). A batch path that builds
+                            rows because its consumer reads rows is
+                            annotated `// LINT: allow-row-build(<reason>)`
+                            on the same or the preceding line.
 
 Suppressions use one canonical grammar across all rules:
 `// LINT: allow-<rule>(<reason>)`. The deprecated aliases
@@ -96,6 +105,7 @@ ALLOW_THREAD = "LINT: allow-thread"
 ALLOW_SCALAR_EVAL = "LINT: allow-scalar-eval"
 ALLOW_SYSCALL = "LINT: allow-syscall"
 ALLOW_ROW_DECODE = "LINT: allow-row-decode"
+ALLOW_ROW_BUILD = "LINT: allow-row-build"
 
 
 @dataclass(frozen=True)
@@ -490,6 +500,36 @@ def check_row_decode(path: str, raw: str, stripped: str) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# ENG009: no unannotated row builds in batch-path bodies
+# ---------------------------------------------------------------------------
+
+ROW_BUILD_RE = re.compile(
+    r"\bTupleBuilder\s*::\s*(?:ConcatRows|CopyColumns)\s*\("
+    r"|(?:\.|->)\s*Finish\s*\(\s*&")
+
+
+def check_row_build(path: str, raw: str, stripped: str) -> list[Finding]:
+    findings: list[Finding] = []
+    allowed = annotated_lines(raw, ALLOW_ROW_BUILD)
+    raw_lines = raw.splitlines()
+    for m in BATCH_FUNC_DEF_RE.finditer(stripped):
+        open_idx = stripped.index("{", m.start())
+        end_idx = match_brace_block(stripped, open_idx)
+        body = stripped[open_idx:end_idx]
+        for hit in ROW_BUILD_RE.finditer(body):
+            line = line_of(stripped, open_idx + hit.start())
+            if is_annotated(raw_lines, allowed, line):
+                continue
+            findings.append(Finding(
+                path, line, "ENG009",
+                "row build (TupleBuilder::ConcatRows/CopyColumns/Finish) "
+                "inside NextBatch()/LoadBatched(); publish columns when the "
+                "consumer reads only columns (Operator::OmitRows), or "
+                f"annotate `// {ALLOW_ROW_BUILD}(<reason>)`"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # ENG007: perf_event_open / raw syscall() only under src/perf/
 # ---------------------------------------------------------------------------
 
@@ -528,6 +568,7 @@ ALL_CHECKS = [
     check_scalar_eval,
     check_syscall_containment,
     check_row_decode,
+    check_row_build,
 ]
 
 
@@ -726,6 +767,35 @@ size_t BadOp::NextBatch(const uint8_t** out, size_t max) {
 }  // namespace bufferdb
 """,
     ),
+    "src/exec/bad_row_build.cc": (
+        "ENG009",
+        """\
+#include "exec/bad_row_build.h"
+namespace bufferdb {
+size_t BadJoin::NextBatch(const uint8_t** out, size_t max) {
+  size_t n = child(0)->NextBatch(in_, max);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = TupleBuilder::ConcatRows(schema_, left_, in_[i], right_,
+                                      match_[i], &ctx_->arena, columns_);
+  }
+  return n;
+}
+}  // namespace bufferdb
+""",
+    ),
+    "src/exec/bad_row_finish.cc": (
+        "ENG009",
+        """\
+#include "exec/bad_row_finish.h"
+namespace bufferdb {
+size_t BadProject::NextBatch(const uint8_t** out, size_t max) {
+  size_t n = child(0)->NextBatch(in_, max);
+  for (size_t i = 0; i < n; ++i) out[i] = builder_.Finish(&ctx_->arena);
+  return n;
+}
+}  // namespace bufferdb
+""",
+    ),
 }
 
 SEEDED_CLEAN = {
@@ -783,6 +853,28 @@ void GoodOp::Load() {
 const uint8_t* GoodOp::NextHelper() {
   // Evaluate outside NextBatch() (tuple-at-a-time path) is fine.
   return EvaluatePredicate(*pred_, row_, schema_) ? row_ : nullptr;
+}
+}  // namespace bufferdb
+""",
+    "src/exec/good_row_build.cc": """\
+#include "exec/good_row_build.h"
+namespace bufferdb {
+size_t GoodJoin::NextBatch(const uint8_t** out, size_t max) {
+  size_t n = child(0)->NextBatch(in_, max);
+  for (size_t i = 0; i < n; ++i) {
+    // LINT: allow-row-build(the consumer reads joined rows)
+    out[i] = TupleBuilder::ConcatRows(schema_, left_, in_[i], right_,
+                                      match_[i], &ctx_->arena, columns_);
+    // LINT: allow-row-build(the interpreter fallback builds the row)
+    out[i] = builder_.Finish(&ctx_->arena);
+  }
+  // A program's Finish(schema) is not a row build.
+  (void)compiled_->Finish(schema_);
+  return n;
+}
+const uint8_t* GoodJoin::Next() {
+  // Row builds on the tuple path are fine.
+  return TupleBuilder::ConcatRows(schema_, left_, l_, right_, r_, &ctx_->arena);
 }
 }  // namespace bufferdb
 """,
