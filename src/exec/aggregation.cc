@@ -305,12 +305,12 @@ void AggregationOperator::Load() {
 // Batch load: one decode of the union of input columns (aliasing what the
 // child published) feeds every argument program, and each aggregate then
 // folds its result column in one lane loop. The load reads nothing else of
-// a batch, so it asks its child to skip the rows and publish these columns
-// instead; a child that grants (the index join) builds no row, and the
-// decode then aliases every column.
+// a batch, so it requests these columns without the rows; a child that
+// omits them (the index join) builds no row, and the decode then aliases
+// every column.
 void AggregationOperator::LoadBatched() {
   const Schema& in_schema = child(0)->output_schema();
-  child(0)->OmitRows(decode_cols_);
+  child(0)->RequestColumns(decode_cols_, /*rows=*/false);
   while (size_t n = child(0)->NextBatch(batch_rows_.data(), batch_size_)) {
     RowBatchDecoder::DecodeMissing(batch_rows_.data(), n, in_schema,
                                    decode_cols_, child(0)->BatchColumns(),

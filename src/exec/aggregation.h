@@ -73,8 +73,8 @@ struct AggAccumulator {
 /// With `set_batch_size(n > 1)` and every argument compiled to a kernel
 /// program, the load drains the child through NextBatch and folds each
 /// argument column-at-a-time (AggAccumulator::UpdateColumn). It reads only
-/// the arguments' input columns, so it asks the child for batches without
-/// rows (Operator::OmitRows). Default is the paper-faithful
+/// the arguments' input columns, so it requests them from the child without
+/// the rows (Operator::RequestColumns). Default is the paper-faithful
 /// tuple-at-a-time load.
 class AggregationOperator final : public Operator {
  public:

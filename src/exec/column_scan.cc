@@ -67,11 +67,13 @@ ColumnScanOperator::ColumnScanOperator(Table* table, ExprPtr predicate)
 
 Status ColumnScanOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  pos_ = 0;
-  limit_ = morsels_ != nullptr ? 0 : table_->num_rows();
+  range_.Reset(table_->num_rows());
   blocks_pruned_ = 0;
   stage_pos_ = 0;
   stage_n_ = 0;
+  // A request lasts until the next Open.
+  published_cols_.clear();
+  published_.Clear();
   published_.set_rows(0);
   return Status::OK();
 }
@@ -87,45 +89,42 @@ bool ColumnScanOperator::BlockPruned(size_t block) const {
 }
 
 bool ColumnScanOperator::ClaimRun(size_t max, size_t* run) {
-  for (;;) {
-    if (pos_ >= limit_) {
-      parallel::Morsel morsel;
-      if (morsels_ == nullptr || !morsels_->TryNext(&morsel)) return false;
-      pos_ = morsel.begin;
-      limit_ = morsel.end;
-      continue;
-    }
-    const size_t block = pos_ / kZoneBlockRows;
-    const size_t block_end = std::min(limit_, (block + 1) * kZoneBlockRows);
+  while (range_.Claim()) {
+    const size_t pos = range_.pos;
+    const size_t end = range_.end;
+    const size_t block = pos / kZoneBlockRows;
+    const size_t block_end = std::min(end, (block + 1) * kZoneBlockRows);
     if (BlockPruned(block)) {
       ++blocks_pruned_;
-      pos_ = block_end;
+      range_.pos = block_end;
       continue;
     }
     // Extend the run across consecutive unpruned blocks up to `max` rows;
     // a run never spans a pruned block (the skip happens on the next call)
-    // and never a morsel boundary (limit_).
+    // and never a morsel boundary (range_.end).
     size_t run_end = block_end;
-    while (run_end < limit_ && run_end - pos_ < max) {
+    while (run_end < end && run_end - pos < max) {
       const size_t next_block = run_end / kZoneBlockRows;
       if (BlockPruned(next_block)) break;
-      run_end = std::min(limit_, (next_block + 1) * kZoneBlockRows);
+      run_end = std::min(end, (next_block + 1) * kZoneBlockRows);
     }
-    *run = std::min(max, run_end - pos_);
+    *run = std::min(max, run_end - pos);
     return true;
   }
+  return false;
 }
 
 void ColumnScanOperator::AliasSegment(int col, size_t n, ColumnVector* vec) {
   const ColumnSegment& seg = columnar_->segment(static_cast<size_t>(col));
+  const size_t pos = range_.pos;
   if (seg.type == DataType::kDouble) {
-    vec->AliasF64(seg.f64.data() + pos_, seg.nulls.data() + pos_);
-    ctx_->Touch(seg.f64.data() + pos_, n * sizeof(double));
+    vec->AliasF64(seg.f64.data() + pos, seg.nulls.data() + pos);
+    ctx_->Touch(seg.f64.data() + pos, n * sizeof(double));
   } else {
-    vec->AliasI64(seg.type, seg.i64.data() + pos_, seg.nulls.data() + pos_);
-    ctx_->Touch(seg.i64.data() + pos_, n * sizeof(int64_t));
+    vec->AliasI64(seg.type, seg.i64.data() + pos, seg.nulls.data() + pos);
+    ctx_->Touch(seg.i64.data() + pos, n * sizeof(int64_t));
   }
-  ctx_->Touch(seg.nulls.data() + pos_, n);
+  ctx_->Touch(seg.nulls.data() + pos, n);
 }
 
 void ColumnScanOperator::FillPredicateInputs(size_t n) {
@@ -145,8 +144,8 @@ void ColumnScanOperator::FillPredicateInputs(size_t n) {
     vec->Reset(DataType::kInt64, n);
     int64_t* out = vec->i64.data();
     uint8_t* nulls = vec->nulls.data();
-    const int32_t* codes = seg.codes.data() + pos_;
-    const uint8_t* seg_nulls = seg.nulls.data() + pos_;
+    const int32_t* codes = seg.codes.data() + range_.pos;
+    const uint8_t* seg_nulls = seg.nulls.data() + range_.pos;
     for (size_t k = 0; k < n; ++k) {
       out[k] = codes[k];
       nulls[k] = seg_nulls[k];
@@ -156,9 +155,19 @@ void ColumnScanOperator::FillPredicateInputs(size_t n) {
   }
 }
 
-void ColumnScanOperator::set_published_columns(std::vector<int> columns) {
-  published_cols_ = std::move(columns);
+bool ColumnScanOperator::RequestColumns(std::span<const int> columns,
+                                        bool rows) {
+  (void)rows;  // The rows are the table's own; they are always returned.
+  published_cols_.clear();
+  for (int c : columns) {
+    if (table_->schema().column(static_cast<size_t>(c)).type !=
+        DataType::kString) {
+      published_cols_.push_back(c);
+    }
+  }
   published_.Clear();
+  published_.set_rows(0);
+  return false;
 }
 
 void ColumnScanOperator::Publish(size_t run, size_t count) {
@@ -197,7 +206,7 @@ size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
       ctx_->ExecModule(module_id(), funcs);  // End-of-scan.
       return 0;
     }
-    const uint8_t* const* rows = table_->rows().data() + pos_;
+    const uint8_t* const* rows = table_->rows().data() + range_.pos;
     // One module execution per row considered; pruned blocks never get
     // here, which is the zone maps' instruction-count win.
     size_t count = run;
@@ -217,7 +226,7 @@ size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
       }
     }
     if (count == 0) {
-      pos_ += run;
+      range_.pos += run;
       continue;  // Keep scanning: 0 means end-of-stream to callers.
     }
     if (count == run) {
@@ -226,7 +235,7 @@ size_t ColumnScanOperator::NextBatch(const uint8_t** out, size_t max) {
       for (size_t k = 0; k < count; ++k) out[k] = rows[sel_.idx[k]];
     }
     Publish(run, count);
-    pos_ += run;
+    range_.pos += run;
     return count;
   }
 }
@@ -241,16 +250,14 @@ const uint8_t* ColumnScanOperator::Next() {
 }
 
 void ColumnScanOperator::Close() {
-  pos_ = 0;
-  limit_ = 0;
+  range_.Reset(0);
   stage_pos_ = 0;
   stage_n_ = 0;
   published_.set_rows(0);
 }
 
 Status ColumnScanOperator::Rescan() {
-  pos_ = 0;
-  limit_ = morsels_ != nullptr ? 0 : table_->num_rows();
+  range_.Reset(table_->num_rows());
   stage_pos_ = 0;
   stage_n_ = 0;
   published_.set_rows(0);
@@ -263,7 +270,7 @@ std::string ColumnScanOperator::label() const {
     out += ", ";
     out += predicate_->ToString();
   }
-  if (morsels_ != nullptr) out += ", morsel";
+  if (range_.morsel_mode()) out += ", morsel";
   out += ")";
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,15 +27,12 @@ namespace bufferdb {
 /// compile selects each run through the per-row interpreter (SelectRows);
 /// the run is returned and published the same way.
 ///
-/// It publishes the columns its consumer reads through BatchColumns(), so
-/// that consumer (an aggregate, a join's key loop, a Project) decodes none
-/// of them: published_columns(), which the planner sets to the non-string
-/// columns of the table that anything above a single-table scan reads, to
-/// the same below an index join that a scalar aggregate asks for columns
-/// (the join copies them), or to the join key below any other join. When
-/// every row of a run passes, the published vectors alias the segments;
-/// otherwise they are gathered from the segments by the selection. Until
-/// set_published_columns names some, a scan publishes none.
+/// It publishes through BatchColumns() the non-string columns its consumer
+/// requests (RequestColumns: an aggregate's arguments, a join's key, a
+/// Filter's or Project's program inputs), so that consumer decodes none of
+/// them. When every row of a run passes, the published vectors alias the
+/// segments; otherwise they are gathered from the segments by the
+/// selection. Until a request after Open names some, a scan publishes none.
 ///
 /// Each NextBatch() return is one contiguous run of table rows (possibly
 /// shorter than `max`; the NextBatch contract allows that), because only a
@@ -58,6 +56,9 @@ class ColumnScanOperator final : public Operator {
   [[nodiscard]] Status Rescan() override;
   size_t NextBatch(const uint8_t** out, size_t max) override;
 
+  /// Publishes the non-string `columns` from the next NextBatch on; the
+  /// rows are always returned.
+  bool RequestColumns(std::span<const int> columns, bool rows) override;
   const VectorBatch* BatchColumns() const override { return &published_; }
 
   const Schema& output_schema() const override { return table_->schema(); }
@@ -72,32 +73,31 @@ class ColumnScanOperator final : public Operator {
   /// SeqScan).
   const CompiledExpr* compiled_predicate() const { return compiled_.get(); }
 
-  /// The columns NextBatch publishes; each must be a non-string column of
-  /// the table.
-  void set_published_columns(std::vector<int> columns);
+  /// The columns NextBatch publishes, as the last request since Open named
+  /// them (test hook).
   const std::vector<int>& published_columns() const { return published_cols_; }
 
   /// Zone blocks skipped in the current execution (test hook).
   uint64_t blocks_pruned() const { return blocks_pruned_; }
 
   /// Morsel mode, identical to SeqScanOperator::BindMorselCursor.
-  void BindMorselCursor(parallel::MorselCursor* cursor) { morsels_ = cursor; }
-  bool morsel_mode() const { return morsels_ != nullptr; }
+  void BindMorselCursor(parallel::MorselCursor* cursor) { range_.Bind(cursor); }
+  bool morsel_mode() const { return range_.morsel_mode(); }
 
  private:
   /// True when block `block` cannot contain a qualifying row.
   bool BlockPruned(size_t block) const;
-  /// Advances pos_ past pruned blocks / exhausted morsels; returns false at
-  /// end of stream. On true, [pos_, pos_ + *run) is the longest contiguous
-  /// unpruned run with *run <= max.
+  /// Advances range_ past pruned blocks / exhausted morsels; returns false
+  /// at end of stream. On true, [range_.pos, range_.pos + *run) is the
+  /// longest contiguous unpruned run with *run <= max.
   bool ClaimRun(size_t max, size_t* run);
-  /// Points `vec` at rows [pos_, pos_ + n) of non-string column `col`'s
-  /// segment and charges reading them.
+  /// Points `vec` at rows [range_.pos, range_.pos + n) of non-string column
+  /// `col`'s segment and charges reading them.
   void AliasSegment(int col, size_t n, ColumnVector* vec);
   /// Points vbatch_ (predicate inputs) at segment storage for rows
-  /// [pos_, pos_ + n), widening dictionary codes where flagged.
+  /// [range_.pos, range_.pos + n), widening dictionary codes where flagged.
   void FillPredicateInputs(size_t n);
-  /// Publishes the `count` rows returned from the run [pos_, pos_ + run):
+  /// Publishes the `count` rows returned from the `run` rows at range_.pos:
   /// every row aliases the segments, fewer are sel_'s survivors, gathered
   /// from them.
   void Publish(size_t run, size_t count);
@@ -116,9 +116,7 @@ class ColumnScanOperator final : public Operator {
   std::array<const uint8_t*, kDefaultBatchSize> stage_{};
   size_t stage_pos_ = 0;
   size_t stage_n_ = 0;
-  parallel::MorselCursor* morsels_ = nullptr;
-  size_t pos_ = 0;
-  size_t limit_ = 0;  // End of the current morsel (or of the table).
+  parallel::RowRange range_;
   uint64_t blocks_pruned_ = 0;
 };
 

@@ -36,12 +36,14 @@ class ContractViolation : public std::logic_error {
 ///     holds a stale slice across a refill dereferences 0x51C0..DEAD and
 ///     ASan/TSan/a segfault catches it deterministically instead of it
 ///     silently reading rows from the wrong batch.
-///   - rows present unless asked away: NextBatch() poisons all of out[]
-///     before delegating; a batch returned to a consumer that did not get
-///     an OmitRows() request granted must have overwritten every entry it
-///     counts. A batch without rows leaves its entries poisoned (a read of
-///     one fails), must publish every requested column for all n rows, and
-///     Next() after a granted request throws.
+///   - rows present unless asked away: RequestColumns() is forwarded, and
+///     an operator that omits the rows of a request that asks for them
+///     throws. NextBatch() poisons all of out[] before delegating; a batch
+///     returned to a consumer whose last request (if any) kept the rows
+///     must have overwritten every entry it counts. A batch without rows
+///     leaves its entries poisoned (a read of one fails), must publish
+///     every requested column for all n rows, and Next() after rows were
+///     omitted throws.
 ///   - published columns (BatchColumns(), forwarded): after a NextBatch()
 ///     that returned n > 0 rows, the published batch holds 0 or exactly n
 ///     rows, and where rows are present the first and last lane of every
@@ -85,8 +87,8 @@ class ContractCheckedOperator final : public Operator {
     RequireOpen("Next()");
     if (omit_rows_) {
       throw ContractViolation(
-          "Next() after OmitRows() was granted; that consumer pulls through "
-          "NextBatch() alone");
+          "Next() after a request omitted the rows; that consumer pulls "
+          "through NextBatch() alone");
     }
     PoisonStaleSlice();
     return child(0)->Next();
@@ -105,9 +107,12 @@ class ContractCheckedOperator final : public Operator {
     return n;
   }
 
-  bool OmitRows(std::span<const int> columns) override {
-    RequireOpen("OmitRows()");
-    omit_rows_ = child(0)->OmitRows(columns);
+  bool RequestColumns(std::span<const int> columns, bool rows) override {
+    RequireOpen("RequestColumns()");
+    omit_rows_ = child(0)->RequestColumns(columns, rows);
+    if (omit_rows_ && rows) {
+      throw ContractViolation("a request that reads rows got none");
+    }
     omit_cols_.assign(columns.begin(), columns.end());
     return omit_rows_;
   }

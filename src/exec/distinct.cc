@@ -1,36 +1,9 @@
 #include "exec/distinct.h"
 
+#include "exec/hash_aggregation.h"
 #include "storage/tuple.h"
 
 namespace bufferdb {
-
-namespace {
-
-// Canonical byte encoding of a row for equality purposes (two rows with
-// equal column values encode identically; NULLs are tagged).
-std::string EncodeRow(const TupleView& view) {
-  std::string key;
-  const Schema& schema = view.schema();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (view.IsNull(c)) {
-      key.push_back('\1');
-      continue;
-    }
-    key.push_back('\0');
-    if (schema.column(c).type == DataType::kString) {
-      std::string_view s = view.GetString(c);
-      uint32_t n = static_cast<uint32_t>(s.size());
-      key.append(reinterpret_cast<const char*>(&n), 4);
-      key.append(s);
-    } else {
-      int64_t raw = view.GetInt64(c);  // Bit-copy works for all fixed types.
-      key.append(reinterpret_cast<const char*>(&raw), 8);
-    }
-  }
-  return key;
-}
-
-}  // namespace
 
 DistinctOperator::DistinctOperator(OperatorPtr child) {
   AddChild(std::move(child));
@@ -48,9 +21,13 @@ const uint8_t* DistinctOperator::Next() {
   while (const uint8_t* row = child(0)->Next()) {
     ctx_->ExecModule(module_id(), hot_funcs_);
     TupleView view(row, &schema);
+    key_.clear();
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      AppendGroupKey(view, c, &key_);
+    }
     // LINT: allow-alloc(distinct must materialize the seen-set; one
     // encoded key per unique row, amortized by the hash table)
-    auto [it, inserted] = seen_.insert(EncodeRow(view));
+    auto [it, inserted] = seen_.insert(key_);
     ctx_->Touch(it->data(), it->size());
     if (inserted) return row;
   }

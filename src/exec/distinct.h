@@ -8,8 +8,9 @@
 
 namespace bufferdb {
 
-/// Hash-based duplicate elimination over whole rows (SELECT DISTINCT).
-/// Pipelined: each first occurrence flows through immediately.
+/// Hash-based duplicate elimination over whole rows (SELECT DISTINCT), keyed
+/// by the rows' group-key bytes (AppendGroupKey per column). Pipelined:
+/// each first occurrence flows through immediately.
 class DistinctOperator final : public Operator {
  public:
   explicit DistinctOperator(OperatorPtr child);
@@ -28,6 +29,7 @@ class DistinctOperator final : public Operator {
 
  private:
   std::unordered_set<std::string> seen_;
+  std::string key_;  // The current row's key.
 };
 
 }  // namespace bufferdb

@@ -17,6 +17,7 @@ FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate)
 Status FilterOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
   published_.set_rows(0);
+  requested_ = false;
   return child(0)->Open(ctx);
 }
 
@@ -44,6 +45,10 @@ size_t FilterOperator::NextBatch(const uint8_t** out, size_t max) {
   const bool vectorized = compiled_ != nullptr && vectorized_eval_;
   const std::vector<sim::FuncId>& funcs =
       vectorized ? hot_funcs_batched() : hot_funcs_;
+  if (vectorized && !requested_) {
+    child(0)->RequestColumns(compiled_->input_columns(), /*rows=*/true);
+    requested_ = true;
+  }
   for (;;) {
     size_t in_n = child(0)->NextBatch(in_batch_.data(), max);
     if (in_n == 0) {

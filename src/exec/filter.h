@@ -24,8 +24,9 @@ class FilterOperator final : public Operator {
 
   /// Batch fast path: pulls whole batches from the child and selects the
   /// survivors column-at-a-time when the predicate compiled (decode →
-  /// RunFilter), else with the per-row interpreter (SelectRows); either
-  /// selection is gathered through one tail.
+  /// RunFilter, after requesting the predicate's inputs from the child),
+  /// else with the per-row interpreter (SelectRows); either selection is
+  /// gathered through one tail.
   size_t NextBatch(const uint8_t** out, size_t max) override;
 
   const Schema& output_schema() const override {
@@ -50,6 +51,7 @@ class FilterOperator final : public Operator {
   VectorBatch vbatch_;
   VectorBatch published_;  // BatchColumns() payload.
   SelectionVector sel_;
+  bool requested_ = false;  // The child has this Open's request.
 };
 
 }  // namespace bufferdb

@@ -217,6 +217,7 @@ void HashAggregationOperator::LoadBatched() {
   batch_keys_.resize(batch_size_);
   batch_hashes_.resize(batch_size_);
   batch_groups_.resize(batch_size_);
+  if (programs) child(0)->RequestColumns(decode_cols_, /*rows=*/true);
   while (size_t n = child(0)->NextBatch(batch_rows_.data(), batch_size_)) {
     if (programs) {
       // One decode of the union of input columns (aliasing what the child

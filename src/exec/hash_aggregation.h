@@ -44,7 +44,9 @@ void AppendGroupKey(const TupleView& view, size_t c, std::string* out);
 /// Keys and arguments compile independently. A key that is a bare column
 /// reference (strings included) is serialized straight from the packed row;
 /// other keys and every argument use their kernel program when it compiled
-/// and the interpreter otherwise.
+/// and the interpreter otherwise. The batched load requests the programs'
+/// input columns from its child (RequestColumns), which leaves out a
+/// bare-column key.
 class HashAggregationOperator final : public Operator {
  public:
   HashAggregationOperator(OperatorPtr child, std::vector<GroupKeyExpr> groups,

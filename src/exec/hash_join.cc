@@ -96,13 +96,15 @@ void HashJoinOperator::InsertBuildRow(int64_t key, const uint8_t* row) {
   ctx_->Touch(&t.nodes.back(), sizeof(Node));
 }
 
-// Whole batches with the compiled key program on the batch path; row at a
-// time through the interpreter otherwise.
+// Whole batches with the compiled key program on the batch path, which
+// requests the program's inputs; row at a time through the interpreter
+// otherwise.
 template <typename Sink>
 void HashJoinOperator::DrainBuild(Sink sink) {
   const Schema& build_schema = child(1)->output_schema();
   if (probe_batch_size_ > 1 && build_compiled_ != nullptr &&
       vectorized_eval_) {
+    child(1)->RequestColumns(build_compiled_->input_columns(), /*rows=*/true);
     build_rows_.resize(kDefaultBatchSize);
     build_keys_.resize(kDefaultBatchSize);
     build_valid_.resize(kDefaultBatchSize);
@@ -168,6 +170,10 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
     probe_buckets_.resize(probe_batch_size_);
     probe_chains_.resize(probe_batch_size_);
     probe_valid_.resize(probe_batch_size_);
+    if (probe_compiled_ != nullptr && vectorized_eval_) {
+      child(0)->RequestColumns(probe_compiled_->input_columns(),
+                               /*rows=*/true);
+    }
   }
 
   if (shared_ != nullptr) {

@@ -63,7 +63,9 @@ struct JoinHashTable {
 /// through NextBatch: probe keys and bucket heads for the whole batch are
 /// computed up front with software prefetches issued for the buckets (and
 /// first chain nodes) of tuples ahead in the batch, so the DRAM misses of
-/// independent probes overlap instead of serializing. Default is the
+/// independent probes overlap instead of serializing. The build side is
+/// then drained in batches too, and each side requests its compiled key's
+/// input columns from its child (RequestColumns). Default is the
 /// paper-faithful tuple-at-a-time probe.
 ///
 /// `columns` (optional) narrows the output row to those columns of

@@ -92,22 +92,28 @@ Status IndexNestLoopJoinOperator::Open(ExecContext* ctx) {
   outer_n_ = 0;
   omit_rows_ = false;
   publish_cols_.clear();
+  outer_cols_.clear();
+  outer_requested_ = false;
   BUFFERDB_RETURN_IF_ERROR(child(0)->Open(ctx));
   return child(1)->Open(ctx);
 }
 
-bool IndexNestLoopJoinOperator::OmitRows(std::span<const int> columns) {
+bool IndexNestLoopJoinOperator::RequestColumns(std::span<const int> columns,
+                                               bool rows) {
   omit_rows_ = false;
   publish_cols_.clear();
-  const int outer_width =
-      static_cast<int>(child(0)->output_schema().num_columns());
   outer_cols_.clear();
   inner_cols_.clear();
+  outer_requested_ = false;  // FetchOuterBatch reads what the answer says.
+  const bool strings =
+      std::any_of(columns.begin(), columns.end(), [this](int c) {
+        return output_schema_.column(static_cast<size_t>(c)).type ==
+               DataType::kString;
+      });
+  if (rows || strings) return false;
+  const int outer_width =
+      static_cast<int>(child(0)->output_schema().num_columns());
   for (int c : columns) {
-    if (output_schema_.column(static_cast<size_t>(c)).type ==
-        DataType::kString) {
-      return false;
-    }
     const int src = columns_.empty() ? c : columns_[static_cast<size_t>(c)];
     std::vector<int>* cols = src < outer_width ? &outer_cols_ : &inner_cols_;
     const int col = src < outer_width ? src : src - outer_width;
@@ -166,13 +172,21 @@ const uint8_t* IndexNestLoopJoinOperator::Next() {
 
 bool IndexNestLoopJoinOperator::FetchOuterBatch() {
   const Schema& outer_schema = child(0)->output_schema();
+  CompiledExpr* key = vectorized_eval_ ? key_compiled_.get() : nullptr;
+  if (!outer_requested_) {
+    // The columns read below: the key's inputs and, without rows, the
+    // requested outer columns.
+    std::vector<int> cols = outer_cols_;
+    if (key != nullptr) AddInputColumns(*key, &cols);
+    child(0)->RequestColumns(cols, /*rows=*/true);
+    outer_requested_ = true;
+  }
   outer_pos_ = 0;
   outer_n_ = child(0)->NextBatch(outer_rows_.data(), outer_rows_.size());
   if (outer_n_ == 0) return false;
   // Columns the child published (a ColumnScan's segments) are aliased.
   const VectorBatch* published = child(0)->BatchColumns();
-  EvaluateJoinKeys(vectorized_eval_ ? key_compiled_.get() : nullptr,
-                   *outer_key_expr_, outer_rows_.data(), outer_n_,
+  EvaluateJoinKeys(key, *outer_key_expr_, outer_rows_.data(), outer_n_,
                    outer_schema, published, &key_vbatch_, outer_keys_.data(),
                    outer_valid_.data());
   if (omit_rows_) {

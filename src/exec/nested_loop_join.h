@@ -57,11 +57,14 @@ class NestLoopJoinOperator final : public Operator {
 /// and a key either call left half drained is finished by the other, so
 /// the two calls may be mixed.
 ///
-/// After a granted OmitRows() request NextBatch() writes no joined row: it
-/// publishes the requested columns instead, outer ones copied from the
-/// outer batch's published (or decoded) vectors at each match's outer
-/// lane as its key's matches are found, inner ones decoded from the
-/// matched leaf rows.
+/// After a request without rows (RequestColumns) NextBatch() writes no
+/// joined row: it publishes the requested columns instead, outer ones
+/// copied from the outer batch's published (or decoded) vectors at each
+/// match's outer lane as its key's matches are found, inner ones decoded
+/// from the matched leaf rows. Before its first outer pull after Open or a
+/// request, NextBatch() requests from the outer input the columns it reads
+/// there: the compiled key's inputs and, without rows, the requested outer
+/// columns.
 class IndexNestLoopJoinOperator final : public Operator {
  public:
   IndexNestLoopJoinOperator(OperatorPtr outer,
@@ -74,8 +77,9 @@ class IndexNestLoopJoinOperator final : public Operator {
   size_t NextBatch(const uint8_t** out, size_t max) override;
   void Close() override;
 
-  /// Grants a request for non-string output columns.
-  bool OmitRows(std::span<const int> columns) override;
+  /// Omits the rows for a request without rows of non-string output
+  /// columns; declines any other.
+  bool RequestColumns(std::span<const int> columns, bool rows) override;
   /// The requested columns of the last NextBatch, or nullptr while the
   /// join writes rows.
   const VectorBatch* BatchColumns() const override {
@@ -88,7 +92,7 @@ class IndexNestLoopJoinOperator final : public Operator {
   }
   std::string label() const override { return "NestLoop(indexed)"; }
 
-  /// Whether NextBatch writes joined rows (no OmitRows granted since
+  /// Whether NextBatch writes joined rows (no request omitted them since
   /// Open), and the output columns it publishes when it does not.
   bool builds_rows() const { return !omit_rows_; }
   const std::vector<int>& published_columns() const { return publish_cols_; }
@@ -127,8 +131,8 @@ class IndexNestLoopJoinOperator final : public Operator {
   std::array<const uint8_t*, kDefaultBatchSize> match_inner_{};
   SelectionVector sel_;
 
-  // Row-free output (OmitRows): the requested output columns, and the
-  // outer and inner columns they come from.
+  // Row-free output (RequestColumns): the requested output columns, and
+  // the outer and inner columns they come from.
   bool omit_rows_ = false;
   std::vector<int> publish_cols_;
   std::vector<int> outer_cols_;
@@ -137,6 +141,7 @@ class IndexNestLoopJoinOperator final : public Operator {
   VectorBatch outer_stage_;   // outer_cols_ of the candidate matches.
   VectorBatch inner_vbatch_;  // inner_cols_ of the kept matches.
   VectorBatch published_;     // BatchColumns() payload.
+  bool outer_requested_ = false;  // The outer input has this answer's request.
 };
 
 }  // namespace bufferdb

@@ -83,8 +83,8 @@ class Operator {
   /// call). Mixing Next() and NextBatch() on one operator is allowed; the
   /// two drain the same underlying stream.
   ///
-  /// One exception: after a granted OmitRows() request the rows are
-  /// absent. out[0..n) is then left unwritten, and only the requested
+  /// One exception: after a RequestColumns() that omitted the rows they
+  /// are absent. out[0..n) is then left unwritten, and only the requested
   /// columns of BatchColumns() describe the n rows counted.
   ///
   /// The default implementation loops over Next(), so every operator
@@ -94,19 +94,23 @@ class Operator {
   /// override it, and so do the ContractChecked and Profiled decorators.
   virtual size_t NextBatch(const uint8_t** out, size_t max);
 
-  /// Asks for batches without rows (DESIGN.md §12.2): until the next
-  /// Open(), NextBatch() leaves out[] unwritten and publishes `columns` (of
-  /// output_schema()) in BatchColumns() for every row it counts. Returns
-  /// whether this operator does so; the default, false, changes nothing.
-  /// Only a consumer that reads nothing of its input but these columns
-  /// asks, after Open() and before its first pull, and it then pulls
-  /// through NextBatch() alone: a batched scalar Aggregation. The index
-  /// join grants a request for non-string columns; the ContractChecked and
-  /// Profiled decorators forward it. Any other operator, a Buffer, Sort,
-  /// Project, Filter or Exchange included, declines, so it never hands out
-  /// or receives a batch without rows.
-  virtual bool OmitRows(std::span<const int> columns) {
+  /// A consumer's request (DESIGN.md §12.2): it reads `columns` (of
+  /// output_schema()) of every batch NextBatch() returns, and the rows
+  /// themselves unless `rows` is false. A consumer asks after Open() and
+  /// before it pulls on the path that reads columns, for exactly the
+  /// columns it passes to DecodeMissing or EvaluateJoinKeys; the request
+  /// lasts until the next Open(), and a later one replaces it. Returns
+  /// whether the rows are omitted: NextBatch() then leaves out[] unwritten
+  /// and publishes every requested column in BatchColumns() for each row
+  /// it counts, and the consumer pulls through NextBatch() alone. Only a
+  /// batched scalar Aggregation sends `rows` false, and only the index join
+  /// omits them (for non-string columns). A ColumnScan publishes the
+  /// non-string columns asked for; the ContractChecked and Profiled
+  /// decorators forward the request; every other operator declines,
+  /// returning false and changing nothing.
+  virtual bool RequestColumns(std::span<const int> columns, bool rows) {
     (void)columns;
+    (void)rows;
     return false;
   }
 
@@ -116,13 +120,13 @@ class Operator {
 
   /// Columns of the most recent NextBatch() result that this operator
   /// already holds in SoA form (DESIGN.md §12): ColumnScan publishes the
-  /// columns its consumer reads, aliased from or gathered out of segment
-  /// storage; Filter publishes its compiled predicate's inputs gathered by
-  /// its selection and Project its programs' results; an index join that
-  /// granted OmitRows() publishes the requested columns, outer ones copied
-  /// from its outer input's published vectors and inner ones read from the
-  /// matched leaf rows; the Profiled and ContractChecked decorators
-  /// forward their child's. A consumer passes this to
+  /// columns its consumer requested (RequestColumns), aliased from or
+  /// gathered out of segment storage; Filter publishes its compiled
+  /// predicate's inputs gathered by its selection and Project its programs'
+  /// results; an index join that omits its rows publishes the requested
+  /// columns, outer ones copied from its outer input's published vectors
+  /// and inner ones read from the matched leaf rows; the Profiled and
+  /// ContractChecked decorators forward their child's. A consumer passes this to
   /// RowBatchDecoder::DecodeMissing so each column is decoded at most once
   /// per pipeline. nullptr (the default) or a batch of 0 rows means
   /// nothing is published; any other batch holds exactly the count just

@@ -55,6 +55,7 @@ ProjectOperator::ProjectOperator(OperatorPtr child,
 Status ProjectOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
   published_.set_rows(0);
+  requested_ = false;
   return child(0)->Open(ctx);
 }
 
@@ -89,6 +90,11 @@ const uint8_t* ProjectOperator::Next() {
 size_t ProjectOperator::NextBatch(const uint8_t** out, size_t max) {
   // LINT: allow-alloc(one-time staging growth; no-op once capacity == max)
   if (in_batch_.size() < max) in_batch_.resize(max);
+  const bool vectorized = !compiled_.empty() && vectorized_eval_;
+  if (vectorized && !requested_) {
+    child(0)->RequestColumns(decode_cols_, /*rows=*/true);
+    requested_ = true;
+  }
   size_t in_n = child(0)->NextBatch(in_batch_.data(), max);
   if (in_n == 0) {
     ctx_->ExecModule(module_id(), hot_funcs_batched());  // End-of-stream.
@@ -106,7 +112,7 @@ size_t ProjectOperator::NextBatch(const uint8_t** out, size_t max) {
     }
     return in_n;
   }
-  if (!compiled_.empty() && vectorized_eval_) {
+  if (vectorized) {
     RowBatchDecoder::DecodeMissing(in_batch_.data(), in_n, in_schema,
                                    decode_cols_, child(0)->BatchColumns(),
                                    &vbatch_);

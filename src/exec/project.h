@@ -29,13 +29,13 @@ class ProjectOperator final : public Operator {
   void Close() override;
 
   /// Batch fast path. A bare-column projection copies each row's slots, as
-  /// Next() does, and publishes nothing. Otherwise, when every item
-  /// compiled to a kernel program, the batch is decoded once (union of all
-  /// programs' input columns), each program runs column-at-a-time, and the
-  /// output rows are materialized from the result vectors into one arena
-  /// block — no TupleBuilder, no Value boxing. Any other projection runs
-  /// the per-tuple interpreter with the schema lookup and TupleBuilder
-  /// hoisted out of the loop.
+  /// Next() does, and requests and publishes nothing. Otherwise, when every
+  /// item compiled to a kernel program, the batch is decoded once (union of
+  /// all programs' input columns, requested from the child), each program
+  /// runs column-at-a-time, and the output rows are materialized from the
+  /// result vectors into one arena block — no TupleBuilder, no Value
+  /// boxing. Any other projection runs the per-tuple interpreter with the
+  /// schema lookup and TupleBuilder hoisted out of the loop.
   size_t NextBatch(const uint8_t** out, size_t max) override;
 
   const Schema& output_schema() const override { return output_schema_; }
@@ -65,6 +65,7 @@ class ProjectOperator final : public Operator {
   VectorBatch vbatch_;
   VectorBatch published_;  // BatchColumns() payload.
   std::vector<const ColumnVector*> results_;
+  bool requested_ = false;  // The child has this Open's request.
 };
 
 }  // namespace bufferdb

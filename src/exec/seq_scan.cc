@@ -18,26 +18,17 @@ SeqScanOperator::SeqScanOperator(Table* table, ExprPtr predicate)
 
 Status SeqScanOperator::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  pos_ = 0;
-  // Morsel mode starts with an empty range so the first Next() claims one.
-  limit_ = morsels_ != nullptr ? 0 : table_->num_rows();
+  range_.Reset(table_->num_rows());
   return Status::OK();
 }
 
 const uint8_t* SeqScanOperator::Next() {
   const Schema& schema = table_->schema();
-  for (;;) {
-    if (pos_ >= limit_) {
-      parallel::Morsel morsel;
-      if (morsels_ == nullptr || !morsels_->TryNext(&morsel)) break;
-      pos_ = morsel.begin;
-      limit_ = morsel.end;
-      continue;
-    }
+  while (range_.Claim()) {
     // One module execution per row considered: the scan loop body runs for
     // every input row, not just for qualifying ones.
     ctx_->ExecModule(module_id(), hot_funcs_);
-    const uint8_t* row = table_->row(pos_++);
+    const uint8_t* row = table_->row(range_.pos++);
     TupleView view(row, &schema);
     ctx_->Touch(row, view.size_bytes());
     if (predicate_ == nullptr || EvaluatePredicate(*predicate_, view)) {
@@ -54,19 +45,12 @@ size_t SeqScanOperator::NextBatch(const uint8_t** out, size_t max) {
   const std::vector<sim::FuncId>& funcs =
       vectorized ? hot_funcs_batched() : hot_funcs_;
   size_t n = 0;
-  while (n < max) {
-    if (pos_ >= limit_) {
-      parallel::Morsel morsel;
-      if (morsels_ == nullptr || !morsels_->TryNext(&morsel)) break;
-      pos_ = morsel.begin;
-      limit_ = morsel.end;
-      continue;
-    }
+  while (n < max && range_.Claim()) {
     // Tight run over the current range: no morsel check per row.
     size_t gathered = 0;
-    while (pos_ < limit_ && n + gathered < max) {
+    while (range_.pos < range_.end && n + gathered < max) {
       ctx_->ExecModule(module_id(), funcs);
-      const uint8_t* row = table_->row(pos_++);
+      const uint8_t* row = table_->row(range_.pos++);
       ctx_->Touch(row, TupleView(row, &schema).size_bytes());
       out[n + gathered++] = row;
     }
@@ -94,14 +78,10 @@ size_t SeqScanOperator::NextBatch(const uint8_t** out, size_t max) {
   return n;
 }
 
-void SeqScanOperator::Close() {
-  pos_ = 0;
-  limit_ = 0;
-}
+void SeqScanOperator::Close() { range_.Reset(0); }
 
 Status SeqScanOperator::Rescan() {
-  pos_ = 0;
-  limit_ = morsels_ != nullptr ? 0 : table_->num_rows();
+  range_.Reset(table_->num_rows());
   return Status::OK();
 }
 
@@ -111,7 +91,7 @@ std::string SeqScanOperator::label() const {
     out += ", ";
     out += predicate_->ToString();
   }
-  if (morsels_ != nullptr) out += ", morsel";
+  if (range_.morsel_mode()) out += ", morsel";
   out += ")";
   return out;
 }

@@ -49,8 +49,8 @@ class SeqScanOperator final : public Operator {
   /// Switches to morsel mode. `cursor` must range over this table's rows
   /// and outlive the operator; the caller (ExchangeOperator) resets it
   /// between executions. Pass null to return to full-table mode.
-  void BindMorselCursor(parallel::MorselCursor* cursor) { morsels_ = cursor; }
-  bool morsel_mode() const { return morsels_ != nullptr; }
+  void BindMorselCursor(parallel::MorselCursor* cursor) { range_.Bind(cursor); }
+  bool morsel_mode() const { return range_.morsel_mode(); }
 
  private:
   Table* table_;
@@ -58,9 +58,7 @@ class SeqScanOperator final : public Operator {
   std::unique_ptr<CompiledExpr> compiled_;  // Null when no/uncompilable pred.
   VectorBatch vbatch_;
   SelectionVector sel_;
-  parallel::MorselCursor* morsels_ = nullptr;
-  size_t pos_ = 0;
-  size_t limit_ = 0;  // End of the current morsel (or of the table).
+  parallel::RowRange range_;
 };
 
 }  // namespace bufferdb

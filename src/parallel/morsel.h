@@ -57,5 +57,39 @@ class MorselCursor {
   size_t morsel_rows_;
 };
 
-}  // namespace bufferdb::parallel
+/// The rows a table scan has yet to read, [pos, end): the whole table, or
+/// in morsel mode (Bind) the morsel it claimed last from a shared
+/// MorselCursor. SeqScan and ColumnScan read through one of these.
+class RowRange {
+ public:
+  /// Switches to morsel mode over `cursor`; null returns to the whole table.
+  void Bind(MorselCursor* cursor) { morsels_ = cursor; }
+  bool morsel_mode() const { return morsels_ != nullptr; }
 
+  /// Rewinds to the first row of a table of `num_rows` rows. In morsel mode
+  /// the range starts empty, so the first Claim() takes a morsel.
+  void Reset(size_t num_rows) {
+    pos = 0;
+    end = morsels_ != nullptr ? 0 : num_rows;
+  }
+
+  /// Whether [pos, end) holds a row, claiming the next morsel once the
+  /// current one is read (a morsel is never empty); false at the end of
+  /// the scan.
+  bool Claim() {
+    if (pos < end) return true;
+    Morsel morsel;
+    if (morsels_ == nullptr || !morsels_->TryNext(&morsel)) return false;
+    pos = morsel.begin;
+    end = morsel.end;
+    return true;
+  }
+
+  size_t pos = 0;
+  size_t end = 0;
+
+ private:
+  MorselCursor* morsels_ = nullptr;
+};
+
+}  // namespace bufferdb::parallel

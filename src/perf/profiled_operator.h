@@ -64,14 +64,14 @@ class ProfiledOperator final : public Operator {
     child(0)->Close();
   }
 
-  /// The wrapped operator's published columns, so a traced consumer
-  /// aliases what the untraced plan aliases instead of decoding it, and
-  /// its answer to a request for batches without rows.
+  /// The wrapped operator's published columns and its answer to a
+  /// consumer's request, so a traced consumer gets what the untraced plan
+  /// gets instead of decoding it.
   const VectorBatch* BatchColumns() const override {
     return child(0)->BatchColumns();
   }
-  bool OmitRows(std::span<const int> columns) override {
-    return child(0)->OmitRows(columns);
+  bool RequestColumns(std::span<const int> columns, bool rows) override {
+    return child(0)->RequestColumns(columns, rows);
   }
 
   const Schema& output_schema() const override {

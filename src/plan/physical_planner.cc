@@ -149,9 +149,7 @@ ExprPtr IndexResidual(const Expression& filter, const KeyRange& range) {
   return residual;
 }
 
-// The scan of `table` under `filter` (nullable, bound to the table). A
-// ColumnScan publishes `published`, the columns of the table its consumer
-// reads.
+// The scan of `table` under `filter` (nullable, bound to the table).
 //
 // Batched serial plans read a selective key range through the index: when
 // the filter bounds an indexed key on both sides and the range is
@@ -163,8 +161,7 @@ ExprPtr IndexResidual(const Expression& filter, const KeyRange& range) {
 // whole filter; parallel plans keep them because PartitionScans
 // morsel-partitions a table scan at every partitioned leaf.
 OperatorPtr MakeScan(const Catalog& catalog, Table* table,
-                     const ExprPtr& filter, std::vector<int> published,
-                     const PlannerOptions& options) {
+                     const ExprPtr& filter, const PlannerOptions& options) {
   ExprPtr predicate = filter != nullptr ? filter->Clone() : nullptr;
   double selectivity =
       filter != nullptr ? EstimateSelectivity(*filter, table) : 1.0;
@@ -184,10 +181,7 @@ OperatorPtr MakeScan(const Catalog& catalog, Table* table,
              table->columnar() != nullptr) {
     // The columnar fast path is batch-native: substitute it only for
     // batched plans over tables that carry a columnar image.
-    auto cscan =
-        std::make_unique<ColumnScanOperator>(table, std::move(predicate));
-    cscan->set_published_columns(std::move(published));
-    scan = std::move(cscan);
+    scan = std::make_unique<ColumnScanOperator>(table, std::move(predicate));
   } else {
     scan = std::make_unique<SeqScanOperator>(table, std::move(predicate));
   }
@@ -196,9 +190,10 @@ OperatorPtr MakeScan(const Catalog& catalog, Table* table,
   return scan;
 }
 
-// The input_schema columns that anything above the scans reads: the select
-// list (group keys and aggregate arguments), the cross-table predicates and
-// both ends of every join edge. `offsets[t]` is table t's first column.
+// The input_schema columns that anything above the scans reads, which is
+// what a batched plan's join rows carry: the select list (group keys and
+// aggregate arguments), the cross-table predicates and both ends of every
+// join edge. `offsets[t]` is table t's first column.
 std::vector<bool> ColumnsReadAboveScans(const LogicalQuery& query,
                                         const std::vector<size_t>& offsets) {
   std::vector<int> cols;
@@ -216,32 +211,6 @@ std::vector<bool> ColumnsReadAboveScans(const LogicalQuery& query,
   std::vector<bool> read(query.input_schema.num_columns(), false);
   for (int c : cols) read[c] = true;
   return read;
-}
-
-// The non-string columns of `table` that `read` marks: what the ColumnScan
-// of a single-table query publishes for the operator above it.
-std::vector<int> PublishedColumns(const Table& table,
-                                  const std::vector<bool>& read) {
-  const Schema& schema = table.schema();
-  std::vector<int> out;
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (read[c] && schema.column(c).type != DataType::kString) {
-      out.push_back(static_cast<int>(c));
-    }
-  }
-  return out;
-}
-
-// What a ColumnScan below a hash join publishes: the join key, the one
-// column the join's key loop reads, unless it is a string. A hash join
-// publishes no columns of its own, so any other column a scan published
-// there would be gathered for nothing.
-std::vector<int> PublishedKey(const Table& table, int key_col) {
-  if (table.schema().column(static_cast<size_t>(key_col)).type ==
-      DataType::kString) {
-    return {};
-  }
-  return {key_col};
 }
 
 // `expr` (nullable, bound to input_schema) rebound to a plan whose row
@@ -342,14 +311,6 @@ void CollectHashJoins(Operator* op, std::vector<HashJoinOperator*>* out) {
   }
 }
 
-// Whether the select list is aggregates alone: the plan's top is a scalar
-// AggregationOperator over the joins.
-bool ScalarAggregate(const LogicalQuery& query) {
-  return query.has_aggregates &&
-         std::all_of(query.items.begin(), query.items.end(),
-                     [](const OutputItem& item) { return item.is_aggregate; });
-}
-
 // The strategy of a join whose inner key column has `inner_index`
 // (nullable): `forced` unless it is kAuto, else an index join on a unique
 // key and a hash join otherwise.
@@ -433,8 +394,7 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
     }
     case JoinStrategy::kHashJoin: {
       OperatorPtr build =
-          MakeScan(*catalog_, inner_table, inner_filter,
-                   PublishedKey(*inner_table, inner_key_col), options_);
+          MakeScan(*catalog_, inner_table, inner_filter, options_);
       auto hash_join = std::make_unique<HashJoinOperator>(
           std::move(plan), std::move(build),
           ColRef(outer_schema, outer_key_col),
@@ -459,9 +419,8 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
         index_scan->set_estimated_rows(inner_filtered_rows);
         right = std::move(index_scan);
       } else {
-        // The Sort reads rows, so the scan publishes nothing.
         OperatorPtr scan =
-            MakeScan(*catalog_, inner_table, inner_filter, {}, options_);
+            MakeScan(*catalog_, inner_table, inner_filter, options_);
         auto sorted_right = std::make_unique<SortOperator>(
             std::move(scan), std::vector<SortKey>{{inner_key_col, false}});
         sorted_right->set_batch_size(options_.batch_size);
@@ -483,20 +442,26 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoinStep(const LogicalQuery& query,
 
 // Left-deep join chain in FROM order over the binder's equi-join edges.
 //
-// Each join's row holds the `read` columns (all of them in tuple-at-a-time
-// plans). The narrow row keeps input_schema order, so a column keeps its
-// position once joined and `pos` only gains entries as tables join. The
-// driving scan is built once the first join's edge is known, because what
-// it publishes depends on that join: a hash join reads only its outer key,
-// a merge join's Sort reads rows, and an index join that is the only join
-// under a scalar aggregate is asked for its columns by that aggregate
-// (Operator::OmitRows) and gathers them from the scan's published vectors,
-// so the scan publishes every read column of its table.
-Result<OperatorPtr> PhysicalPlanner::PlanJoins(
-    const LogicalQuery& query, const std::vector<size_t>& offsets,
-    const std::vector<bool>& read, std::vector<int>* pos) {
+// Each join's row holds the columns read above the scans
+// (ColumnsReadAboveScans) in batched plans, and every column in
+// tuple-at-a-time plans, which leaves the paper's plans and their
+// simulated counters as they were. The narrow row keeps input_schema
+// order, so a column keeps its position once joined and `pos` only gains
+// entries as tables join.
+Result<OperatorPtr> PhysicalPlanner::PlanJoins(const LogicalQuery& query,
+                                               std::vector<int>* pos) {
+  std::vector<size_t> offsets;  // Table t's first input_schema column.
+  size_t offset = 0;
+  for (Table* table : query.tables) {
+    offsets.push_back(offset);
+    offset += table->schema().num_columns();
+  }
   const size_t width = query.input_schema.num_columns();
-  OperatorPtr plan;
+  const std::vector<bool> read = options_.batch_size > 1
+                                     ? ColumnsReadAboveScans(query, offsets)
+                                     : std::vector<bool>(width, true);
+  OperatorPtr plan =
+      MakeScan(*catalog_, query.tables[0], query.filters[0], options_);
   // The driving scan emits table 0's whole row.
   pos->assign(width, -1);
   std::iota(pos->begin(),
@@ -528,25 +493,6 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoins(
       return Status::NotImplemented(
           "table " + query.tables[k]->name() +
           " is not connected to the preceding FROM tables by an equi-join");
-    }
-    if (k == 1) {
-      const Table& driving = *query.tables[0];
-      std::vector<int> published;
-      switch (ResolveJoinStrategy(
-          options_.join_strategy,
-          catalog_->FindIndex(query.tables[1], inner_key_col))) {
-        case JoinStrategy::kIndexNestLoop:
-          published = query.tables.size() == 2 && ScalarAggregate(query)
-                          ? PublishedColumns(driving, read)
-                          : PublishedKey(driving, outer_col);
-          break;
-        case JoinStrategy::kMergeJoin:
-          break;
-        default:
-          published = PublishedKey(driving, outer_col);
-      }
-      plan = MakeScan(*catalog_, query.tables[0], query.filters[0],
-                      std::move(published), options_);
     }
     // The join's row: the read columns of tables 0..k, as columns of
     // Concat(plan, tables[k]).
@@ -606,33 +552,15 @@ Result<OperatorPtr> PhysicalPlanner::PlanJoins(
   return plan;
 }
 
-// Batched plans carry only the columns read above the scans
-// (ColumnsReadAboveScans): a single-table query's ColumnScan publishes them
-// and each join copies them into its row. Tuple-at-a-time plans keep
-// full-width rows, which leaves the paper's plans and their simulated
-// counters as they were.
 Result<OperatorPtr> PhysicalPlanner::BuildInput(const LogicalQuery& query,
                                                 std::vector<int>* pos) {
-  std::vector<size_t> offsets;
-  size_t offset = 0;
-  for (Table* table : query.tables) {
-    offsets.push_back(offset);
-    offset += table->schema().num_columns();
+  if (query.tables.size() > 1) return PlanJoins(query, pos);
+  if (!query.cross_predicates.empty()) {
+    return Status::Internal("cross predicate on single-table query");
   }
-  const size_t width = query.input_schema.num_columns();
-  const std::vector<bool> read = options_.batch_size > 1
-                                     ? ColumnsReadAboveScans(query, offsets)
-                                     : std::vector<bool>(width, true);
-  if (query.tables.size() == 1) {
-    if (!query.cross_predicates.empty()) {
-      return Status::Internal("cross predicate on single-table query");
-    }
-    pos->resize(width);
-    std::iota(pos->begin(), pos->end(), 0);
-    return MakeScan(*catalog_, query.tables[0], query.filters[0],
-                    PublishedColumns(*query.tables[0], read), options_);
-  }
-  return PlanJoins(query, offsets, read, pos);
+  pos->resize(query.input_schema.num_columns());
+  std::iota(pos->begin(), pos->end(), 0);
+  return MakeScan(*catalog_, query.tables[0], query.filters[0], options_);
 }
 
 Result<OperatorPtr> PhysicalPlanner::PlanParallel(const LogicalQuery& query) {

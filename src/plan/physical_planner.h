@@ -100,11 +100,8 @@ class PhysicalPlanner {
   /// no operator above the scans reads it).
   Result<OperatorPtr> BuildInput(const LogicalQuery& query,
                                  std::vector<int>* pos);
-  /// The join chain of BuildInput, which gives it each table's first
-  /// input_schema column (`offsets`) and the columns read above the scans.
+  /// The join chain of a multi-table BuildInput.
   Result<OperatorPtr> PlanJoins(const LogicalQuery& query,
-                                const std::vector<size_t>& offsets,
-                                const std::vector<bool>& read,
                                 std::vector<int>* pos);
   Result<OperatorPtr> PlanJoinStep(const LogicalQuery& query, OperatorPtr plan,
                                    size_t k, int outer_key_col,

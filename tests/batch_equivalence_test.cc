@@ -238,9 +238,9 @@ std::vector<std::vector<Value>> Columns(
   return out;
 }
 
-// Drains `op` through a ContractCheckedOperator after asking it for
-// batches without rows, and returns the published columns `cols` of every
-// row it counts, in order. Each returned row pointer stays poisoned, so a
+// Drains `op` through a ContractCheckedOperator after requesting `cols`
+// without rows, and returns the published columns `cols` of every row it
+// counts, in order. Each returned row pointer stays poisoned, so a
 // consumer that read a row would fail, and Next() throws.
 std::vector<std::vector<Value>> DrainRowFree(OperatorPtr op,
                                              const std::vector<int>& cols,
@@ -248,7 +248,7 @@ std::vector<std::vector<Value>> DrainRowFree(OperatorPtr op,
   ContractCheckedOperator checked(std::move(op));
   ExecContext ctx;
   EXPECT_TRUE(checked.Open(&ctx).ok());
-  EXPECT_TRUE(checked.OmitRows(cols));
+  EXPECT_TRUE(checked.RequestColumns(cols, /*rows=*/false));
   std::vector<const uint8_t*> out(batch);
   std::vector<std::vector<Value>> rows;
   while (size_t n = checked.NextBatch(out.data(), batch)) {
@@ -279,11 +279,11 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<size_t> {
     CheckBatchedLoad([&](size_t) { return factory(); });
   }
 
-  // The index join `factory` builds, asked for batches without rows, and
-  // a scalar aggregate over it: the published columns `cols` equal, lane
-  // for lane, the rows the join builds when rows are asked for, and the
-  // aggregate (which asks for its arguments' columns when it loads
-  // batches) answers as the width-1 plan does.
+  // The index join `factory` builds, asked for `cols` without rows, and a
+  // scalar aggregate over it: the published columns `cols` equal, lane for
+  // lane, the rows the join builds when rows are asked for, and the
+  // aggregate (which requests its arguments' columns without rows when it
+  // loads batches) answers as the width-1 plan does.
   template <typename Factory>
   void CheckRowFree(Factory factory, const std::vector<int>& cols) {
     ExpectSameRows(Columns(RunPlanBatched(factory().get(), batch()), cols),
@@ -593,9 +593,13 @@ TEST_P(BatchEquivalenceTest, IndexNestLoopJoin) {
         std::vector<int>{0, 4, 7});
   };
   CheckEquivalent(make_nullable_join);
-  // Outer k and inner v; the string s cannot be published.
+  // Outer k and inner v; the string s cannot be published, and a request
+  // that reads rows keeps them.
   CheckRowFree(make_nullable_join, {0, 2});
-  EXPECT_FALSE(make_nullable_join()->OmitRows(std::vector<int>{1}));
+  EXPECT_FALSE(make_nullable_join()->RequestColumns(std::vector<int>{1},
+                                                    /*rows=*/false));
+  EXPECT_FALSE(make_nullable_join()->RequestColumns(std::vector<int>{0, 2},
+                                                    /*rows=*/true));
 
   // Outer keys 60..119 in runs of four equal keys, twice over, against
   // DuplicateKeyIndex: key 77 has more matches than a batch holds, and its

@@ -115,12 +115,15 @@ void ExpectPublishedMatches(const ColumnScanOperator& scan,
 enum class Drain { kNextBatch, kNext, kAlternating };
 
 // Drains `root` (`scan`, possibly contract-wrapped) at `width`: through
-// NextBatch only, Next only, or one Next then one NextBatch in turn.
+// NextBatch only, Next only, or one Next then one NextBatch in turn. Every
+// column is requested; the scan publishes k and v, and not the string s.
 std::vector<std::vector<Value>> DrainScan(Operator* root,
                                           const ColumnScanOperator& scan,
                                           size_t width, Drain drain) {
   ExecContext ctx;
   EXPECT_TRUE(root->Open(&ctx).ok());
+  EXPECT_FALSE(root->RequestColumns(std::vector<int>{0, 1, 2}, true));
+  EXPECT_EQ(scan.published_columns(), (std::vector<int>{0, 1}));
   std::vector<const uint8_t*> rows;
   std::vector<const uint8_t*> slice(width);
   auto pull_batch = [&] {
@@ -490,7 +493,6 @@ TEST(DictionaryTest, DifferentialFuzzVsInterpreter) {
       // String predicates run on dictionary codes, not the interpreter,
       // unless some conjunct does not compile.
       EXPECT_EQ(hook->compiled_predicate() != nullptr, compiles);
-      hook->set_published_columns({0, 1});  // k and v; s is a string.
       OperatorPtr root = ContractChecked(std::move(cscan));
       EXPECT_EQ(expected,
                 DrainScan(root.get(), *hook, width, Drain::kNextBatch));
@@ -535,7 +537,6 @@ TEST_P(ColumnScanWidthTest, MatchesSeqScanAcrossWidths) {
           auto cscan = std::make_unique<ColumnScanOperator>(
               table.get(), pred ? pred->Clone() : nullptr);
           ColumnScanOperator* hook = cscan.get();
-          hook->set_published_columns({0, 1});  // k and v; s is a string.
           hook->set_vectorized_eval(vectorized);
           if (morsels) hook->BindMorselCursor(&cursor);
           OperatorPtr root = ContractChecked(std::move(cscan));
@@ -627,6 +628,19 @@ class ColumnScanPublishTest : public ::testing::Test {
     return out;
   }
 
+  // The columns `scan` publishes once `plan` (its plan) is drained through
+  // NextBatch, as a batched client drains it, in table order: what its
+  // consumer requested after Open.
+  static std::vector<int> Published(Operator* plan,
+                                    const ColumnScanOperator& scan) {
+    ExecContext ctx;
+    auto rows = ExecutePlanBatched(plan, &ctx);
+    EXPECT_TRUE(rows.ok() && !rows->empty()) << rows.status();
+    std::vector<int> cols = scan.published_columns();
+    std::sort(cols.begin(), cols.end());
+    return cols;
+  }
+
   static Catalog* catalog_;
 };
 
@@ -649,13 +663,51 @@ TEST_F(ColumnScanPublishTest, PaperQuery1PublishesItsAggregateArguments) {
     const ColumnScanOperator* scan = FindColumnScan(*plan);
     ASSERT_NE(scan, nullptr);
     EXPECT_EQ(plan->child(0), scan) << "refine " << refine;
-    EXPECT_EQ(scan->published_columns(), expected) << "refine " << refine;
+    EXPECT_EQ(Published(plan.get(), *scan), expected) << "refine " << refine;
   }
 }
 
-// Grouped on strings and joined: joins publish no columns, so a scan below
-// a hash join publishes only the key the join reads, not the select list's
-// l_extendedprice, and one below a merge join's Sort publishes nothing.
+// A grouped aggregate requests its programs' inputs: the argument, not the
+// bare INT64 group key, which it reads from the rows.
+TEST_F(ColumnScanPublishTest, GroupedAggregatePublishesArgumentsNotBareKey) {
+  Table* lineitem = catalog_->GetTable("lineitem");
+  OperatorPtr plan = Plan(
+      "SELECT l_linenumber, SUM(l_quantity), COUNT(*) FROM lineitem "
+      "WHERE l_shipdate <= DATE '1998-09-02' GROUP BY l_linenumber",
+      /*refine=*/true);
+  const ColumnScanOperator* scan = FindColumnScan(*plan);
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(Published(plan.get(), *scan), Columns(*lineitem, {"l_quantity"}));
+}
+
+// A scalar aggregate one of whose arguments does not compile loads row by
+// row through Next(), reads no column, and so requests none.
+TEST_F(ColumnScanPublishTest, UncompiledScalarAggregatePublishesNothing) {
+  OperatorPtr plan = Plan(
+      "SELECT MIN(l_comment), SUM(l_quantity) FROM lineitem "
+      "WHERE l_shipdate <= DATE '1998-09-02'",
+      /*refine=*/true);
+  const ColumnScanOperator* scan = FindColumnScan(*plan);
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(Published(plan.get(), *scan), std::vector<int>{});
+}
+
+// Point-query template 2: a bare-column Project copies the rows' slots and
+// reads no column, so its scan publishes nothing.
+TEST_F(ColumnScanPublishTest, BareColumnProjectScanPublishesNothing) {
+  OperatorPtr plan = Plan(
+      "SELECT s_suppkey, s_name, s_acctbal FROM supplier "
+      "WHERE s_nationkey = 7 ORDER BY s_acctbal DESC, s_suppkey LIMIT 10",
+      /*refine=*/true);
+  const ColumnScanOperator* scan = FindColumnScan(*plan);
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(Published(plan.get(), *scan), std::vector<int>{});
+}
+
+// Grouped on strings and joined: a hash join requests only its key from
+// each side and publishes no columns, so its scans publish the keys, not
+// the select list's l_extendedprice, and a scan below a merge join's Sort,
+// which reads rows, publishes nothing.
 TEST_F(ColumnScanPublishTest, JoinScansPublishOnlyTheirKeys) {
   for (JoinStrategy joins :
        {JoinStrategy::kHashJoin, JoinStrategy::kMergeJoin}) {
@@ -679,6 +731,8 @@ TEST_F(ColumnScanPublishTest, JoinScansPublishOnlyTheirKeys) {
       }
     }
     ASSERT_EQ(scans.size(), 2u);
+    ExecContext ctx;
+    ASSERT_TRUE(ExecutePlanBatched(plan.get(), &ctx).ok());
     for (const ColumnScanOperator* scan : scans) {
       const Table& table = *scan->table();
       const char* key =
@@ -719,9 +773,9 @@ TEST_F(ColumnScanPublishTest, PublishedVectorsMatchRowsAliasedAndGathered) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.pred != nullptr ? c.pred->ToString() : "no predicate");
     ColumnScanOperator scan(lineitem, c.pred ? c.pred->Clone() : nullptr);
-    scan.set_published_columns(published);
     ExecContext ctx;
     ASSERT_TRUE(scan.Open(&ctx).ok());
+    EXPECT_FALSE(scan.RequestColumns(published, /*rows=*/false));
     std::vector<const uint8_t*> rows(Operator::kDefaultBatchSize);
     size_t batches = 0;
     size_t total = 0;

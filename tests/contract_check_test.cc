@@ -241,9 +241,9 @@ TEST(ContractCheckTest, PublishedColumnsMustMatchTheRows) {
   EXPECT_THROW(DrainBatches(stale.get()), ContractViolation);
 }
 
-// The wrapper forwards BatchColumns(), so a batched aggregate above a
-// wrapped ColumnScan reads the scan's published vectors, as it does
-// unwrapped, and the checker checks them.
+// The wrapper forwards RequestColumns() and BatchColumns(), so a batched
+// aggregate above a wrapped ColumnScan gets the columns it requests, as it
+// does unwrapped, and the checker checks them.
 TEST(ContractCheckTest, AggregateOverWrappedColumnScanSeesItsColumns) {
   std::vector<std::pair<int64_t, double>> rows;
   for (int64_t i = 0; i < 1000; ++i) {
@@ -257,7 +257,6 @@ TEST(ContractCheckTest, AggregateOverWrappedColumnScanSeesItsColumns) {
     auto scan = std::make_unique<ColumnScanOperator>(
         table.get(), testutil::Bin(BinaryOp::kLt, testutil::Col(s, "k"),
                                    testutil::Lit(Value::Int64(9))));
-    scan->set_published_columns({0, 1});
     const ColumnScanOperator* raw = scan.get();
     OperatorPtr input = std::move(scan);
     if (wrapped) {
@@ -274,12 +273,80 @@ TEST(ContractCheckTest, AggregateOverWrappedColumnScanSeesItsColumns) {
     const uint8_t* row = agg.Next();
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(checked->BatchColumns(), raw->BatchColumns());
+    EXPECT_EQ(raw->published_columns(), (std::vector<int>{1, 0}));
     TupleView view(row, &agg.output_schema());
     answers.push_back({view.GetValue(0), view.GetValue(1)});
     agg.Close();
   }
   EXPECT_TRUE(answers[0][0] == answers[1][0]);
   EXPECT_TRUE(answers[0][1] == answers[1][1]);
+}
+
+// Passes its scan's batches through until a request comes; from then on
+// it answers `omit` to every request and leaves out[] unwritten.
+class UnwrittenRowsOp final : public Operator {
+ public:
+  UnwrittenRowsOp(OperatorPtr scan, bool omit) : omit_(omit) {
+    AddChild(std::move(scan));
+  }
+  [[nodiscard]] Status Open(ExecContext* ctx) override {
+    ctx_ = ctx;
+    requested_ = false;
+    return child(0)->Open(ctx);
+  }
+  const uint8_t* Next() override { return child(0)->Next(); }
+  size_t NextBatch(const uint8_t** out, size_t max) override {
+    if (!requested_) return child(0)->NextBatch(out, max);
+    std::vector<const uint8_t*> dropped(max);
+    return child(0)->NextBatch(dropped.data(), max);
+  }
+  bool RequestColumns(std::span<const int> columns, bool rows) override {
+    (void)columns;
+    (void)rows;
+    requested_ = true;
+    return omit_;
+  }
+  void Close() override { child(0)->Close(); }
+  const Schema& output_schema() const override {
+    return child(0)->output_schema();
+  }
+  sim::ModuleId module_id() const override { return sim::ModuleId::kSeqScan; }
+
+ private:
+  bool omit_;
+  bool requested_ = false;
+};
+
+// A request with rows never leaves a row unwritten: an operator that omits
+// them anyway throws at the request, one that declines and then writes no
+// row throws at the batch, and a ColumnScan writes every row.
+TEST(ContractCheckTest, RequestWithRowsGetsEveryRow) {
+  auto table = testutil::MakeKvTable(
+      "t", {{1, 1.0}, {2, 2.0}, {3, 3.0}, {4, 4.0}, {5, 5.0}, {6, 6.0}});
+  table->AttachColumnar(ColumnarTable::Build(*table));
+  const std::vector<int> k = {0};
+  const uint8_t* out[4];
+  ExecContext ctx;
+  for (bool omit : {true, false}) {
+    ContractCheckedOperator checked(std::make_unique<UnwrittenRowsOp>(
+        std::make_unique<SeqScanOperator>(table.get(), nullptr), omit));
+    ASSERT_TRUE(checked.Open(&ctx).ok());
+    if (omit) {
+      EXPECT_THROW(checked.RequestColumns(k, true), ContractViolation);
+    } else {
+      EXPECT_FALSE(checked.RequestColumns(k, true));
+      EXPECT_THROW(checked.NextBatch(out, 4), ContractViolation);
+    }
+    checked.Close();
+  }
+  ContractCheckedOperator scan(
+      std::make_unique<ColumnScanOperator>(table.get(), nullptr));
+  ASSERT_TRUE(scan.Open(&ctx).ok());
+  EXPECT_FALSE(scan.RequestColumns(k, true));
+  size_t rows = 0;
+  while (size_t n = scan.NextBatch(out, 4)) rows += n;
+  EXPECT_EQ(rows, table->num_rows());
+  scan.Close();
 }
 
 TEST(ContractCheckTest, MacroWrapsWhenCheckingEnabled) {

@@ -133,18 +133,21 @@ TEST(PerfCountersTest, ProfiledPlanProducesIdenticalResults) {
 }
 
 // A traced plan hands each consumer the columns the untraced plan aliases:
-// the wrapper forwards its operator's published batch, so the profile
-// times the decode work the timed run does, and no more.
+// the wrapper forwards its consumer's request and its operator's published
+// batch, so the profile times the decode work the timed run does, and no
+// more.
 TEST(PerfCountersTest, ProfiledOperatorForwardsPublishedColumns) {
   auto table = SmallTable();
   table->AttachColumnar(ColumnarTable::Build(*table));
   const Schema& schema = table->schema();
   perf::QueryProfile scan_profile;
-  auto column_scan = std::make_unique<ColumnScanOperator>(table.get(), nullptr);
-  column_scan->set_published_columns({schema.FindColumn("k")});
-  OperatorPtr scan = perf::ProfilePlan(std::move(column_scan), &scan_profile);
+  OperatorPtr scan = perf::ProfilePlan(
+      std::make_unique<ColumnScanOperator>(table.get(), nullptr),
+      &scan_profile);
   ExecContext ctx;
   ASSERT_TRUE(scan->Open(&ctx).ok());
+  EXPECT_FALSE(scan->RequestColumns(
+      std::vector<int>{schema.FindColumn("k")}, /*rows=*/true));
   std::vector<const uint8_t*> batch(64);
   const size_t n = scan->NextBatch(batch.data(), batch.size());
   ASSERT_GT(n, 0u);
@@ -155,14 +158,12 @@ TEST(PerfCountersTest, ProfiledOperatorForwardsPublishedColumns) {
   EXPECT_NE(published->Find(schema.FindColumn("k")), nullptr);
   scan->Close();
 
-  // ColumnScan(k < 7, publishing k and v) -> batched hash-agg(by k:
-  // SUM(v), COUNT), traced and not.
+  // ColumnScan(k < 7) -> batched hash-agg(by k: SUM(v), COUNT), which
+  // requests v, traced and not.
   auto make_plan = [&] {
     auto input = std::make_unique<ColumnScanOperator>(
         table.get(), testutil::Bin(BinaryOp::kLt, testutil::Col(schema, "k"),
                                    testutil::Lit(Value::Int64(7))));
-    input->set_published_columns(
-        {schema.FindColumn("k"), schema.FindColumn("v")});
     std::vector<GroupKeyExpr> groups;
     groups.push_back(GroupKeyExpr{testutil::Col(schema, "k"), "k"});
     std::vector<AggSpec> specs;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+
 #include "common/date.h"
 #include "core/buffer_operator.h"
 #include "core/plan_refiner.h"
@@ -178,8 +182,8 @@ IndexNestLoopJoinOperator* FindIndexJoin(Operator* op) {
 
 // Paper Query 3's batched aggregate reads its two arguments as columns:
 // the index join publishes exactly them and builds no row, gathering
-// l_discount from its driving scan, which publishes it beside the key.
-// The batch-1 plan keeps its full-width rows over a SeqScan.
+// l_discount from its driving scan, which the join asks for it beside the
+// key. The batch-1 plan keeps its full-width rows over a SeqScan.
 TEST_F(PlannerTest, BatchedQuery3JoinPublishesColumnsAndBuildsNoRows) {
   PlannerOptions batched;
   batched.batch_size = Operator::kDefaultBatchSize;
@@ -192,11 +196,11 @@ TEST_F(PlannerTest, BatchedQuery3JoinPublishesColumnsAndBuildsNoRows) {
     ASSERT_EQ(plan->child(0), join);
     auto* scan = dynamic_cast<ColumnScanOperator*>(join->child(0));
     ASSERT_NE(scan, nullptr);
-    EXPECT_EQ(SortedNames(scan->output_schema(), scan->published_columns()),
-              (std::vector<std::string>{"l_discount", "l_orderkey"}));
     ExecContext ctx;
     auto rows = ExecutePlanRows(plan.get(), &ctx);
     ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_EQ(SortedNames(scan->output_schema(), scan->published_columns()),
+              (std::vector<std::string>{"l_discount", "l_orderkey"}));
     EXPECT_FALSE(join->builds_rows());
     EXPECT_EQ(SortedNames(join->output_schema(), join->published_columns()),
               (std::vector<std::string>{"l_discount", "o_totalprice"}));
@@ -217,7 +221,8 @@ TEST_F(PlannerTest, BatchedQuery3JoinPublishesColumnsAndBuildsNoRows) {
 
 // Point-query template 7: an index join under Project and Sort, which read
 // rows, so the join builds them and publishes nothing. Under a Project the
-// driving ColumnScan of paper Query 3's join publishes only its key.
+// driving ColumnScan of paper Query 3's join publishes only the key the
+// join asks for.
 TEST_F(PlannerTest, IndexJoinUnderProjectBuildsRows) {
   PlannerOptions batched;
   batched.batch_size = Operator::kDefaultBatchSize;
@@ -245,6 +250,8 @@ TEST_F(PlannerTest, IndexJoinUnderProjectBuildsRows) {
   ASSERT_NE(join, nullptr);
   auto* scan = dynamic_cast<ColumnScanOperator*>(join->child(0));
   ASSERT_NE(scan, nullptr);
+  ASSERT_TRUE(ExecutePlanBatched(project.get(), &ctx).ok());
+  EXPECT_TRUE(join->builds_rows());
   EXPECT_EQ(SortedNames(scan->output_schema(), scan->published_columns()),
             (std::vector<std::string>{"l_orderkey"}));
 }
@@ -451,6 +458,159 @@ TEST_F(PlannerTest, AggregateArgumentsFoldedAtPlanTime) {
 
 // A/B hook: PlannerOptions::vectorize_expressions toggles the compiled
 // kernel programs per plan; results must be identical either way.
+// The benchmark's nine TPC-H queries (perfbench/sqlbench.cc), then one
+// instance of each of its eight point-query templates.
+const char* const kBenchmarkQueries[] = {
+    "SELECT SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) "
+    "AS sum_charge, AVG(l_quantity) AS avg_qty, COUNT(*) AS count_order "
+    "FROM lineitem WHERE l_shipdate <= DATE '1998-09-02'",
+    "SELECT COUNT(*) AS count_order FROM lineitem "
+    "WHERE l_shipdate <= DATE '1998-09-02'",
+    kQuery3,
+    "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, "
+    "SUM(l_extendedprice) AS sum_base_price, "
+    "SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, "
+    "SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge, "
+    "AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price, "
+    "AVG(l_discount) AS avg_disc, COUNT(*) AS count_order "
+    "FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' "
+    "GROUP BY l_returnflag, l_linestatus "
+    "ORDER BY l_returnflag, l_linestatus",
+    "SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue "
+    "FROM customer, orders, lineitem "
+    "WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey "
+    "AND c_mktsegment = 'BUILDING' AND o_orderdate < DATE '1995-03-15' "
+    "AND l_shipdate > DATE '1995-03-15' "
+    "GROUP BY l_orderkey ORDER BY revenue DESC LIMIT 10",
+    "SELECT c_custkey, c_name, SUM(l_extendedprice * (1 - l_discount)) "
+    "AS revenue FROM customer, orders, lineitem "
+    "WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey "
+    "AND o_orderdate >= DATE '1993-10-01' "
+    "AND o_orderdate < DATE '1994-01-01' AND l_returnflag = 'R' "
+    "GROUP BY c_custkey, c_name ORDER BY revenue DESC LIMIT 20",
+    "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem "
+    "WHERE l_shipdate >= DATE '1994-01-01' "
+    "AND l_shipdate < DATE '1995-01-01' "
+    "AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24",
+    "SELECT l_shipmode, COUNT(*) AS line_count FROM orders, lineitem "
+    "WHERE o_orderkey = l_orderkey "
+    "AND (l_shipmode = 'MAIL' OR l_shipmode = 'SHIP') "
+    "AND l_receiptdate >= DATE '1994-01-01' "
+    "AND l_receiptdate < DATE '1995-01-01' "
+    "GROUP BY l_shipmode ORDER BY l_shipmode",
+    "SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue, "
+    "COUNT(*) AS lines FROM lineitem, part WHERE l_partkey = p_partkey "
+    "AND l_shipdate >= DATE '1995-09-01' AND l_shipdate < DATE '1995-10-01'",
+    "SELECT n_nationkey, n_name, r_name FROM nation, region "
+    "WHERE n_regionkey = r_regionkey AND r_regionkey = 2 "
+    "ORDER BY n_nationkey",
+    "SELECT s_suppkey, s_name, s_acctbal FROM supplier "
+    "WHERE s_nationkey = 7 ORDER BY s_acctbal DESC, s_suppkey LIMIT 10",
+    "SELECT l_orderkey, l_linenumber, l_quantity, l_extendedprice "
+    "FROM lineitem WHERE l_orderkey >= 1000 AND l_orderkey < 1032 "
+    "ORDER BY l_orderkey, l_linenumber",
+    "SELECT o_orderstatus, COUNT(*) AS n, SUM(o_totalprice) AS total "
+    "FROM orders WHERE o_orderkey BETWEEN 1000 AND 1199 "
+    "GROUP BY o_orderstatus ORDER BY o_orderstatus",
+    "SELECT c_custkey, c_name, c_acctbal FROM customer "
+    "WHERE c_custkey BETWEEN 100 AND 199 AND c_acctbal > 0",
+    "SELECT COUNT(*) AS n, SUM(l_quantity) AS qty, AVG(l_discount) AS disc "
+    "FROM lineitem WHERE l_orderkey BETWEEN 1000 AND 1099",
+    "SELECT o_orderkey, o_totalprice, c_name FROM orders, customer "
+    "WHERE o_custkey = c_custkey AND o_orderkey BETWEEN 100 AND 149 "
+    "ORDER BY o_orderkey",
+    "SELECT p_partkey, p_name, p_retailprice FROM part "
+    "WHERE p_partkey BETWEEN 100 AND 299 "
+    "ORDER BY p_retailprice DESC, p_partkey LIMIT 20",
+};
+
+// Runs `plan` to completion, through NextBatch at `batch` > 1, and boxes
+// its rows.
+std::vector<std::vector<Value>> Drain(Operator* plan, size_t batch) {
+  ExecContext ctx;
+  auto rows = batch > 1 ? ExecutePlanBatched(plan, &ctx, batch)
+                        : ExecutePlan(plan, &ctx);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  std::vector<std::vector<Value>> out;
+  if (!rows.ok()) return out;
+  const Schema& schema = plan->output_schema();
+  for (const uint8_t* row : *rows) {
+    std::vector<Value> values;
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      values.push_back(TupleView(row, &schema).GetValue(c));
+    }
+    out.push_back(std::move(values));
+  }
+  return out;
+}
+
+// The same rows in any order, doubles within a relative 1e-9: a parallel
+// plan's fragments sum in the order they happen to claim morsels.
+void ExpectSameAnswer(std::vector<std::vector<Value>> expected,
+                      std::vector<std::vector<Value>> actual) {
+  auto key = [](const std::vector<Value>& row) {
+    std::string out;
+    for (const Value& v : row) {
+      if (v.type() == DataType::kDouble && !v.is_null()) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.6g", v.double_value());
+        out += buf;
+      } else {
+        out += v.ToString();
+      }
+      out += "|";
+    }
+    return out;
+  };
+  auto before = [&](const std::vector<Value>& a, const std::vector<Value>& b) {
+    return key(a) < key(b);
+  };
+  std::sort(expected.begin(), expected.end(), before);
+  std::sort(actual.begin(), actual.end(), before);
+  ASSERT_EQ(expected.size(), actual.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i].size(), actual[i].size());
+    for (size_t c = 0; c < expected[i].size(); ++c) {
+      const Value& e = expected[i][c];
+      const Value& a = actual[i][c];
+      if (e.type() == DataType::kDouble && !e.is_null() && !a.is_null()) {
+        EXPECT_NEAR(e.double_value(), a.double_value(),
+                    1e-9 * std::max(1.0, std::abs(e.double_value())))
+            << "row " << i << " col " << c;
+      } else {
+        EXPECT_EQ(e, a) << "row " << i << " col " << c;
+      }
+    }
+  }
+}
+
+// Every plan the planner builds for the benchmark's queries, at batch
+// {1, 256} x degree {1, 4} x refine {off, on}, answers with every operator
+// contract-checked (ContractCheckPlan, which checks in Debug and
+// -DBUFFERDB_CHECK_CONTRACTS=ON builds) as it answers unchecked.
+TEST_F(PlannerTest, BenchmarkPlansPassTheContractChecker) {
+  for (const char* sql : kBenchmarkQueries) {
+    for (size_t batch : {size_t{1}, Operator::kDefaultBatchSize}) {
+      for (size_t degree : {1, 4}) {
+        for (bool refine : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << sql << " batch " << batch << " degree " << degree
+                       << (refine ? " refined" : ""));
+          PlannerOptions options;
+          options.batch_size = batch;
+          options.parallel_degree = degree;
+          options.refine = refine;
+          OperatorPtr plain = MustPlan(sql, options);
+          OperatorPtr checked =
+              testutil::ContractCheckPlan(MustPlan(sql, options));
+          ExpectSameAnswer(Drain(plain.get(), batch),
+                           Drain(checked.get(), batch));
+        }
+      }
+    }
+  }
+}
+
 TEST_F(PlannerTest, VectorizedAndInterpretedPlansAgree) {
   const char* queries[] = {
       "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25",

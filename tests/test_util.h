@@ -7,9 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "core/buffer_operator.h"
 #include "exec/contract_check.h"
 #include "exec/operator.h"
 #include "expr/expression.h"
+#include "parallel/exchange.h"
 #include "storage/table.h"
 
 namespace bufferdb::testutil {
@@ -22,6 +24,28 @@ namespace bufferdb::testutil {
 /// binary), so the function must have internal linkage to stay ODR-clean.
 [[maybe_unused]] static OperatorPtr ContractChecked(OperatorPtr op) {
   return BUFFERDB_WRAP_CONTRACT_CHECKED(std::move(op));
+}
+
+/// Wraps every operator of a finished plan (planned and refined) in the
+/// contract checker, as perf::ProfilePlan wraps it in the profiler; like
+/// ContractChecked, it changes nothing unless checking is enabled. An
+/// Exchange's fragment roots and a Buffer's child stay unwrapped (their
+/// subtrees do not): their parents fill one array over several NextBatch
+/// pulls, and the checker poisons the previous slice on each pull.
+[[maybe_unused]] static OperatorPtr ContractCheckPlan(OperatorPtr root) {
+  std::vector<Operator*> stack = {root.get()};
+  while (!stack.empty()) {
+    Operator* op = stack.back();
+    stack.pop_back();
+    const bool fills_one_array =
+        dynamic_cast<parallel::ExchangeOperator*>(op) != nullptr ||
+        dynamic_cast<BufferOperator*>(op) != nullptr;
+    for (size_t i = 0; i < op->num_children(); ++i) {
+      stack.push_back(op->child(i));
+      if (!fills_one_array) op->SetChild(i, ContractChecked(op->TakeChild(i)));
+    }
+  }
+  return ContractChecked(std::move(root));
 }
 
 /// Two-column (k INT64, v DOUBLE) table from (k, v) pairs.

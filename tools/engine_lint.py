@@ -58,10 +58,11 @@ see (see DESIGN.md section 9):
                             LoadBatched() bodies: building a row a consumer
                             decodes straight back into columns is the waste
                             the published-columns protocol removes
-                            (Operator::OmitRows). A batch path that builds
-                            rows because its consumer reads rows is
-                            annotated `// LINT: allow-row-build(<reason>)`
-                            on the same or the preceding line.
+                            (Operator::RequestColumns). A batch path
+                            that builds rows because its consumer reads
+                            rows is annotated
+                            `// LINT: allow-row-build(<reason>)` on the
+                            same or the preceding line.
 
 Suppressions use one canonical grammar across all rules:
 `// LINT: allow-<rule>(<reason>)`. The deprecated aliases
@@ -524,7 +525,8 @@ def check_row_build(path: str, raw: str, stripped: str) -> list[Finding]:
                 path, line, "ENG009",
                 "row build (TupleBuilder::ConcatRows/CopyColumns/Finish) "
                 "inside NextBatch()/LoadBatched(); publish columns when the "
-                "consumer reads only columns (Operator::OmitRows), or "
+                "consumer requests only columns "
+                "(Operator::RequestColumns), or "
                 f"annotate `// {ALLOW_ROW_BUILD}(<reason>)`"))
     return findings
 
